@@ -35,7 +35,7 @@ def _cap_threads():
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
                 "VECLIB_MAXIMUM_THREADS"):
-        os.environ.setdefault(var, val)
+        os.environ[var] = val
 
 
 def _parser():

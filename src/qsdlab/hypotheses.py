@@ -64,96 +64,125 @@ class HypothesisReport:
 # ---------------------------------------------------------------------------
 # shift-stabilized inner integrals
 
-def _decay_length(d: DriftField, y: float) -> float:
-    qy = float(d.q(y))
-    if np.isfinite(qy) and qy > 0.5 / (1.0 + y):
-        return 1.0 / (2.0 * qy)
-    return 1.0 + y
+def _decay_length(d: DriftField, y):
+    with np.errstate(all="ignore"):
+        qy = np.asarray(d.q(y), dtype=float)
+        return np.where(np.isfinite(qy) & (qy > 0.5 / (1.0 + y)),
+                        1.0 / (2.0 * qy), 1.0 + y)
 
 
 _GL2_A = 0.5 - 0.5 / np.sqrt(3.0)
 _GL2_B = 0.5 + 0.5 / np.sqrt(3.0)
 
+# Inner solves run in batches of at most _BATCH points up to level
+# _BATCH_LEVEL; points still short of convergence there (status -2) are
+# solved again one at a time up to _MAXLEVEL.  scipy's tanhsinh holds
+# about 5 MB for each element it runs to level 13, so one batch of all of
+# an outer rule's nodes would hold gigabytes on a divergent inner integral.
+_BATCH = 128
+_BATCH_LEVEL = 6
+_MAXLEVEL = 13
 
-def _potential_step(d: DriftField, y: float, delta, sign: int):
-    """Q(y + sign*delta) - Q(y) without cancellation.
+
+def _potential_step(d: DriftField, y, delta, sign: int, Qy):
+    """Q(y + sign*delta) - Q(y) without cancellation, elementwise.
 
     Short steps integrate 2q locally by two-point Gauss (exact through
-    cubic drifts); long steps fall back to the potential difference.
+    cubic drifts); long steps fall back to the potential difference,
+    with Qy = Q(y).
     """
     delta = np.asarray(delta, dtype=float)
+    y = np.broadcast_to(y, delta.shape)
     out = np.empty_like(delta)
     # step must stay well inside the drift's own scale: q may be singular
     # like 1/(2y) at the origin, so the panel width is tied to y itself
-    small = delta <= 0.05 * abs(y)
+    small = delta <= 0.05 * np.abs(y)
     if np.any(small):
         ds = delta[small]
-        z1 = y + sign * _GL2_A * ds
-        z2 = y + sign * _GL2_B * ds
-        with np.errstate(all="ignore"):
-            out[small] = sign * ds * (np.asarray(d.q(z1), dtype=float)
-                                      + np.asarray(d.q(z2), dtype=float))
+        ys = y[small]
+        z1 = ys + sign * _GL2_A * ds
+        z2 = ys + sign * _GL2_B * ds
+        out[small] = sign * ds * (np.asarray(d.q(z1), dtype=float)
+                                  + np.asarray(d.q(z2), dtype=float))
     if np.any(~small):
         db = delta[~small]
-        Qy = float(d.Q(y))
-        with np.errstate(all="ignore"):
-            out[~small] = np.asarray(d.Q(y + sign * db), dtype=float) - Qy
+        out[~small] = (np.asarray(d.Q(y[~small] + sign * db), dtype=float)
+                       - np.broadcast_to(Qy, delta.shape)[~small])
     return out
 
 
-def inner_tail(d: DriftField, y: float, hi: float = np.inf,
-               spec: Optional[QuadratureSpec] = None) -> float:
-    """int_y^hi exp(Q(y) - Q(z)) dz, evaluated in the decay-length coordinate."""
+def inner_tail(d: DriftField, y, hi: float = np.inf,
+               spec: Optional[QuadratureSpec] = None):
+    """int_y^hi exp(Q(y) - Q(z)) dz, evaluated in the decay-length coordinate.
+
+    y is a scalar (the result is a float) or an array of any shape (the
+    result has that shape); all points of an array are solved together.
+    """
+    y = np.asarray(y, dtype=float)
+    return _inner(d, y, hi - y, +1, spec)
+
+
+def inner_head(d: DriftField, y, lo: float = 1.0,
+               spec: Optional[QuadratureSpec] = None):
+    """int_lo^y exp(Q(z) - Q(y)) dz, evaluated in the decay-length coordinate.
+
+    y is a scalar (the result is a float) or an array of any shape (the
+    result has that shape); all points of an array are solved together.
+    """
+    y = np.asarray(y, dtype=float)
+    return _inner(d, y, y - lo, -1, spec)
+
+
+def _inner(d, y, width, sign, spec):
+    """int_0^smax exp(-sign (Q(y + sign L s) - Q(y))) L ds for every y,
+    with L the decay length at y and smax = width / L (0 when width <= 0)."""
     spec = spec or QuadratureSpec()
-    L = _decay_length(d, y)
-    smax = np.inf if np.isinf(hi) else max((hi - y) / L, 0.0)
-    if smax == 0.0:
-        return 0.0
-
-    def g(s):
-        s = np.asarray(s, dtype=float)
-        with np.errstate(all="ignore"):
-            out = np.exp(-_potential_step(d, y, L * s, +1)) * L
-        return np.where(np.isnan(out), np.inf, out)
-
-    return _inner_value(g, smax, spec)
-
-
-def inner_head(d: DriftField, y: float, lo: float = 1.0,
-               spec: Optional[QuadratureSpec] = None) -> float:
-    """int_lo^y exp(Q(z) - Q(y)) dz, evaluated in the decay-length coordinate."""
-    spec = spec or QuadratureSpec()
-    if y <= lo:
-        return 0.0
-    L = _decay_length(d, y)
-    smax = (y - lo) / L
-
-    def g(s):
-        s = np.asarray(s, dtype=float)
-        with np.errstate(all="ignore"):
-            out = np.exp(_potential_step(d, y, L * s, -1)) * L
-        return np.where(np.isnan(out), np.inf, out)
-
-    return _inner_value(g, smax, spec)
-
-
-def _inner_value(g, smax, spec):
+    ys = y.reshape(-1)
+    L = _decay_length(d, ys)
     with np.errstate(all="ignore"):
-        try:
-            res = _si.tanhsinh(g, 0.0, smax, rtol=min(1e-11, spec.rel_tol),
-                               atol=spec.abs_tol * 1e-3, maxlevel=13)
-        except Exception:
-            return np.inf
-    val = float(res.integral)
-    if not np.isfinite(val):
-        return np.inf
-    if res.success:
-        return val
+        smax = np.maximum(width.reshape(-1) / L, 0.0)
+    out = np.zeros_like(ys)
+    todo = np.flatnonzero(smax > 0.0)
+
+    def g(s, y, L, Qy):
+        with np.errstate(all="ignore"):
+            out = np.exp(-sign * _potential_step(d, y, L * s, sign, Qy)) * L
+        return np.where(np.isnan(out), np.inf, out)
+
+    if todo.size:
+        with np.errstate(all="ignore"):
+            Qy = np.asarray(d.Q(ys[todo]), dtype=float)
+        args = (ys[todo], L[todo], Qy)
+        out[todo] = _inner_values(g, smax[todo], args, spec)
+    return float(out[0]) if y.ndim == 0 else out.reshape(y.shape)
+
+
+def _inner_values(g, smax, args, spec):
+    """int_0^smax[i] g(s, *args[i]) ds for every point i; inf if divergent."""
+    tol = dict(rtol=min(1e-11, spec.rel_tol), atol=spec.abs_tol * 1e-3)
+    val = np.empty_like(smax)
+    ok = np.empty(smax.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for lo in range(0, smax.size, _BATCH):
+            part = slice(lo, lo + _BATCH)
+            res = _si.tanhsinh(g, 0.0, smax[part],
+                               args=tuple(a[part] for a in args),
+                               maxlevel=_BATCH_LEVEL, **tol)
+            val[part], ok[part] = res.integral, res.success
+            for i in lo + np.flatnonzero(res.status == -2):
+                res = _si.tanhsinh(g, 0.0, smax[i],
+                                   args=tuple(a[i] for a in args),
+                                   maxlevel=_MAXLEVEL, **tol)
+                val[i], ok[i] = res.integral, res.success
+    val[~np.isfinite(val)] = np.inf
     # unconverged: decide between a heavy tail and a quadrature hiccup
-    probe_s = min(smax, 1e6) if np.isfinite(smax) else 1e6
-    tail_sample = float(np.asarray(g(np.array([probe_s])), dtype=float)[0])
-    if tail_sample * probe_s > max(spec.abs_tol, 1e-6 * abs(val)):
-        return np.inf
+    unconverged = ~ok & np.isfinite(val)
+    if np.any(unconverged):
+        probe_s = np.minimum(smax[unconverged], 1e6)
+        tail = g(probe_s, *[a[unconverged] for a in args]) * probe_s
+        heavy = tail > np.maximum(spec.abs_tol,
+                                  1e-6 * np.abs(val[unconverged]))
+        val[np.flatnonzero(unconverged)[heavy]] = np.inf
     return val
 
 
@@ -171,11 +200,8 @@ def check_h1(d: DriftField, spec: Optional[QuadratureSpec] = None) -> Hypothesis
 
     scale = integrate(eQ, 1.0, np.inf, spec)
 
-    def origin_f(ys):
-        ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        return np.array([inner_tail(d, y, hi=1.0, spec=spec) for y in ys])
-
-    origin = integrate(positive_integrand(origin_f), 0.0, 1.0, spec)
+    origin = integrate(positive_integrand(
+        lambda ys: inner_tail(d, ys, hi=1.0, spec=spec)), 0.0, 1.0, spec)
 
     if scale.status == "diverges" and origin.status == "converges":
         verdict = "holds"
@@ -272,16 +298,10 @@ def check_h5(d: DriftField, spec: Optional[QuadratureSpec] = None) -> Hypothesis
     """Finite return-time integral, in both equivalent double-integral forms."""
     spec = spec or QuadratureSpec()
 
-    def form_a(ys):
-        ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        return np.array([inner_tail(d, y, spec=spec) for y in ys])
-
-    def form_b(ys):
-        ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        return np.array([inner_head(d, y, lo=1.0, spec=spec) for y in ys])
-
-    va = integrate(positive_integrand(form_a), 1.0, np.inf, spec)
-    vb = integrate(positive_integrand(form_b), 1.0, np.inf, spec)
+    va = integrate(positive_integrand(
+        lambda ys: inner_tail(d, ys, spec=spec)), 1.0, np.inf, spec)
+    vb = integrate(positive_integrand(
+        lambda ys: inner_head(d, ys, lo=1.0, spec=spec)), 1.0, np.inf, spec)
     agree = va.status == vb.status
     if va.status == "converges" and vb.status == "converges":
         verdict = "holds"
@@ -370,83 +390,6 @@ def inv_q_criterion(d: DriftField, spec: Optional[QuadratureSpec] = None,
     v = integrate(inv_q, x0, np.inf, spec)
     return InvQReport(x0=x0, verdict=v, eventually_monotone=bool(monotone),
                       first_violation=first_violation)
-
-
-def descent_functional(d: DriftField, x_a: float, x: float,
-                       spec: Optional[QuadratureSpec] = None) -> float:
-    """J(x) = int_{x_a}^x of the return-time integrand, anchored J(x_a) = 0.
-
-    J solves J'' = 2 q J' - 1 with J'(y) the shift-stabilized tail integral;
-    it is nonnegative and increasing on [x_a, inf).
-    """
-    spec = spec or QuadratureSpec()
-    if x < x_a:
-        raise PreconditionError("descent functional needs x >= x_a")
-    probe = inner_tail(d, x_a, spec=spec)
-    if not np.isfinite(probe):
-        raise PreconditionError("return-time integrand infinite at x_a; "
-                                "the descent functional is undefined")
-    if x == x_a:
-        return 0.0
-
-    def f(ys):
-        ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        return np.array([inner_tail(d, y, spec=spec) for y in ys])
-
-    v = integrate(positive_integrand(f), x_a, x, spec)
-    return float(v.value)
-
-
-@dataclass(frozen=True)
-class DescentReport:
-    rate: float
-    x_a: float
-    y_a: float
-    J_y_a: float
-    moment_bound: float
-
-
-def descent_report(d: DriftField, rate: float,
-                   spec: Optional[QuadratureSpec] = None) -> DescentReport:
-    """Exponential-moment certificate for downcrossing times.
-
-    Picks x_a so the return-time tail mass beyond x_a is at most 1/(2 rate),
-    sets y_a = x_a + 1, and reports the bound 1/(2 rate J(y_a)) on the
-    exponential moment of the time to reach y_a from above.
-    """
-    spec = spec or QuadratureSpec()
-    if rate <= 0:
-        raise PreconditionError("rate must be positive")
-
-    def f(ys):
-        ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        return np.array([inner_tail(d, y, spec=spec) for y in ys])
-
-    total = integrate(positive_integrand(f), 1.0, np.inf, spec)
-    if total.status != "converges":
-        raise PreconditionError("return-time integral does not converge; "
-                                "no exponential-moment certificate")
-    budget = 1.0 / (2.0 * rate)
-    x_a = 1.0
-    if total.value > budget:
-        lo, hi = 1.0, 10.0
-        while total.value - descent_functional(d, 1.0, hi, spec) > budget:
-            lo, hi = hi, hi * 4.0
-            if hi > 1e12:
-                raise PreconditionError("tail mass does not drop below the budget")
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if total.value - descent_functional(d, 1.0, mid, spec) > budget:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-9 * hi:
-                break
-        x_a = hi
-    y_a = x_a + 1.0
-    J_ya = descent_functional(d, x_a, y_a, spec)
-    return DescentReport(rate=rate, x_a=x_a, y_a=y_a, J_y_a=J_ya,
-                         moment_bound=1.0 / (2.0 * rate * J_ya))
 
 
 # ---------------------------------------------------------------------------

@@ -146,9 +146,10 @@ def _gauss_legendre_panels(f, nodes):
 def make_potential_integral(q, singular_origin=False):
     """Build Q(x) = int_1^x 2 q(u) du by cumulative panel quadrature.
 
-    Array calls integrate once along the sorted request; scalar calls pay
-    one small quadrature.  Panels near a singular origin are subdivided in
-    log space so 1/x-type drifts integrate accurately.
+    Array calls (of any shape) integrate once along the sorted request;
+    scalar calls pay one small quadrature.  Panels near a singular origin
+    are subdivided in log space so 1/x-type drifts integrate accurately.
+    Q is defined on x > 0 when the origin is singular, on x >= 0 otherwise.
     """
 
     def f(u):
@@ -157,8 +158,8 @@ def make_potential_integral(q, singular_origin=False):
     def Q(x):
         arr = np.asarray(x, dtype=float)
         scalar = arr.ndim == 0
-        flat = np.atleast_1d(arr).astype(float)
-        if np.any(flat <= 0):
+        flat = arr.reshape(-1)
+        if np.any(flat < 0) or (singular_origin and np.any(flat == 0)):
             raise DomainError("Q is defined on x > 0")
         order = np.argsort(flat)
         xs = flat[order]

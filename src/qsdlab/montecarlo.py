@@ -81,7 +81,6 @@ class PathBatch:
     times: np.ndarray
     states: np.ndarray
     T0: np.ndarray
-    rng_streams: np.ndarray
 
     @property
     def n_paths(self):
@@ -316,8 +315,7 @@ def simulate_x(d: DriftField, x0, cfg: SimConfig) -> PathBatch:
     for arr in (all_states, all_T0, times):
         arr.setflags(write=False)
     return PathBatch(scheme="em-x", times=times, states=all_states,
-                     T0=all_T0,
-                     rng_streams=np.arange(cfg.n_paths, dtype=np.int64))
+                     T0=all_T0)
 
 
 def simulate_z(g: GrowthModel, z0, cfg: SimConfig) -> PathBatch:
@@ -344,15 +342,14 @@ def simulate_z(g: GrowthModel, z0, cfg: SimConfig) -> PathBatch:
         T0 = np.zeros(cfg.n_paths)
         for arr in (states, T0, times):
             arr.setflags(write=False)
-        return PathBatch(scheme="em-z", times=times, states=states, T0=T0,
-                         rng_streams=np.arange(cfg.n_paths, dtype=np.int64))
+        return PathBatch(scheme="em-z", times=times, states=states, T0=T0)
 
     d = drift_from_growth(g)
     batch = simulate_x(d, x_from_z(z0, g.gamma), cfg)
     zstates = z_from_x(batch.states, g.gamma)
     zstates.setflags(write=False)
     return PathBatch(scheme="em-z", times=batch.times, states=zstates,
-                     T0=batch.T0, rng_streams=batch.rng_streams)
+                     T0=batch.T0)
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +519,7 @@ def simulate_qprocess(d: DriftField, s: SpectralDecomposition, x0,
     for arr in (all_states, T0, times):
         arr.setflags(write=False)
     return PathBatch(scheme="qprocess", times=times, states=all_states,
-                     T0=T0, rng_streams=np.arange(cfg.n_paths,
-                                                  dtype=np.int64))
+                     T0=T0)
 
 
 # ---------------------------------------------------------------------------

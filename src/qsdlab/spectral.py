@@ -221,10 +221,6 @@ class YaglomMeasure:
     mass_norm: float          # <eta_1, 1>_mu before normalization
     lambda1: float            # decay rate the profile belongs to
 
-    @property
-    def density_vs_lebesgue(self):
-        return self.density
-
     def mean(self):
         return float(np.sum(self.grid * self.density * self.cell))
 
@@ -317,24 +313,6 @@ def kernel_r(sd: SpectralDecomposition, t: float, xs, ys,
         # product rounds the two triangles independently, so enforce it
         out = 0.5 * (out + out.T)
     return out
-
-
-def kernel_tail_bound(sd: SpectralDecomposition, t: float, x, y,
-                      K: Optional[int] = None) -> float:
-    """Crude bound on the mode-sum remainder past K at time t.
-
-    Split each decay factor in half, pull exp(-lam_K t / 2) out of the
-    tail, and Cauchy-Schwarz what remains against the on-diagonal square
-    sum envelope (2 pi s)^(-1/2) exp(C s) exp(Q) at s = t/4.
-    """
-    k = sd.K if K is None else int(K)
-    lamK = float(sd.lambdas[min(k, sd.K) - 1])
-    C = max(sd.drift.C, 0.0)
-    s = t / 4.0
-    logB = -0.5 * np.log(2.0 * np.pi * s) + C * s
-    Qx = float(sd.drift.Q(x))
-    Qy = float(sd.drift.Q(y))
-    return float(np.exp(-0.5 * lamK * t + 0.5 * (logB + Qx) + 0.5 * (logB + Qy)))
 
 
 def survival(sd: SpectralDecomposition, t, init) -> np.ndarray:

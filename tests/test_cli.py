@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from qsdlab.cli import main
+from qsdlab.cli import _cap_threads, main
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 EXAMPLES = os.path.join(ROOT, "examples")
@@ -222,3 +222,13 @@ def test_thread_cap_does_not_change_output(tmp_path):
         with open(os.path.join(outs[1], name), "rb") as fh:
             b2 = fh.read()
         assert b1 == b2, name
+
+
+def test_thread_cap_overrides_preset_pools(monkeypatch):
+    pools = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+    for var in pools:
+        monkeypatch.setenv(var, "8")
+    monkeypatch.setenv("QSD_NUM_THREADS", "1")
+    _cap_threads()
+    assert [os.environ[var] for var in pools] == ["1"] * len(pools)

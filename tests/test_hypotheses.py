@@ -6,6 +6,8 @@ import pytest
 from qsdlab import (check_all, check_h5, check_hh, drift_from_growth,
                     inv_q_criterion, linear_growth, logistic_growth, ou_drift,
                     preset_model, report_to_rows)
+from qsdlab import hypotheses, quadrature
+from qsdlab.hypotheses import inner_head, inner_tail
 
 
 @pytest.fixture(scope="module")
@@ -79,3 +81,76 @@ def test_report_rows_shape(logistic_report):
     assert [r[0] for r in rows] == ["h1", "h2", "h3", "h4", "h5", "hh"]
     assert all(r[1] in ("holds", "fails", "inconclusive") for r in rows)
     assert all(isinstance(r[4], str) for r in rows)  # json trail
+
+
+def test_inner_integrals_solve_arrays_like_scalars():
+    ys = np.concatenate([np.geomspace(1e-3, 1.0, 6),
+                         np.geomspace(1.0, 300.0, 9)])
+    solves = ((inner_tail, {}), (inner_tail, {"hi": 1.0}),
+              (inner_head, {"lo": 1.0}))
+    exact = (preset_model("logistic", "growth",
+                          {"r": 1.0, "c": 1.0, "gamma": 1.0}),
+             preset_model("ou", "drift", {"theta": 1.0}))
+    for model in exact:
+        for f, kw in solves:
+            one = np.array([f(model.drift, y, **kw) for y in ys])
+            assert isinstance(f(model.drift, ys[3], **kw), float)
+            np.testing.assert_array_equal(f(model.drift, ys, **kw), one)
+            np.testing.assert_array_equal(
+                f(model.drift, ys.reshape(3, 5), **kw), one.reshape(3, 5))
+    # a numeric potential integrates along the whole request at once, so
+    # an array call rounds differently from per-point calls
+    custom = preset_model("custom", "growth",
+                          {"expression": "z - z^2", "gamma": 1.0})
+    for f, kw in solves:
+        one = np.array([f(custom.drift, y, **kw) for y in ys])
+        np.testing.assert_allclose(f(custom.drift, ys.reshape(1, -1), **kw),
+                                   one.reshape(1, -1), rtol=1e-14, atol=0.0)
+
+
+class _CountingIntegrate:
+    """scipy.integrate stand-in that counts tanhsinh calls and raises."""
+
+    def __init__(self, module):
+        self.module = module
+        self.calls = 0
+        self.raised = 0
+
+    def __getattr__(self, name):
+        return getattr(self.module, name)
+
+    def tanhsinh(self, *args, **kwargs):
+        self.calls += 1
+        try:
+            return self.module.tanhsinh(*args, **kwargs)
+        except Exception:
+            self.raised += 1
+            raise
+
+
+def test_verdict_matrix_runs_the_designed_rule(monkeypatch):
+    # every outer and inner integral goes through tanhsinh without an
+    # exception to fall back from
+    counter = _CountingIntegrate(quadrature._si)
+    monkeypatch.setattr(quadrature, "_si", counter)
+    monkeypatch.setattr(hypotheses, "_si", counter)
+    expected = {
+        "logistic": ("logistic", "growth", {"r": 1.0, "c": 1.0, "gamma": 1.0},
+                     "h1 h2 h3 h4 h5 hh", ""),
+        "ou": ("ou", "drift", {"theta": 1.0}, "h1 h2 h3 h4", "h5"),
+        "linear": ("linear", "growth", {"r": -1.0, "gamma": 1.0},
+                   "h1 h2 h3 h4 hh", "h5"),
+        "allee": ("allee", "growth",
+                  {"r": 1.0, "K0": 1.0, "K": 4.0, "gamma": 1.0},
+                  "h1 h2 h3 h4 h5 hh", ""),
+        "flat": ("custom", "growth", {"expression": "0*z", "gamma": 1.0},
+                 "h1 h3", "h2 h4 h5 hh"),
+    }
+    for name, (preset, kind, params, holds, fails) in expected.items():
+        verdicts = check_all(preset_model(preset, kind, params)).verdicts
+        assert [k for k, v in verdicts.items() if v == "holds"] == \
+            holds.split(), name
+        assert [k for k, v in verdicts.items() if v == "fails"] == \
+            fails.split(), name
+    assert counter.calls > 0
+    assert counter.raised == 0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qsdlab import (ConfigError, ModelError, allee_growth, drift_from_growth,
+from qsdlab import (ConfigError, DomainError, ModelError, allee_growth, drift_from_growth,
                     linear_growth, logistic_growth, ou_drift, potential,
                     preset_model, scale_functions, x_from_z, z_from_x)
 
@@ -115,3 +115,30 @@ def test_allee_growth_shape():
     assert g.h(5.0) > 0
     assert g.h(20.0) < 0
     assert g.h(0.0) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_numeric_potential_takes_any_shape():
+    # quadrature rules hand integrands node arrays such as (1, n)
+    xs = np.array([[0.3, 1.7, 0.9], [2.5, 0.05, 1.0]])
+    growth = preset_model("custom", "growth",
+                          {"expression": "z - z^2", "gamma": "1"}).drift
+    closed = np.log(xs) - 0.5 * (xs ** 2 - 1.0) + (xs ** 4 - 1.0) / 16.0
+    assert growth.Q(xs).shape == xs.shape
+    assert np.allclose(growth.Q(xs), closed, rtol=1e-12, atol=1e-12)
+    drift = preset_model("custom", "drift", {"expression": "x"}).drift
+    assert np.allclose(drift.Q(xs), xs ** 2 - 1.0, rtol=1e-12, atol=1e-12)
+
+
+def test_numeric_potential_near_the_origin():
+    # gamma x^2 / 4 underflows to z = 0 below x ~ 1e-154; the growth
+    # integrand extends continuously there
+    d = preset_model("custom", "growth",
+                     {"expression": "z - z^2", "gamma": "1"}).drift
+    for x in (1e-170, 4.45e-308):
+        assert d.Q(x) == pytest.approx(np.log(x) + 0.5 - 1.0 / 16.0,
+                                       rel=1e-12)
+    # a drift singular at the origin keeps its potential off x = 0
+    singular = preset_model("custom", "drift",
+                            {"expression": "1/(2*x) + x"}).drift
+    with pytest.raises(DomainError):
+        singular.Q(np.array([0.0, 1.0]))

@@ -96,6 +96,13 @@ def test_spec_tolerances_respected():
     assert v.value == pytest.approx(1.0, rel=1e-11)
 
 
+def test_wrong_shape_integrand_raises():
+    # a shape (1,) answer to a scalar node is a caller bug, not a
+    # quadrature failure to fall back from
+    with pytest.raises(ValueError):
+        integrate(lambda x: np.atleast_1d(np.exp(-np.asarray(x))), 0.0, 1.0)
+
+
 def test_verdict_truthiness():
     good = IntegralVerdict("converges", 1.0, (), "bounded")
     bad = IntegralVerdict("diverges", np.inf, (), "exp")
