@@ -14,23 +14,14 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from . import rng
 from .errors import DomainError, PreconditionError, TruncationError
 from .model import linear_growth, logistic_growth
 from .montecarlo import SimConfig, simulate_z
 from .quadrature import classify_growth
 
 _CHUNK = 512                      # uniforms per stream refill (2 per event)
-_MASK64 = (1 << 64) - 1
 _MAX_EVENTS = 100_000_000
-
-
-def _stream_key(seed, replica):
-    return ((int(seed) & _MASK64) << 64) | (int(replica) & _MASK64)
-
-
-def _gen(seed, replica):
-    return np.random.Generator(np.random.Philox(key=_stream_key(seed,
-                                                                replica)))
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +177,7 @@ def gillespie(m: BDModel, z0, t_max, seed, replica=0) -> BDPath:
     """
     N = m.N
     n = _snap_count(z0, N)
-    gen = _gen(seed, replica)
+    gen = rng.stream(seed, replica)
     times = [0.0]
     counts = [n]
     t = 0.0
@@ -237,7 +228,7 @@ def _gillespie_batch(m: BDModel, z0, t_max, n_reps, seed, record_ts=None):
     t = np.zeros(n_reps)
     T0 = np.full(n_reps, np.inf if n0 > 0 else 0.0)
     done = n == 0
-    gens = [_gen(seed, j) for j in range(n_reps)]
+    gens = [rng.stream(seed, j) for j in range(n_reps)]
     buf = np.empty((n_reps, _CHUNK))
     pos = np.full(n_reps, _CHUNK, dtype=np.int64)   # force initial refill
 

@@ -24,18 +24,26 @@ _COMMANDS = ("check", "spectrum", "yaglom", "kernel", "simulate",
 
 
 def _cap_threads():
-    """Propagate QSD_NUM_THREADS to the BLAS/OpenMP pools (speed only)."""
+    """Propagate QSD_NUM_THREADS to the BLAS/OpenMP pools (speed only).
+
+    Returns the cap, or None when the variable is unset or blank; raises
+    ValueError when it is not a positive integer.
+    """
     val = os.environ.get("QSD_NUM_THREADS", "").strip()
     if not val:
-        return
+        return None
     try:
-        int(val)
+        cap = int(val)
     except ValueError:
-        return
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"QSD_NUM_THREADS: must be a positive integer, "
+                         f"got {val!r}")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
                 "VECLIB_MAXIMUM_THREADS"):
-        os.environ[var] = val
+        os.environ[var] = str(cap)
+    return cap
 
 
 def _parser():
@@ -69,7 +77,11 @@ def _parser():
 
 
 def main(argv=None):
-    _cap_threads()
+    try:
+        thread_cap = _cap_threads()
+    except ValueError as exc:
+        print(f"configuration errors:\n  - {exc}", file=sys.stderr)
+        return _EXIT_CONFIG
     args = _parser().parse_args(argv)
 
     from .errors import (ConfigError, DomainError, IntegrabilityError,
@@ -102,7 +114,7 @@ def main(argv=None):
 
     stage = [args.command]
     try:
-        rep = _run(args, cfg, out_dir, stage)
+        rep = _run(args, cfg, out_dir, stage, thread_cap)
     except (PreconditionError, DomainError, ModelError) as exc:
         print(f"error [{stage[-1]}]: {type(exc).__name__}: {exc}",
               file=sys.stderr)
@@ -126,11 +138,11 @@ def main(argv=None):
     return _EXIT_OK if rep.status == "ok" else _EXIT_NUMERICAL
 
 
-def _run(args, cfg, out_dir, stage):
+def _run(args, cfg, out_dir, stage, thread_cap):
     from .report import RunReport
 
     rep = RunReport(command=args.command, label=cfg.model.label,
-                    seed=cfg.seed)
+                    seed=cfg.seed, thread_cap=thread_cap)
     t0 = time.perf_counter()
     handler = _HANDLERS[args.command]
     handler(args, cfg, out_dir, rep, stage)

@@ -318,6 +318,8 @@ def load_config(path, quick=False, seed_override=None) -> RunConfig:
 
     if quick:
         # tenfold smoke-run reduction of the expensive sizes
+        if domain is None and model is not None:
+            domain = default_domain(model.drift)
         if domain is not None:
             domain = dataclasses.replace(domain,
                                          n=max(256, domain.n // 10))

@@ -14,16 +14,13 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
+from . import rng
 from .errors import DomainError, PreconditionError
 from .model import DriftField, GrowthModel, drift_from_growth, x_from_z, z_from_x
 from .quadrature import QuadratureSpec, integrate
 from .spectral import SpectralDecomposition, YaglomMeasure
 
-_MASK64 = (1 << 64) - 1
 _CHUNK = 512              # steps drawn per RNG refill
-_UNIFORM_REGION = np.uint64(1) << np.uint64(62)
-_RESCUE_REGION = np.uint64(2) << np.uint64(62)
-_MAX_HALVINGS = 10
 
 
 # ---------------------------------------------------------------------------
@@ -120,202 +117,160 @@ class LambdaEstimate:
 
 
 # ---------------------------------------------------------------------------
-# counter-based streams: one key per (seed, path), disjoint counter regions
-# for the Gaussian draws, the crossing-test uniforms, and step rescues
+# the path engine: one Euler-Maruyama stepper, absorbing or reflecting
 
-def _stream_key(seed, path):
-    return ((int(seed) & _MASK64) << 64) | (int(path) & _MASK64)
-
-
-def _normal_gen(seed, path):
-    return np.random.Generator(np.random.Philox(key=_stream_key(seed, path)))
-
-
-def _region_gen(seed, path, region):
-    counter = np.zeros(4, dtype=np.uint64)
-    counter[3] = region
-    return np.random.Generator(
-        np.random.Philox(counter=counter, key=_stream_key(seed, path)))
-
-
-def _record_steps(n_steps, dt, record_dt):
+def _record_steps(cfg):
     """Snapshot step indices: always step 0 and the final step."""
-    if record_dt is None:
+    n_steps = int(np.ceil(cfg.t_max / cfg.dt - 1e-12))
+    if cfg.record_dt is None:
         every = max(1, n_steps // 128)
     else:
-        every = max(1, int(round(record_dt / dt)))
+        every = max(1, int(round(cfg.record_dt / cfg.dt)))
     steps = list(range(0, n_steps, every))
     if steps[-1] != n_steps:
         steps.append(n_steps)
     return np.asarray(steps, dtype=np.int64)
 
 
-def _rescue_step(d, x, dt, delta, gen):
-    """Retry one step with halved substeps; (new_state, absorbed).
+def _euler_paths(v, x0, cfg, edges=None):
+    """Ensemble of x' = x + v(x) dt + sqrt(dt) N, one stream per path.
 
-    Used when a full step produced a non-finite drift or state.  Gives up
-    after 10 halvings and declares the path absorbed.
+    Without edges the paths are absorbed: when a step lands at or below
+    cfg.absorb_threshold (dated by linear interpolation), when a step is
+    not finite (dated at mid-step), and, with cfg.bridge_correction, with
+    the pinned-path crossing probability exp(-2 (x - d)(x' - d)/dt) for
+    steps that stay above it.  With edges (lo, hi) the paths live forever
+    and excursions past an edge are mirrored back inside.  Returns the
+    read-only (times, states, T0) and the number of reflections.
     """
-    for halving in range(1, _MAX_HALVINGS + 1):
-        n_sub = 2 ** halving
-        h = dt / n_sub
-        sq = np.sqrt(h)
-        y = float(x)
-        ok = True
-        for _ in range(n_sub):
-            with np.errstate(all="ignore"):
-                qv = float(d.q(y))
-            if not np.isfinite(qv):
-                ok = False
-                break
-            y = y - qv * h + sq * gen.standard_normal()
-            if not np.isfinite(y):
-                ok = False
-                break
-            if y <= delta:
-                return 0.0, True
-        if ok:
-            return y, False
-    return 0.0, True
+    cfg.validate()
+    try:
+        x0 = np.broadcast_to(np.asarray(x0, dtype=float), (cfg.n_paths,))
+    except ValueError:
+        raise PreconditionError("x0 must be a scalar or one value per path")
+    if not np.all(np.isfinite(x0)):
+        raise DomainError("initial states must be finite")
+    if edges is None:
+        if np.any(x0 <= cfg.absorb_threshold):
+            raise PreconditionError(
+                "every initial state must exceed the absorption threshold")
+    elif np.any((x0 <= edges[0]) | (x0 >= edges[1])):
+        raise PreconditionError("initial states must lie inside the "
+                                "spectral grid")
+
+    rec_steps = _record_steps(cfg)
+    times = rec_steps * cfg.dt
+    states = np.zeros((cfg.n_paths, len(rec_steps)))
+    T0 = np.full(cfg.n_paths, np.inf)
+    reflections = 0
+    for lo in range(0, cfg.n_paths, cfg.block_size):
+        hi = min(lo + cfg.block_size, cfg.n_paths)
+        reflections += _march_block(v, x0[lo:hi], lo, cfg, edges, rec_steps,
+                                    states[lo:hi], T0[lo:hi])
+    for arr in (times, states, T0):
+        arr.setflags(write=False)
+    return times, states, T0, reflections
 
 
-def _simulate_block(d, x0, paths, cfg, n_steps, rec_steps):
-    """March one block of paths; returns (states, T0)."""
-    B = len(paths)
-    delta = cfg.absorb_threshold
-    dt = cfg.dt
-    sqdt = np.sqrt(dt)
+def _march_block(v, x0, first, cfg, edges, rec_steps, states, T0):
+    """Step paths first, first + 1, ... into their rows of states and T0.
 
-    gens = [_normal_gen(cfg.seed, p) for p in paths]
-    ugens = ([_region_gen(cfg.seed, p, _UNIFORM_REGION) for p in paths]
-             if cfg.bridge_correction else None)
-    rescue_gens = {}
+    Only live paths are stepped and refilled: ids lists them (row in the
+    block) and x holds their states.  A dead path's stream is never read
+    again, so dropping it leaves every other path's draws unchanged.
+    Returns the number of reflections.
+    """
+    dt, delta, k = cfg.dt, cfg.absorb_threshold, cfg.crn_substeps
+    sqdt, sqk = np.sqrt(dt), np.sqrt(float(k))
+    bridge = edges is None and cfg.bridge_correction
+    B = len(x0)
+    gens = [rng.stream(cfg.seed, first + i) for i in range(B)]
+    ugens = ([rng.stream(cfg.seed, first + i, rng.UNIFORM) for i in range(B)]
+             if bridge else None)
+    raw = np.empty((B, _CHUNK * k))
+    unif = np.empty((B, _CHUNK)) if bridge else None
 
-    x = np.array(x0, dtype=float, copy=True)
-    T0 = np.full(B, np.inf)
-    alive = np.ones(B, dtype=bool)
-    states = np.zeros((B, len(rec_steps)))
-    k = cfg.crn_substeps
-    raw_buf = np.empty((B, _CHUNK * k))
-    unif_buf = np.empty((B, _CHUNK)) if cfg.bridge_correction else None
-    sqk = np.sqrt(float(k))
-
-    rp = 0
-    if rec_steps[rp] == 0:
-        states[:, rp] = x
-        rp += 1
-
+    ids = np.arange(B)
+    x = np.array(x0, dtype=float)
+    states[:, 0] = x
+    rp = 1
+    reflections = 0
+    n_steps = int(rec_steps[-1])
     for start in range(0, n_steps, _CHUNK):
         m = min(_CHUNK, n_steps - start)
-        for i in range(B):
-            gens[i].standard_normal(out=raw_buf[i, :m * k])
-            if ugens is not None:
-                ugens[i].random(out=unif_buf[i, :m])
-        norm_buf = (raw_buf[:, :m * k].reshape(B, m, k).sum(axis=2) / sqk
-                    if k > 1 else raw_buf)
-
+        n = len(ids)
+        for r, i in enumerate(ids):
+            gens[i].standard_normal(out=raw[r, :m * k])
+            if bridge:
+                ugens[i].random(out=unif[r, :m])
+        noise = (raw[:n, :m * k].reshape(n, m, k).sum(axis=2) / sqk
+                 if k > 1 else raw)
+        row = np.arange(n)                 # each live path's buffer row
         for j in range(m):
             s = start + j
-            act = np.nonzero(alive)[0]
-            if act.size:
+            with np.errstate(all="ignore"):
+                xn = x + v(x) * dt + sqdt * noise[row, j]
+            if edges is None:
                 t = s * dt
-                xa = x[act]
-                with np.errstate(all="ignore"):
-                    qa = np.asarray(d.q(xa), dtype=float)
-                    xn = xa - qa * dt + sqdt * norm_buf[act, j]
                 bad = ~np.isfinite(xn)
+                hit = (xn <= delta) & ~bad
+                dead = hit | bad
                 if np.any(bad):
-                    for k in np.nonzero(bad)[0]:
-                        p = paths[act[k]]
-                        if p not in rescue_gens:
-                            rescue_gens[p] = _region_gen(cfg.seed, p,
-                                                         _RESCUE_REGION)
-                        y, dead = _rescue_step(d, xa[k], dt, delta,
-                                               rescue_gens[p])
-                        xn[k] = 0.0 if dead else y
-                        if dead:
-                            T0[act[k]] = t + 0.5 * dt
-
-                hit = xn <= delta
-                hit &= ~np.isfinite(T0[act])  # rescue already dated its hits
+                    T0[ids[bad]] = t + 0.5 * dt
                 if np.any(hit):
-                    xa_h = xa[hit]
-                    xn_h = xn[hit]
-                    frac = (xa_h - delta) / np.maximum(xa_h - xn_h, 1e-300)
-                    T0[act[hit]] = t + dt * np.clip(frac, 0.0, 1.0)
-                dead = hit | ~np.isfinite(xn) | (T0[act] < np.inf)
-
-                if cfg.bridge_correction:
-                    open_ = ~dead
-                    if np.any(open_):
-                        # crossing probability for a pinned Brownian path
-                        pcross = np.exp(-2.0 * (xa[open_] - delta)
-                                        * (xn[open_] - delta) / dt)
-                        bhit = unif_buf[act[open_], j] < pcross
-                        if np.any(bhit):
-                            idx = np.nonzero(open_)[0][bhit]
-                            T0[act[idx]] = t + 0.5 * dt
-                            dead[idx] = True
-
-                xn[dead] = 0.0
-                x[act] = xn
-                alive[act] = ~dead
-
-            while rp < len(rec_steps) and rec_steps[rp] == s + 1:
-                states[:, rp] = x
+                    frac = (x[hit] - delta) / np.maximum(x[hit] - xn[hit],
+                                                         1e-300)
+                    T0[ids[hit]] = t + dt * np.clip(frac, 0.0, 1.0)
+                if bridge:
+                    open_ = np.nonzero(~dead)[0]
+                    # crossing probability for a pinned Brownian path
+                    pcross = np.exp(-2.0 * (x[open_] - delta)
+                                    * (xn[open_] - delta) / dt)
+                    bhit = open_[unif[row[open_], j] < pcross]
+                    if bhit.size:
+                        T0[ids[bhit]] = t + 0.5 * dt
+                        dead[bhit] = True
+                if np.any(dead):
+                    live = ~dead
+                    ids, row, xn = ids[live], row[live], xn[live]
+                    if not ids.size:
+                        return reflections
+            else:
+                out_lo = xn < edges[0]
+                out_hi = xn > edges[1]
+                if np.any(out_lo) or np.any(out_hi):
+                    reflections += int(np.count_nonzero(out_lo)
+                                       + np.count_nonzero(out_hi))
+                    xn[out_lo] = 2.0 * edges[0] - xn[out_lo]
+                    xn[out_hi] = 2.0 * edges[1] - xn[out_hi]
+                    np.clip(xn, edges[0], edges[1], out=xn)
+            x = xn
+            if rec_steps[rp] == s + 1:
+                states[ids, rp] = x
                 rp += 1
-
-    # anything that never crossed stays censored at t_max
-    return states, T0
+    return reflections
 
 
 def simulate_x(d: DriftField, x0, cfg: SimConfig) -> PathBatch:
     """Euler-Maruyama ensemble for dX = dB - q(X) dt absorbed near 0.
 
     x0 may be a scalar or one value per path.  Absorption is declared
-    when a step lands at or below the threshold, and additionally (when
-    bridge_correction is on) with the pinned-path crossing probability
-    exp(-2 (X_t - d)(X_{t+dt} - d)/dt) for steps that stay above it.
-    Identical (seed, n_paths, dt) reproduce the ensemble bit for bit
-    regardless of blocking: every path owns counter-based substreams
-    keyed by (seed, path index).
+    when a step lands at or below the threshold or is not finite, and
+    additionally (when bridge_correction is on) with the pinned-path
+    crossing probability exp(-2 (X_t - d)(X_{t+dt} - d)/dt) for steps
+    that stay above it.  Identical (seed, n_paths, dt) reproduce the
+    ensemble bit for bit regardless of blocking: every path owns
+    counter-based substreams keyed by (seed, path index).
     """
-    cfg.validate()
-    try:
-        x0 = np.broadcast_to(np.asarray(x0, dtype=float),
-                             (cfg.n_paths,)).copy()
-    except ValueError:
-        raise PreconditionError("x0 must be a scalar or one value per path")
-    if not np.all(np.isfinite(x0)):
-        raise DomainError("initial states must be finite")
-    if np.any(x0 <= cfg.absorb_threshold):
-        raise PreconditionError(
-            "every initial state must exceed the absorption threshold")
-
-    n_steps = int(np.ceil(cfg.t_max / cfg.dt - 1e-12))
-    rec_steps = _record_steps(n_steps, cfg.dt, cfg.record_dt)
-    times = rec_steps * cfg.dt
-
-    all_states = np.empty((cfg.n_paths, len(rec_steps)))
-    all_T0 = np.empty(cfg.n_paths)
-    for lo in range(0, cfg.n_paths, cfg.block_size):
-        hi = min(lo + cfg.block_size, cfg.n_paths)
-        paths = np.arange(lo, hi, dtype=np.int64)
-        st, t0 = _simulate_block(d, x0[lo:hi], paths, cfg, n_steps, rec_steps)
-        all_states[lo:hi] = st
-        all_T0[lo:hi] = t0
-
-    censored = np.mean(~np.isfinite(all_T0))
+    times, states, T0, _ = _euler_paths(
+        lambda x: -np.asarray(d.q(x), dtype=float), x0, cfg)
+    censored = np.mean(~np.isfinite(T0))
     if censored > 0.9:
         warnings.warn(
             f"{100 * censored:.0f}% of paths were still alive at t_max; "
             "absorption statistics will be censoring-dominated",
             stacklevel=2)
-
-    for arr in (all_states, all_T0, times):
-        arr.setflags(write=False)
-    return PathBatch(scheme="em-x", times=times, states=all_states,
-                     T0=all_T0)
+    return PathBatch(scheme="em-x", times=times, states=states, T0=T0)
 
 
 def simulate_z(g: GrowthModel, z0, cfg: SimConfig) -> PathBatch:
@@ -332,13 +287,10 @@ def simulate_z(g: GrowthModel, z0, cfg: SimConfig) -> PathBatch:
         raise PreconditionError("z0 must be a scalar or one value per path")
     if np.any(z0 < 0):
         raise DomainError("population states must be nonnegative")
-    n_steps = int(np.ceil(cfg.t_max / cfg.dt - 1e-12))
-    rec_steps = _record_steps(n_steps, cfg.dt, cfg.record_dt)
-    times = rec_steps * cfg.dt
-
     if np.all(z0 == 0.0):
         # already extinct: every path sits at the absorbing state
-        states = np.zeros((cfg.n_paths, len(rec_steps)))
+        times = _record_steps(cfg) * cfg.dt
+        states = np.zeros((cfg.n_paths, len(times)))
         T0 = np.zeros(cfg.n_paths)
         for arr in (states, T0, times):
             arr.setflags(write=False)
@@ -398,7 +350,7 @@ def yaglom_cdf(ym: YaglomMeasure) -> Callable:
 
 def sample_yaglom(ym: YaglomMeasure, n, seed) -> np.ndarray:
     """Inverse-cdf draws from a computed quasi-stationary profile."""
-    gen = _region_gen(seed, 0, _UNIFORM_REGION)
+    gen = rng.stream(seed, 0, rng.UNIFORM)
     return np.interp(gen.random(int(n)), ym.cdf, ym.grid)
 
 
@@ -457,69 +409,18 @@ def simulate_qprocess(d: DriftField, s: SpectralDecomposition, x0,
     smooth and the profile's positivity is never violated.  Paths are
     never absorbed; excursions past the spectral grid are reflected.
     """
-    cfg.validate()
-    try:
-        x0 = np.broadcast_to(np.asarray(x0, dtype=float), (cfg.n_paths,))
-    except ValueError:
-        raise PreconditionError("x0 must be a scalar or one value per path")
-    g_lo, g_hi = float(s.grid[0]), float(s.grid[-1])
-    if np.any((x0 <= g_lo) | (x0 >= g_hi)):
-        raise PreconditionError("initial states must lie inside the "
-                                "spectral grid")
     logeta = 0.5 * s.Qgrid + np.log(np.maximum(np.abs(s.psis[:, 0]), 1e-280))
     dlog = PchipInterpolator(s.grid, logeta).derivative()
 
-    n_steps = int(np.ceil(cfg.t_max / cfg.dt - 1e-12))
-    rec_steps = _record_steps(n_steps, cfg.dt, cfg.record_dt)
-    times = rec_steps * cfg.dt
-    sqdt = np.sqrt(cfg.dt)
-    reflections = 0
+    def v(x):
+        return -np.asarray(d.q(x), dtype=float) + dlog(x)
 
-    all_states = np.empty((cfg.n_paths, len(rec_steps)))
-    for lo in range(0, cfg.n_paths, cfg.block_size):
-        hi = min(lo + cfg.block_size, cfg.n_paths)
-        paths = np.arange(lo, hi, dtype=np.int64)
-        gens = [_normal_gen(cfg.seed, p) for p in paths]
-        B = hi - lo
-        x = np.array(x0[lo:hi], dtype=float, copy=True)
-        k = cfg.crn_substeps
-        raw_buf = np.empty((B, _CHUNK * k))
-        sqk = np.sqrt(float(k))
-        rp = 0
-        if rec_steps[rp] == 0:
-            all_states[lo:hi, rp] = x
-            rp += 1
-        for start in range(0, n_steps, _CHUNK):
-            m = min(_CHUNK, n_steps - start)
-            for i in range(B):
-                gens[i].standard_normal(out=raw_buf[i, :m * k])
-            norm_buf = (raw_buf[:, :m * k].reshape(B, m, k).sum(axis=2) / sqk
-                        if k > 1 else raw_buf)
-            for j in range(m):
-                with np.errstate(all="ignore"):
-                    drift = -np.asarray(d.q(x), dtype=float) + dlog(x)
-                x = x + drift * cfg.dt + sqdt * norm_buf[:, j]
-                out_lo = x < g_lo
-                out_hi = x > g_hi
-                if np.any(out_lo) or np.any(out_hi):
-                    reflections += int(np.count_nonzero(out_lo)
-                                       + np.count_nonzero(out_hi))
-                    x[out_lo] = 2.0 * g_lo - x[out_lo]
-                    x[out_hi] = 2.0 * g_hi - x[out_hi]
-                    np.clip(x, g_lo, g_hi, out=x)
-                s_idx = start + j
-                while rp < len(rec_steps) and rec_steps[rp] == s_idx + 1:
-                    all_states[lo:hi, rp] = x
-                    rp += 1
-
+    times, states, T0, reflections = _euler_paths(
+        v, x0, cfg, edges=(float(s.grid[0]), float(s.grid[-1])))
     if reflections:
         warnings.warn(f"{reflections} excursions were reflected at the "
                       "spectral-grid edges", stacklevel=2)
-    T0 = np.full(cfg.n_paths, np.inf)
-    for arr in (all_states, T0, times):
-        arr.setflags(write=False)
-    return PathBatch(scheme="qprocess", times=times, states=all_states,
-                     T0=T0)
+    return PathBatch(scheme="qprocess", times=times, states=states, T0=T0)
 
 
 # ---------------------------------------------------------------------------

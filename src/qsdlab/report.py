@@ -56,6 +56,7 @@ class RunReport:
     status: str = "ok"
     wall_time_s: float = 0.0
     seed: object = None
+    thread_cap: object = None     # QSD_NUM_THREADS as applied; None: unset
     scalars: dict = field(default_factory=dict)
     files: list = field(default_factory=list)      # (name, sha256)
     messages: list = field(default_factory=list)
@@ -90,6 +91,7 @@ class RunReport:
             "status": self.status,
             "wall_time_s": round(self.wall_time_s, 3),
             "seed": self.seed,
+            "thread_cap": self.thread_cap,
             "scalars": {k: (v if not isinstance(v, float) else
                             float(fmt_value(v))) for k, v in
                         self.scalars.items()},

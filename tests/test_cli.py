@@ -232,3 +232,27 @@ def test_thread_cap_overrides_preset_pools(monkeypatch):
     monkeypatch.setenv("QSD_NUM_THREADS", "1")
     _cap_threads()
     assert [os.environ[var] for var in pools] == ["1"] * len(pools)
+
+
+@pytest.mark.parametrize("value", ["four", "0", "-2", "1.5"])
+def test_thread_cap_must_be_a_positive_integer(monkeypatch, tmp_path, capsys,
+                                               value):
+    monkeypatch.setenv("QSD_NUM_THREADS", value)
+    assert main(["spectrum", _cfg("ou"), "--output-dir",
+                 str(tmp_path / "out"), "--quick"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration errors" in err and "QSD_NUM_THREADS" in err
+
+
+def test_run_report_records_thread_cap(monkeypatch, tmp_path):
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+        monkeypatch.setenv(var, "8")     # restored when the test ends
+    for value, cap in (("", None), ("2", 2)):
+        monkeypatch.setenv("QSD_NUM_THREADS", value)
+        out = str(tmp_path / f"cap{value}")
+        assert main(["spectrum", _cfg("ou"), "--output-dir", out,
+                     "--quick"]) == 0
+        with open(os.path.join(out, "run_report.json"),
+                  encoding="utf-8") as fh:
+            assert json.load(fh)["thread_cap"] == cap

@@ -1,10 +1,11 @@
 """INI surface: collective validation, smoke scaling, seed policy."""
 
+import dataclasses
 import os
 
 import pytest
 
-from qsdlab import ConfigError, load_config
+from qsdlab import ConfigError, default_domain, load_config
 from qsdlab.config import require_seed
 
 EXAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "examples")
@@ -90,6 +91,19 @@ n_max = 10000
     assert cfg.bd["n_max"] == 1000
     full = load_config(path)
     assert full.domain.n == 4096 and full.mc["n_paths"] == 100000
+
+
+def test_quick_shrinks_the_default_grid(tmp_path):
+    path = _write(tmp_path, """
+[model]
+preset = logistic
+""")
+    assert load_config(path).domain is None
+    quick = load_config(path, quick=True)
+    base = default_domain(quick.model.drift)
+    assert quick.domain == dataclasses.replace(base,
+                                               n=max(256, base.n // 10))
+    assert quick.domain.n < base.n
 
 
 def test_seed_policy(tmp_path):

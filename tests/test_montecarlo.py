@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from qsdlab import (PreconditionError, SimConfig, condition_on_extinction,
-                    conditional_histogram, drift_field, estimate_lambda1,
-                    ks_distance, linear_growth, ou_drift, sample_yaglom,
+from qsdlab import (DomainError, DriftField, PreconditionError, SimConfig,
+                    condition_on_extinction, conditional_histogram,
+                    drift_field, estimate_lambda1, ks_distance,
+                    linear_growth, ou_drift, sample_yaglom,
                     simulate_qprocess, simulate_x, simulate_z, yaglom_cdf)
 
 
@@ -15,23 +16,67 @@ def _free_drift():
     return drift_field(zero, zero, origin_exponent=0.0, name="free")
 
 
-def test_bitwise_determinism_and_block_independence():
-    cfg = SimConfig(dt=1e-3, t_max=0.5, n_paths=600, seed=3, record_dt=0.25)
-    a = simulate_x(ou_drift(1.0), 1.0, cfg)
-    b = simulate_x(ou_drift(1.0), 1.0, cfg)
+def _wall_drift():
+    # OU inside, q = inf past x = 10: a step from beyond the wall is not
+    # finite
+    def q(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x > 10.0, np.inf, x)
+    return DriftField(q=q, q_prime=None, Q=None, C=0.0, origin_exponent=None,
+                      name="wall")
+
+
+@pytest.mark.parametrize("engine, crn_substeps", [
+    pytest.param("simulate_x", 1, id="simulate_x"),
+    pytest.param("simulate_x", 2, id="simulate_x-crn2"),
+    pytest.param("simulate_qprocess", 1, id="simulate_qprocess"),
+])
+def test_bitwise_determinism_and_block_independence(engine, crn_substeps,
+                                                    request):
+    if engine == "simulate_x":
+        def run(cfg):
+            return simulate_x(ou_drift(1.0), 1.0, cfg)
+    else:
+        sd = request.getfixturevalue("logistic_sd")
+
+        def run(cfg):
+            return simulate_qprocess(sd.drift, sd, 1.0, cfg)
+    base = dict(dt=1e-3, t_max=0.5, n_paths=600, seed=3, record_dt=0.25,
+                crn_substeps=crn_substeps)
+    a = run(SimConfig(**base))
+    b = run(SimConfig(**base))
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.T0, b.T0, equal_nan=True)
     # the per-path streams make the block partition irrelevant
-    cfg7 = SimConfig(dt=1e-3, t_max=0.5, n_paths=600, seed=3,
-                     record_dt=0.25, block_size=7)
-    c = simulate_x(ou_drift(1.0), 1.0, cfg7)
+    c = run(SimConfig(block_size=7, **base))
     assert np.array_equal(a.states, c.states)
     assert np.array_equal(a.T0, c.T0, equal_nan=True)
     # and the seed is load-bearing
-    d = simulate_x(ou_drift(1.0), 1.0,
-                   SimConfig(dt=1e-3, t_max=0.5, n_paths=600, seed=4,
-                             record_dt=0.25))
+    d = run(SimConfig(**{**base, "seed": 4}))
     assert not np.array_equal(a.states, d.states)
+
+
+@pytest.mark.parametrize("wall_path, n_paths", [(0, 201), (2, 13)])
+def test_non_finite_steps_do_not_depend_on_block_size(wall_path, n_paths):
+    # one path starts beyond the wall, so its first step is not finite;
+    # the steps and refills of the other paths must not notice
+    x0 = np.full(n_paths, 1.5)
+    x0[wall_path] = 10.5
+    runs = [simulate_x(_wall_drift(), x0,
+                       SimConfig(dt=1e-3, t_max=1.5, n_paths=n_paths, seed=3,
+                                 block_size=bs)) for bs in (1, 4096)]
+    assert np.array_equal(runs[0].T0, runs[1].T0)
+    assert np.array_equal(runs[0].states, runs[1].states)
+    assert runs[1].T0[wall_path] == 0.5e-3
+    assert np.all(runs[1].states[wall_path, 1:] == 0.0)
+
+
+def test_non_finite_step_absorbs_at_mid_step():
+    b = simulate_x(_wall_drift(), 9.95,
+                   SimConfig(dt=1e-3, t_max=0.5, n_paths=50, seed=3))
+    steps = b.T0[np.isfinite(b.T0)] / 1e-3 - 0.5
+    assert np.any(steps >= 1)
+    assert np.allclose(steps, np.round(steps), rtol=0.0, atol=1e-6)
 
 
 def test_driftless_survival_matches_reflection_law():
@@ -128,6 +173,8 @@ def test_conditioned_process_stays_alive(logistic_sd):
     assert np.all(b.states < logistic_sd.grid[-1] + 1e-12)
     with pytest.raises(PreconditionError):
         simulate_qprocess(logistic_sd.drift, logistic_sd, 100.0, cfg)
+    with pytest.raises(DomainError):
+        simulate_qprocess(logistic_sd.drift, logistic_sd, np.nan, cfg)
 
 
 def test_extinction_conditioning_flips_linear_growth():
