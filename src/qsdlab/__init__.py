@@ -35,8 +35,9 @@ from .montecarlo import (ConditionedGrowth, EmpiricalLaw, LambdaEstimate,
                          simulate_x, simulate_z, yaglom_cdf)
 from .birthdeath import (BDChainSpec, BDModel, BDPath, DeterministicReport,
                          ScalingReport, SCriterionReport,
-                         deterministic_limit_check, gillespie, preset_chain,
-                         preset_family, s_criterion, scaling_limit_check)
+                         deterministic_limit_check, gillespie, lattice_law,
+                         preset_chain, preset_family, s_criterion,
+                         scaling_limit_check)
 from .config import RunConfig, load_config
 from .report import RunReport, write_csv
 

@@ -9,7 +9,7 @@ quasi-stationary law for an unscaled chain.
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -19,6 +19,7 @@ from .errors import DomainError, PreconditionError, TruncationError
 from .model import linear_growth, logistic_growth
 from .montecarlo import SimConfig, simulate_z
 from .quadrature import classify_growth
+from .spectral import tridiagonal_modes
 
 _CHUNK = 512                      # uniforms per stream refill (2 per event)
 _MAX_EVENTS = 100_000_000
@@ -69,14 +70,9 @@ def preset_family(kind, params, N) -> BDModel:
     mu = float(p.get("mu", 1.0))
     gamma = float(p.get("gamma", 1.0))
     c = float(p.get("c", 1.0)) if kind == "logistic_branching" else 0.0
-    if lam < 0:
-        problems.append("lam must be nonnegative")
-    if mu < 0:
-        problems.append("mu must be nonnegative")
-    if gamma < 0:
-        problems.append("gamma must be nonnegative")
-    if c < 0:
-        problems.append("c must be nonnegative")
+    problems += [f"{k} must be nonnegative" for k, v in
+                 (("lam", lam), ("mu", mu), ("gamma", gamma), ("c", c))
+                 if v < 0]
     if problems:
         raise PreconditionError("; ".join(problems))
 
@@ -85,15 +81,12 @@ def preset_family(kind, params, N) -> BDModel:
 
     def b(x):
         n = np.rint(np.asarray(x, dtype=float) * N)
-        out = birth_per_count * n / N
-        return float(out) if out.ndim == 0 else out
+        return birth_per_count * n / N
 
     def d(x):
         n = np.rint(np.asarray(x, dtype=float) * N)
         out = death_per_count * n / N
-        if c > 0:
-            out = out + (c / N) * n * (n - 1.0)
-        return float(out) if out.ndim == 0 else out
+        return out + (c / N) * n * (n - 1.0) if c > 0 else out
 
     r = lam - mu
 
@@ -129,14 +122,11 @@ def preset_chain(kind, params) -> BDChainSpec:
         raise PreconditionError("chain rates must be nonnegative")
 
     def lambda_n(n):
-        n = np.asarray(n, dtype=float)
-        out = lam * n
-        return float(out) if out.ndim == 0 else out
+        return lam * np.asarray(n, dtype=float)
 
     def mu_n(n):
         n = np.asarray(n, dtype=float)
-        out = mu * n + c * n * (n - 1.0)
-        return float(out) if out.ndim == 0 else out
+        return mu * n + c * n * (n - 1.0)
 
     return BDChainSpec(lambda_n=lambda_n, mu_n=mu_n,
                        name=f"{kind}(lam={lam:g},mu={mu:g}"
@@ -170,150 +160,184 @@ def _snap_count(z0, N):
 def gillespie(m: BDModel, z0, t_max, seed, replica=0) -> BDPath:
     """Exact jump-chain trajectory from lattice state z0 up to t_max.
 
+    One replica of the lockstep sampler, with its event log kept, so a
+    batch run and a rerun of the same replica agree event for event.
+    """
+    events = []
+    _, T0, _ = _gillespie_batch(m, z0, t_max, 1, seed, first=replica,
+                                log=events)
+    times, counts = events[0]
+    return BDPath(times=times, counts=counts, states=counts / m.N,
+                  T0=float(T0[0]), N=m.N)
+
+
+def _gillespie_batch(m: BDModel, z0, t_max, n_reps, seed, record_ts=None,
+                     first=0, log=None):
+    """March replicas first .. first + n_reps - 1 in lockstep.
+
     Waiting times are exponential with the total rate at the current
     count; a uniform then picks birth against death.  Absorption at 0 is
-    permanent.  The draw stream is keyed by (seed, replica), so a batch
-    run and a scalar rerun of the same replica agree event for event.
-    """
-    N = m.N
-    n = _snap_count(z0, N)
-    gen = rng.stream(seed, replica)
-    times = [0.0]
-    counts = [n]
-    t = 0.0
-    T0 = np.inf if n > 0 else 0.0
-    for _ in range(_MAX_EVENTS):
-        if n == 0:
-            break
-        x = n / N
-        bn = float(m.b(x))
-        dn = float(m.d(x))
-        tot = bn + dn
-        if not np.isfinite(tot) or tot > 1e300:
-            raise TruncationError(
-                f"total jump rate {tot!r} at count {n} exceeds the "
-                "representable scale")
-        if tot <= 0:
-            break                      # isolated state: nothing ever fires
-        u1 = gen.random()
-        u2 = gen.random()
-        with np.errstate(divide="ignore"):
-            t = t - np.log(u1) / tot
-        if t > t_max:
-            break
-        n = n + 1 if u2 * tot < bn else n - 1
-        times.append(t)
-        counts.append(n)
-        if n == 0:
-            T0 = t
-            break
-    else:
-        raise TruncationError(f"more than {_MAX_EVENTS} events before "
-                              f"t_max={t_max:g}; rates outpace the clock")
-    times = np.asarray(times, dtype=float)
-    counts = np.asarray(counts, dtype=np.int64)
-    return BDPath(times=times, counts=counts,
-                  states=counts / N, T0=float(T0), N=N)
-
-
-def _gillespie_batch(m: BDModel, z0, t_max, n_reps, seed, record_ts=None):
-    """March n_reps replicas in lockstep; per-replica streams as gillespie.
-
-    Returns (final_counts, T0, recorded) where recorded is the
-    pre-crossing count at every requested record time (or None).
+    permanent.  Replica j draws from stream (seed, j), so results do not
+    depend on which replicas share a batch.  Returns (final_counts, T0,
+    recorded), where recorded is the pre-crossing count at every
+    requested record time (or None).  When log is a list, one
+    (times, counts) pair per replica is appended to it, starting at
+    (0, initial count) and holding every event up to t_max.
     """
     N = m.N
     n0 = _snap_count(z0, N)
     n = np.full(n_reps, n0, dtype=np.int64)
     t = np.zeros(n_reps)
     T0 = np.full(n_reps, np.inf if n0 > 0 else 0.0)
-    done = n == 0
-    gens = [rng.stream(seed, j) for j in range(n_reps)]
+    gens = [rng.stream(seed, first + j) for j in range(n_reps)]
+    # every live replica draws two uniforms per lockstep event, so all
+    # share one position in their refill buffers
     buf = np.empty((n_reps, _CHUNK))
-    pos = np.full(n_reps, _CHUNK, dtype=np.int64)   # force initial refill
+    pos = _CHUNK                                    # force initial refill
+    events = None if log is None else [([0.0], [n0]) for _ in range(n_reps)]
+    # rates are tabulated past the top live count; counts move by one per
+    # event, so the table stays valid for `safe` more events
+    safe = 0
 
-    record_ts = (None if record_ts is None
-                 else np.asarray(record_ts, dtype=float))
+    recorded = None
     if record_ts is not None:
         recorded = np.zeros((n_reps, len(record_ts)), dtype=np.int64)
         rec_idx = np.zeros(n_reps, dtype=np.int64)
-    else:
-        recorded, rec_idx = None, None
+        # a replica past its last record time waits for t = inf
+        record_ts = np.append(np.asarray(record_ts, dtype=float), np.inf)
 
-    for _ in range(_MAX_EVENTS):
-        act = np.nonzero(~done)[0]
-        if act.size == 0:
-            break
-        need = act[pos[act] >= _CHUNK]
-        for i in need:
-            gens[i].random(out=buf[i])
-            pos[i] = 0
-
-        x = n[act] / N
-        bn = np.asarray(m.b(x), dtype=float)
-        dn = np.asarray(m.d(x), dtype=float)
-        tot = bn + dn
-        if np.any(~np.isfinite(tot) | (tot > 1e300)):
-            raise TruncationError("total jump rate exceeds the "
-                                  "representable scale in a batch replica")
-        stuck = tot <= 0
-        u1 = buf[act, pos[act]]
-        u2 = buf[act, pos[act] + 1]
-        pos[act] += 2
-        with np.errstate(divide="ignore", invalid="ignore"):
+    act = np.nonzero(n > 0)[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_EVENTS):
+            if act.size == 0:
+                break
+            if pos == _CHUNK:
+                for i in act:
+                    gens[i].random(out=buf[i])
+                pos = 0
+            cur = n[act]
+            if safe == 0:
+                top = int(cur.max())
+                x = np.arange(2 * top + 2) / N
+                birth = np.asarray(m.b(x), dtype=float)
+                total = birth + np.asarray(m.d(x), dtype=float)
+                tame = bool(np.all(total <= 1e300))
+                safe = len(total) - top
+            safe -= 1
+            bn = birth[cur]
+            tot = total[cur]
+            if not (tame or np.all(tot <= 1e300)):
+                raise TruncationError("total jump rate exceeds the "
+                                      "representable scale in a replica")
+            u1 = buf[act, pos]
+            u2 = buf[act, pos + 1]
+            pos += 2
             t_new = t[act] - np.log(u1) / tot
-        t_new[stuck] = np.inf
+            t_new[tot <= 0] = np.inf      # isolated state: nothing fires
 
-        if recorded is not None:
-            # snapshot the pre-event count at every record time crossed
-            while True:
-                can = rec_idx[act] < len(record_ts)
-                if not np.any(can):
-                    break
-                nxt = record_ts[np.minimum(rec_idx[act],
-                                           len(record_ts) - 1)]
-                cross = can & (t_new > nxt)
-                if not np.any(cross):
-                    break
-                rows = act[cross]
-                recorded[rows, rec_idx[rows]] = n[rows]
-                rec_idx[rows] += 1
+            if recorded is not None:
+                # snapshot the pre-event count at every record time crossed
+                while True:
+                    cross = t_new > record_ts[rec_idx[act]]
+                    if not cross.any():
+                        break
+                    rows = act[cross]
+                    recorded[rows, rec_idx[rows]] = n[rows]
+                    rec_idx[rows] += 1
 
-        over = t_new > t_max
-        fire = ~over
-        rows = act[fire]
-        if rows.size:
+            fire = t_new <= t_max
+            rows = act[fire]
             t[rows] = t_new[fire]
-            up = u2[fire] * tot[fire] < bn[fire]
-            n[rows] += np.where(up, 1, -1).astype(np.int64)
-            hit = n[rows] == 0
-            if np.any(hit):
-                T0[rows[hit]] = t[rows[hit]]
-                done[rows[hit]] = True
-        done[act[over]] = True
-    else:
-        raise TruncationError(f"more than {_MAX_EVENTS} lockstep events "
-                              "before t_max; rates outpace the clock")
+            n[rows] += 2 * (u2[fire] * tot[fire] < bn[fire]) - 1
+            if events is not None:
+                for j in rows:
+                    events[j][0].append(float(t[j]))
+                    events[j][1].append(int(n[j]))
+            alive = n[rows] > 0
+            T0[rows[~alive]] = t[rows[~alive]]
+            act = rows[alive]
+        else:
+            raise TruncationError(f"more than {_MAX_EVENTS} lockstep events "
+                                  "before t_max; rates outpace the clock")
 
     if recorded is not None:
         # times past the last event of a replica see its final count
         for j in range(n_reps):
             recorded[j, rec_idx[j]:] = n[j]
+    if events is not None:
+        log.extend((np.asarray(ts, dtype=float),
+                    np.asarray(ns, dtype=np.int64)) for ts, ns in events)
     return n, T0, recorded
 
 
 # ---------------------------------------------------------------------------
+# the exact lattice law
+
+def _log_weights(lam, mu):
+    """log pi_n, n = 1..len(mu): pi_1 mu_1 = 1, pi_n lam_n = pi_n+1 mu_n+1."""
+    log_pi = np.empty(len(mu))
+    log_pi[0] = -np.log(mu[0])
+    log_pi[1:] = log_pi[0] + np.cumsum(np.log(lam[:-1]) - np.log(mu[1:]))
+    return log_pi
+
+
+def lattice_law(m: BDModel, z0, t) -> np.ndarray:
+    """Exact law at time t of the count started from lattice state z0.
+
+    p[0] is the absorbed mass, p[m] that of count m <= M.  Births stop at
+    M, which starts at max(12 N, 2 n0) and doubles, at most five times,
+    until the mass at M is at most 1e-12.  Symmetrized by the weights pi,
+    the generator on {1..M} is tridiagonal with off-diagonal
+    sqrt(b_n d_{n+1}); with its levels lambda_k and orthonormal vectors
+    phi_k (Karlin-McGregor 1957), unweighted in log space,
+
+        p[m] = sqrt(pi_m / pi_n0) sum_k exp(-lambda_k t) phi_k(n0) phi_k(m).
+
+    Levels with lambda t > 42 weigh below 1e-18 and are left out.  Mass
+    left at the last M, an unresolved spectrum, and an entry below -1e-12
+    (cancellation) raise TruncationError; nothing is clipped.
+    """
+    N = m.N
+    n0 = _snap_count(z0, N)
+    t = float(t)
+    if not t > 0:
+        raise PreconditionError(f"t must be positive, got {t!r}")
+    for M in max(12 * N, 2 * n0) * 2 ** np.arange(6):
+        x = np.arange(1, M + 1) / N
+        b = np.array(m.b(x), dtype=float)
+        d = np.asarray(m.d(x), dtype=float)
+        b[-1] = 0.0
+        if not (np.all(np.isfinite(b + d)) and np.all(b[:-1] > 0)
+                and np.all(d > 0)):
+            raise DomainError("the exact law needs finite positive birth "
+                              f"and death rates on 1..{M}")
+        log_pi = _log_weights(b, d)
+        lam, phi = tridiagonal_modes(
+            b + d, -np.sqrt(b[:-1] * d[1:]),
+            "this chain's spectrum is not resolved in double precision",
+            select="v", select_range=(-np.inf, 42.0 / t),
+            lapack_driver="stemr")
+        p = np.zeros(M + 1)
+        if n0 > 0:
+            v = phi @ (np.exp(-lam * t) * phi[n0 - 1])
+            with np.errstate(divide="ignore"):
+                p[1:] = np.sign(v) * np.exp(
+                    np.log(np.abs(v)) + 0.5 * (log_pi - log_pi[n0 - 1]))
+        p[0] = 1.0 - p[1:].sum()
+        if p[-1] <= 1e-12:
+            break
+    else:
+        raise TruncationError(f"mass {p[-1]:.3g} at the truncation "
+                              f"M = {M} exceeds 1e-12")
+    if p.min() < -1e-12:
+        raise TruncationError(
+            f"law entry {p.min():.3g} is below -1e-12: the weighted "
+            "spectral sum cancels past double precision")
+    return p
+
+
+# ---------------------------------------------------------------------------
 # convergence toward the diffusion
-
-def _ks_two_sample(a, b):
-    """Exact two-sample sup-distance between empirical cdfs."""
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
-    pool = np.concatenate([a, b])
-    Fa = np.searchsorted(a, pool, side="right") / len(a)
-    Fb = np.searchsorted(b, pool, side="right") / len(b)
-    return float(np.max(np.abs(Fa - Fb)))
-
 
 @dataclass(frozen=True)
 class ScalingReport:
@@ -324,12 +348,13 @@ class ScalingReport:
 
 
 def scaling_limit_check(kind, params, N_list, z0, t, n_reps, seed=0,
-                        dt=1e-3, diffusion_paths=None) -> ScalingReport:
+                        dt=1e-3) -> ScalingReport:
     """Endpoint laws of the lattice families against the diffusion's.
 
-    For each N the replica ensemble is compared with a simulated
-    diffusion ensemble at the same time through the exact two-sample
-    sup-distance; the distances should shrink as N grows.
+    For each N the exact lattice law (atom at 0 included) is compared
+    with the empirical law of a simulated diffusion ensemble at the same
+    time, through the sup distance between their cdfs; the distances
+    should shrink as N grows.  The ensemble has max(10000, n_reps) paths.
     """
     N_list = [int(N) for N in N_list]
     if len(N_list) < 1 or any(b <= a for a, b in zip(N_list, N_list[1:])):
@@ -350,17 +375,22 @@ def scaling_limit_check(kind, params, N_list, z0, t, n_reps, seed=0,
     else:
         raise PreconditionError(f"unknown family kind {kind!r}")
 
-    n_ref = int(diffusion_paths or max(10000, n_reps))
+    n_ref = max(10000, int(n_reps))
     cfg = SimConfig(dt=dt, t_max=t, n_paths=n_ref, seed=seed + 1_000_003)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ref = simulate_z(g, z0, cfg).states[:, -1]
+        ref = np.sort(simulate_z(g, z0, cfg).states[:, -1])
 
     rows = []
     for N in N_list:
-        m = preset_family(kind, params, N)
-        counts, _, _ = _gillespie_batch(m, z0, t, n_reps, seed)
-        rows.append((N, _ks_two_sample(counts / N, ref), n_reps))
+        law = lattice_law(preset_family(kind, params, N), z0, t)
+        support = np.arange(len(law)) / N
+        # both cdfs are right-continuous steps: the sup sits at a jump
+        pool = np.concatenate([support, ref])
+        F = np.concatenate([[0.0], np.cumsum(law)])[
+            np.searchsorted(support, pool, side="right")]
+        G = np.searchsorted(ref, pool, side="right") / n_ref
+        rows.append((N, float(np.max(np.abs(F - G))), n_reps))
     return ScalingReport(rows=tuple(rows), t=float(t), z0=float(z0),
                          reference_size=n_ref)
 
@@ -461,17 +491,12 @@ def s_criterion(c: BDChainSpec, n_max) -> SCriterionReport:
         # birth stops at some level: the chain truncates and every series
         # below is a finite sum
         n_max = int(ns[zero[0]])
-        ns = ns[:n_max]
         lam = lam[:n_max]
         mu = mu[:n_max]
 
-    # log pi by the defining recursion
-    log_pi = np.empty(n_max)
-    log_pi[0] = -np.log(mu[0])
+    log_pi = _log_weights(lam, mu)
     with np.errstate(divide="ignore"):
         log_lam = np.log(lam)
-    increments = log_lam[:-1] - np.log(mu[1:])
-    log_pi[1:] = log_pi[0] + np.cumsum(increments)
 
     # constant-ratio rungs: the growth classifier reads increment ratios,
     # so the ladder must halve exactly all the way down
@@ -490,8 +515,7 @@ def s_criterion(c: BDChainSpec, n_max) -> SCriterionReport:
     S_trail, A_trail, E1_trail, En_trail = [], [], [], []
     # suffix mass over the full range, for the mean-absorption formula
     suffix_full = np.full(n_max + 1, -np.inf)
-    for i in range(n_max - 1, 0, -1):
-        suffix_full[i] = np.logaddexp(suffix_full[i + 1], log_pi[i])
+    suffix_full[n_max - 1:0:-1] = np.logaddexp.accumulate(log_pi[:0:-1])
     E1_total = safe_exp_sum(log_pi)
     with np.errstate(over="ignore", invalid="ignore"):
         en_terms = np.exp(log_inv[:-1] + suffix_full[1:-1])
@@ -503,8 +527,7 @@ def s_criterion(c: BDChainSpec, n_max) -> SCriterionReport:
         A_trail.append((cut, safe_exp_sum(log_inv[:cut])))
         # suffix sums inside the prefix for the doubly truncated series
         suf = np.full(cut + 1, -np.inf)
-        for i in range(cut - 1, 0, -1):
-            suf[i] = np.logaddexp(suf[i + 1], lp[i])
+        suf[cut - 1:0:-1] = np.logaddexp.accumulate(lp[:0:-1])
         with np.errstate(over="ignore", invalid="ignore"):
             inner = np.exp(log_inv[:cut - 1] + suf[1:cut])
         S_trail.append((cut, safe_exp_sum(lp) + float(np.sum(inner))))
@@ -518,7 +541,6 @@ def s_criterion(c: BDChainSpec, n_max) -> SCriterionReport:
 
     s_status, _ = classify(S_trail)
     a_status, _ = classify(A_trail)
-    e1_status, _ = classify(E1_trail)
     en_status, _ = classify(En_trail)
 
     iii = _status_word(en_status)

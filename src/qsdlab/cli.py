@@ -84,10 +84,8 @@ def main(argv=None):
         return _EXIT_CONFIG
     args = _parser().parse_args(argv)
 
-    from .errors import (ConfigError, DomainError, IntegrabilityError,
-                         ModelError, PreconditionError, QsdError,
-                         SurvivalUnderflowError, TailDominatedError,
-                         TruncationError)
+    from .errors import (ConfigError, DomainError, ModelError,
+                         PreconditionError, QsdError)
     from .config import load_config, require_seed
 
     try:
@@ -119,12 +117,7 @@ def main(argv=None):
         print(f"error [{stage[-1]}]: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return _EXIT_PRECONDITION
-    except (TruncationError, TailDominatedError, SurvivalUnderflowError,
-            IntegrabilityError) as exc:
-        print(f"error [{stage[-1]}]: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
-        return _EXIT_NUMERICAL
-    except QsdError as exc:
+    except QsdError as exc:           # truncation, underflow, integrability
         print(f"error [{stage[-1]}]: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return _EXIT_NUMERICAL

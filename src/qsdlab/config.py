@@ -208,27 +208,21 @@ def load_config(path, quick=False, seed_override=None) -> RunConfig:
     # --- montecarlo ---
     _unknown_keys(cp, "montecarlo", _MC_KEYS, problems)
     sec = "montecarlo"
-    has = cp.has_section(sec)
     mc = {
-        "x0": _get_float(cp, sec, "x0", 1.0, problems) if has else 1.0,
-        "z0": _get_float(cp, sec, "z0", 1.0, problems) if has else 1.0,
-        "dt": _get_float(cp, sec, "dt", 1e-3, problems) if has else 1e-3,
-        "t_max": _get_float(cp, sec, "t_max", 6.0, problems) if has else 6.0,
-        "n_paths": (_get_int(cp, sec, "n_paths", 100000, problems)
-                    if has else 100000),
-        "record_dt": (_get_float(cp, sec, "record_dt", None, problems)
-                      if has else None),
-        "absorb_threshold": (_get_float(cp, sec, "absorb_threshold", 1e-4,
-                                        problems) if has else 1e-4),
-        "bridge_correction": (_get_bool(cp, sec, "bridge_correction", True,
-                                        problems) if has else True),
-        "block_size": (_get_int(cp, sec, "block_size", 4096, problems)
-                       if has else 4096),
-        "crn_substeps": (_get_int(cp, sec, "crn_substeps", 1, problems)
-                         if has else 1),
-        "bins": _get_int(cp, sec, "bins", 60, problems) if has else 60,
-        "hist_max": (_get_float(cp, sec, "hist_max", None, problems)
-                     if has else None),
+        "x0": _get_float(cp, sec, "x0", 1.0, problems),
+        "z0": _get_float(cp, sec, "z0", 1.0, problems),
+        "dt": _get_float(cp, sec, "dt", 1e-3, problems),
+        "t_max": _get_float(cp, sec, "t_max", 6.0, problems),
+        "n_paths": _get_int(cp, sec, "n_paths", 100000, problems),
+        "record_dt": _get_float(cp, sec, "record_dt", None, problems),
+        "absorb_threshold": _get_float(cp, sec, "absorb_threshold", 1e-4,
+                                       problems),
+        "bridge_correction": _get_bool(cp, sec, "bridge_correction", True,
+                                       problems),
+        "block_size": _get_int(cp, sec, "block_size", 4096, problems),
+        "crn_substeps": _get_int(cp, sec, "crn_substeps", 1, problems),
+        "bins": _get_int(cp, sec, "bins", 60, problems),
+        "hist_max": _get_float(cp, sec, "hist_max", None, problems),
     }
     for key in ("dt", "t_max"):
         if mc[key] <= 0:
@@ -237,7 +231,7 @@ def load_config(path, quick=False, seed_override=None) -> RunConfig:
         if mc[key] < 1:
             problems.append(f"montecarlo.{key}: must be at least 1")
     window = None
-    if has and cp.has_option(sec, "lambda_window"):
+    if cp.has_option(sec, "lambda_window"):
         raw = cp.get(sec, "lambda_window")
         parts = [s.strip() for s in raw.split(",")]
         try:
@@ -251,7 +245,7 @@ def load_config(path, quick=False, seed_override=None) -> RunConfig:
     mc["lambda_window"] = window
 
     seed = None
-    if has and cp.has_option(sec, "seed"):
+    if cp.has_option(sec, "seed"):
         seed = _get_int(cp, sec, "seed", None, problems)
     if seed_override is not None:
         seed = int(seed_override)
@@ -259,18 +253,15 @@ def load_config(path, quick=False, seed_override=None) -> RunConfig:
     # --- bd ---
     _unknown_keys(cp, "bd", _BD_KEYS, problems)
     sec = "bd"
-    has = cp.has_section(sec)
-    bd_kind = cp.get(sec, "kind", fallback="logistic_branching") if has \
-        else "logistic_branching"
+    bd_kind = cp.get(sec, "kind", fallback="logistic_branching")
     if bd_kind not in ("pure_branching", "logistic_branching"):
         problems.append(f"bd.kind: must be pure_branching or "
                         f"logistic_branching, got {bd_kind!r}")
-    chain = cp.get(sec, "chain", fallback="logistic") if has else "logistic"
+    chain = cp.get(sec, "chain", fallback="logistic")
     if chain not in ("linear", "logistic"):
         problems.append(f"bd.chain: must be linear or logistic, "
                         f"got {chain!r}")
-    raw_nlist = cp.get(sec, "n_list", fallback="10, 30, 100") if has \
-        else "10, 30, 100"
+    raw_nlist = cp.get(sec, "n_list", fallback="10, 30, 100")
     try:
         n_list = tuple(int(s) for s in raw_nlist.split(","))
         if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -282,28 +273,22 @@ def load_config(path, quick=False, seed_override=None) -> RunConfig:
     bd = {
         "kind": bd_kind,
         "params": {
-            "lam": _get_float(cp, sec, "lam", 2.0, problems) if has else 2.0,
-            "mu": _get_float(cp, sec, "mu", 1.0, problems) if has else 1.0,
-            "c": _get_float(cp, sec, "c", 1.0, problems) if has else 1.0,
-            "gamma": (_get_float(cp, sec, "gamma", 1.0, problems)
-                      if has else 1.0),
+            "lam": _get_float(cp, sec, "lam", 2.0, problems),
+            "mu": _get_float(cp, sec, "mu", 1.0, problems),
+            "c": _get_float(cp, sec, "c", 1.0, problems),
+            "gamma": _get_float(cp, sec, "gamma", 1.0, problems),
         },
         "n_list": n_list,
-        "z0": _get_float(cp, sec, "z0", 1.0, problems) if has else 1.0,
-        "t": _get_float(cp, sec, "t", 1.0, problems) if has else 1.0,
-        "n_reps": (_get_int(cp, sec, "n_reps", 10000, problems)
-                   if has else 10000),
+        "z0": _get_float(cp, sec, "z0", 1.0, problems),
+        "t": _get_float(cp, sec, "t", 1.0, problems),
+        "n_reps": _get_int(cp, sec, "n_reps", 10000, problems),
         "chain": chain,
         "chain_params": {
-            "lam": (_get_float(cp, sec, "chain_lam", 1.0, problems)
-                    if has else 1.0),
-            "mu": (_get_float(cp, sec, "chain_mu", 1.0, problems)
-                   if has else 1.0),
-            "c": (_get_float(cp, sec, "chain_c", 1.0, problems)
-                  if has else 1.0),
+            "lam": _get_float(cp, sec, "chain_lam", 1.0, problems),
+            "mu": _get_float(cp, sec, "chain_mu", 1.0, problems),
+            "c": _get_float(cp, sec, "chain_c", 1.0, problems),
         },
-        "n_max": _get_int(cp, sec, "n_max", 10000, problems) if has
-        else 10000,
+        "n_max": _get_int(cp, sec, "n_max", 10000, problems),
     }
     if bd["n_reps"] < 1:
         problems.append("bd.n_reps: must be at least 1")

@@ -125,22 +125,32 @@ def curvature_floor(q, q_prime):
                                   options={"xtol": 1e-10})
             if np.isfinite(res.fun):
                 best = min(best, float(res.fun))
-        except Exception:
+        except ValueError:
             pass  # keep the grid minimum when the bracket is degenerate
     return max(0.0, -float(best))
 
 
-def _gauss_legendre_panels(f, nodes):
-    """Cumulative integral of f along sorted nodes, 10-point GL per panel."""
-    gx, gw = np.polynomial.legendre.leggauss(10)
-    a = nodes[:-1]
-    b = nodes[1:]
+_GL10_NODES, _GL10_WEIGHTS = np.polynomial.legendre.leggauss(10)
+
+
+def panel_gl10(f, a, b):
+    """Fixed 10-point Gauss-Legendre on each panel [a, b]; a, b may be arrays.
+
+    f is called once, on the flat array of all panel nodes.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    pts = mid[:, None] + half[:, None] * gx[None, :]
+    pts = mid[..., None] + half[..., None] * _GL10_NODES
     vals = f(pts.ravel()).reshape(pts.shape)
-    panel = half * (vals @ gw)
-    return np.concatenate(([0.0], np.cumsum(panel)))
+    return half * (vals @ _GL10_WEIGHTS)
+
+
+def _gauss_legendre_panels(f, nodes):
+    """Cumulative integral of f along sorted nodes, one panel per gap."""
+    panels = panel_gl10(f, nodes[:-1], nodes[1:])
+    return np.concatenate(([0.0], np.cumsum(panels)))
 
 
 def make_potential_integral(q, singular_origin=False):

@@ -16,7 +16,8 @@ from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from . import rng
 from .errors import DomainError, PreconditionError
-from .model import DriftField, GrowthModel, drift_from_growth, x_from_z, z_from_x
+from .model import (DriftField, GrowthModel, drift_from_growth, panel_gl10,
+                    x_from_z, z_from_x)
 from .quadrature import QuadratureSpec, integrate
 from .spectral import SpectralDecomposition, YaglomMeasure
 
@@ -441,19 +442,6 @@ class ConditionedGrowth(GrowthModel):
     u: Optional[Callable] = None
 
 
-_GL10_NODES, _GL10_WEIGHTS = np.polynomial.legendre.leggauss(10)
-
-
-def _panel_gl10(f, a, b):
-    """Fixed 10-point Gauss-Legendre on [a, b]; a, b may be arrays."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    vals = f(mid[..., None] + half[..., None] * _GL10_NODES)
-    return half * (vals @ _GL10_WEIGHTS)
-
-
 def condition_on_extinction(g: GrowthModel,
                             quad: Optional[QuadratureSpec] = None
                             ) -> ConditionedGrowth:
@@ -512,14 +500,14 @@ def condition_on_extinction(g: GrowthModel,
     z_lo = min(1e-8, z_hi * 1e-12)
     nodes = np.concatenate([[0.0],
                             np.geomspace(z_lo, z_hi, 4000)])
-    J_panels = _panel_gl10(f, nodes[:-1], nodes[1:])
+    J_panels = panel_gl10(f, nodes[:-1], nodes[1:])
     J_nodes = np.concatenate([[0.0], np.cumsum(J_panels)])
     J_spline = CubicSpline(nodes, J_nodes)
 
     def emj(z):
         return np.exp(-J_spline(z))
 
-    I_panels = _panel_gl10(emj, nodes[:-1], nodes[1:])
+    I_panels = panel_gl10(emj, nodes[:-1], nodes[1:])
     # suffix sums: I_nodes[i] = integral of exp(-J) from nodes[i] to z_hi
     I_nodes = np.concatenate([np.cumsum(I_panels[::-1])[::-1], [0.0]])
     u_total = float(I_nodes[0])
@@ -533,7 +521,7 @@ def condition_on_extinction(g: GrowthModel,
             return 0.0
         i = int(np.searchsorted(nodes, y, side="right"))
         i = min(i, len(nodes) - 1)
-        return float(_panel_gl10(emj, y, nodes[i])) + float(I_nodes[i])
+        return float(panel_gl10(emj, y, nodes[i])) + float(I_nodes[i])
 
     def log_slope(y):
         # u'(y)/u(y); Laplace asymptotics past the dead zone

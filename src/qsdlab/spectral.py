@@ -123,6 +123,13 @@ class SpectralDecomposition:
         out = np.where(xs - left <= right - xs, idx - 1, idx)
         return out if np.ndim(x) else int(out[0])
 
+    def require_time(self, t, K: Optional[int] = None):
+        """Refuse t below t_min(K): the dropped modes may still matter."""
+        k = self.K if K is None else K
+        tm = self.t_min(k)
+        if t < tm:
+            raise TailDominatedError(t, tm, k)
+
     def t_min(self, K: Optional[int] = None) -> float:
         """Shortest time the K-mode kernel can honestly represent."""
         k = self.K if K is None else K
@@ -132,6 +139,35 @@ class SpectralDecomposition:
         if gap <= 0:
             return np.inf
         return float(np.log(_TAIL_RATIO) / gap)
+
+
+def tridiagonal_modes(diag, off, hint, scale=None, **select):
+    """Eigenpairs, lowest first, of the symmetric tridiagonal (diag, off).
+
+    ``select`` goes to scipy's eigh_tridiagonal and picks the levels.  Each
+    eigenvector is divided entrywise by ``scale`` when one is given (the
+    square roots of a discretised operator's cell weights, which turn
+    l2-orthonormal columns into measure-orthonormal profiles), then signed
+    so that its largest-amplitude entry is positive.  A ground level that
+    is not positive, or two levels within 1e-10 of each other, is not
+    resolved: both raise TruncationError, with ``hint`` appended.
+    """
+    lam, phi = eigh_tridiagonal(diag, off, **select)
+    if lam.size and lam[0] <= 0:
+        raise TruncationError(
+            f"ground level {lam[0]:.6g} is not positive; {hint}")
+    gaps = np.diff(lam)
+    tol = 1e-10 * np.maximum(1.0, np.abs(lam[:-1]))
+    if np.any(gaps < tol):
+        k = int(np.argmax(gaps < tol))
+        raise TruncationError(
+            f"levels {k + 1} and {k + 2} cluster within 1e-10 "
+            f"({lam[k]:.12g} vs {lam[k + 1]:.12g}); {hint}")
+    if scale is not None:
+        phi = phi / scale[:, None]
+    top = phi[np.argmax(np.abs(phi), axis=0), np.arange(phi.shape[1])]
+    phi[:, top < 0] *= -1.0
+    return lam, phi
 
 
 def build_and_solve(d: DriftField, domain: Optional[TruncationDomain] = None,
@@ -161,33 +197,10 @@ def build_and_solve(d: DriftField, domain: Optional[TruncationDomain] = None,
     diag = (1.0 / h[:-1] + 1.0 / h[1:]) / (2.0 * dcell) + w
     off = -1.0 / (2.0 * h[1:-1] * np.sqrt(dcell[:-1] * dcell[1:]))
 
-    lam, phi = eigh_tridiagonal(diag, off, select="i",
-                                select_range=(0, K - 1))
-    lam = np.asarray(lam, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-
-    if lam[0] <= 0:
-        raise TruncationError(
-            f"ground level {lam[0]:.6g} is not positive: the truncated box "
-            f"does not see the absorbing decay (box too small or drift "
-            f"not admissible)")
-    gaps = np.diff(lam)
-    tol = 1e-10 * np.maximum(1.0, np.abs(lam[:-1]))
-    if np.any(gaps < tol):
-        k = int(np.argmax(gaps < tol))
-        raise TruncationError(
-            f"levels {k + 1} and {k + 2} cluster within 1e-10 "
-            f"({lam[k]:.12g} vs {lam[k + 1]:.12g}); enlarge the box or n")
-
-    # cell weights turn the l2-orthonormal columns into discretely
-    # measure-orthonormal mode profiles
-    psi = phi / np.sqrt(dcell)[:, None]
-
-    # deterministic sign: the largest-amplitude component points up
-    for k in range(K):
-        i_star = int(np.argmax(np.abs(psi[:, k])))
-        if psi[i_star, k] < 0:
-            psi[:, k] = -psi[:, k]
+    lam, psi = tridiagonal_modes(
+        diag, off, "enlarge the box or n, or check that the drift is "
+        "admissible", scale=np.sqrt(dcell), select="i",
+        select_range=(0, K - 1))
 
     Qg = np.asarray(d.Q(x), dtype=float)
     amp = np.abs(psi)
@@ -299,9 +312,7 @@ def kernel_r(sd: SpectralDecomposition, t: float, xs, ys,
     k = sd.K if K is None else int(K)
     if not 1 <= k <= sd.K:
         raise PreconditionError(f"K={k} not in 1..{sd.K}")
-    tm = sd.t_min(k)
-    if t < tm:
-        raise TailDominatedError(t, tm, k)
+    sd.require_time(t, k)
     ix = sd.node_index(np.atleast_1d(xs))
     iy = sd.node_index(np.atleast_1d(ys))
     decay = np.exp(-sd.lambdas[:k] * t)
@@ -329,9 +340,7 @@ def survival(sd: SpectralDecomposition, t, init) -> np.ndarray:
     if np.any(ts < 0):
         raise PreconditionError("survival needs t >= 0")
     if init[0] != "yaglom":
-        tm = sd.t_min()
-        if np.any(ts < tm):
-            raise TailDominatedError(float(np.min(ts)), tm, sd.K)
+        sd.require_time(float(ts.min(initial=np.inf)))
     coeffs = _mode_coefficients(sd, init)
     out = np.exp(-np.outer(ts, sd.lambdas)) @ (coeffs * sd.eta_masses)
     return out if np.ndim(t) else float(out[0])
@@ -380,9 +389,7 @@ def conditional_density(sd: SpectralDecomposition, t: float, x0: float,
                         K: Optional[int] = None) -> ConditionalDensity:
     """Full grid density of the process at time t given it still lives."""
     k = sd.K if K is None else int(K)
-    tm = sd.t_min(k)
-    if t < tm:
-        raise TailDominatedError(t, tm, k)
+    sd.require_time(t, k)
     i0 = sd.node_index(float(x0))
     decay = np.exp(-sd.lambdas[:k] * t)
     # r(t, x0, y) exp(-Q(y)) = sum_k decay_k eta_k(x0) psi_k(y) exp(-Q(y)/2)
@@ -418,9 +425,7 @@ def conditional_law(sd: SpectralDecomposition, init, t: float,
     """
     ts = float(t)
     if init[0] != "yaglom":
-        tm = sd.t_min()
-        if ts < tm:
-            raise TailDominatedError(ts, tm, sd.K)
+        sd.require_time(ts)
     coeffs = _mode_coefficients(sd, init)
     ind = _interval_indicator(sd, interval)
     mA = (sd.psis * (ind * np.exp(-0.5 * sd.Qgrid) * sd.cell)[:, None]).sum(axis=0)
@@ -559,9 +564,7 @@ def qprocess_row(sd: SpectralDecomposition, t: float, x0: float,
     discretely orthonormal.
     """
     k = sd.K if K is None else int(K)
-    tm = sd.t_min(k)
-    if t < tm:
-        raise TailDominatedError(t, tm, k)
+    sd.require_time(t, k)
     i0 = sd.node_index(float(x0))
     u = np.exp(-(sd.lambdas[:k] - sd.lambdas[0]) * t)
     eta_x = sd.etas[i0, :k]
@@ -614,9 +617,7 @@ def appendix_bound_check(sd: SpectralDecomposition, x: float, y: float,
     the plain mode sum over psi); rhs is exp(C t / 2) times the half-line
     heat kernel with an absorbing wall at 0.
     """
-    tm = sd.t_min()
-    if t < tm:
-        raise TailDominatedError(t, tm, sd.K)
+    sd.require_time(t)
     ix = sd.node_index(float(x))
     iy = sd.node_index(float(y))
     xn, yn = float(sd.grid[ix]), float(sd.grid[iy])
@@ -631,9 +632,7 @@ def appendix_bound_check(sd: SpectralDecomposition, x: float, y: float,
 def appendix_bound_sweep(sd: SpectralDecomposition, xs=None,
                          t: float = 1.0) -> BoundReport:
     """appendix_bound_check vectorized over a probe grid of (x, y) pairs."""
-    tm = sd.t_min()
-    if t < tm:
-        raise TailDominatedError(t, tm, sd.K)
+    sd.require_time(t)
     if xs is None:
         xs = np.linspace(0.1, 5.0, 50)
     xs = np.asarray(xs, dtype=float)

@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.sparse import diags
+from scipy.sparse.linalg import expm_multiply
 
-from qsdlab import (BDModel, DomainError, PreconditionError,
-                    deterministic_limit_check, gillespie, preset_chain,
-                    preset_family, s_criterion, scaling_limit_check)
+from qsdlab import (BDModel, DomainError, PreconditionError, TruncationError,
+                    deterministic_limit_check, gillespie, lattice_law,
+                    preset_chain, preset_family, s_criterion,
+                    scaling_limit_check)
 from qsdlab.birthdeath import _gillespie_batch
 
 
@@ -140,6 +143,55 @@ def test_ensemble_matches_master_equation():
     counts, _, _ = _gillespie_batch(m5, 2.0, 1.5, 20000, seed=3)
     se = counts.std(ddof=1) / math.sqrt(len(counts))
     assert abs(counts.mean() - mean_exact) < 3.0 * se
+
+
+@pytest.mark.parametrize("N", [10, 30])
+def test_lattice_law_matches_master_equation(N):
+    # the chain of acceptance check C11
+    m = preset_family("logistic_branching",
+                      {"lam": 1.0, "mu": 1.0, "c": 1.0, "gamma": 1.0}, N)
+    p = lattice_law(m, 1.0, 1.0)
+    M = len(p) - 1
+    assert M == 12 * N
+    # forward equation on {0..M}: 0 absorbs, births stop at M
+    x = np.arange(M + 1) / N
+    b = np.asarray(m.b(x), dtype=float)
+    d = np.asarray(m.d(x), dtype=float)
+    b[-1] = 0.0
+    Q = diags([-(b + d), b[:-1], d[1:]], [0, 1, -1], format="csr")
+    p0 = np.zeros(M + 1)
+    p0[N] = 1.0
+    exact = expm_multiply(Q.T, p0)
+    assert np.max(np.abs(p - exact)) < 1e-12
+    assert p[0] > 0.5 and abs(p.sum() - 1.0) < 1e-12
+
+
+def test_lattice_truncation_doubles_until_its_mass_vanishes():
+    # without competition, 12 N leaves 5.9e-8 of the mass at M
+    m = preset_family("pure_branching",
+                      {"lam": 1.0, "mu": 2.0, "gamma": 1.0}, 10)
+    p = lattice_law(m, 1.0, 1.0)
+    assert len(p) - 1 == 24 * 10
+    assert p[-1] <= 1e-12 and p.min() >= -1e-12
+
+
+def test_lattice_law_refuses_unresolved_chain():
+    # without noise, absorption from near N is far too rare for doubles
+    m = preset_family("logistic_branching",
+                      {"lam": 2.0, "mu": 1.0, "c": 1.0, "gamma": 0.0}, 1000)
+    with pytest.raises(TruncationError):
+        lattice_law(m, 0.5, 1.0)
+
+
+def test_sampler_mean_matches_exact_law():
+    m = preset_family("logistic_branching",
+                      {"lam": 2.0, "mu": 1.0, "c": 1.0, "gamma": 0.1}, 10)
+    p = lattice_law(m, 1.0, 1.0)
+    exact = float(np.arange(len(p)) @ p) / m.N
+    z = np.asarray([gillespie(m, 1.0, 1.0, seed=9, replica=j).states[-1]
+                    for j in range(1000)])
+    se = z.std(ddof=1) / math.sqrt(len(z))
+    assert abs(z.mean() - exact) < 3.0 * se
 
 
 def test_noise_free_family_follows_growth_flow():
