@@ -190,18 +190,16 @@ def _lambda_window(cfg):
 
 def _batch_files(rep, out_dir, batch, law):
     import numpy as np
-    rows = [(i, batch.T0[i], int(np.isinf(batch.T0[i])))
-            for i in range(batch.n_paths)]
     rep.add_file(out_dir, "paths_summary.csv",
-                 ("path_id", "T0", "censored"), rows)
+                 ("path_id", "T0", "censored"),
+                 [np.arange(batch.n_paths), batch.T0, np.isinf(batch.T0)])
     alive = batch.survival(batch.times)
     rep.add_file(out_dir, "survival.csv", ("t", "n_alive", "fraction"),
-                 [(t, int(round(f * batch.n_paths)), f)
-                  for t, f in zip(batch.times, alive)])
+                 [batch.times, np.rint(alive * batch.n_paths).astype(int),
+                  alive])
     rep.add_file(out_dir, "conditional_hist.csv",
                  ("bin_lo", "bin_hi", "mass", "stderr"),
-                 [(law.edges[i], law.edges[i + 1], law.masses[i],
-                   law.stderr[i]) for i in range(len(law.masses))])
+                 [law.edges[:-1], law.edges[1:], law.masses, law.stderr])
 
 
 # ---------------------------------------------------------------------------
@@ -215,34 +213,25 @@ def _cmd_check(args, cfg, out_dir, rep, stage):
     rep.add_file(out_dir, "hypotheses.csv",
                  ("hypothesis", "status", "key_integral",
                   "value_or_growth", "cutoff_trail_json"),
-                 report_to_rows(hr))
+                 list(zip(*report_to_rows(hr))))
     for name in ("h1", "h2", "h3", "h4", "h5", "hh"):
         rep.scalars[name] = hr.checks[name].verdict
     rep.scalars["all_core_hold"] = hr.all_hold()
 
 
-def _spectrum_rows(sd):
-    rows = []
-    K = sd.K
-    for i in range(len(sd.grid)):
-        rows.append((sd.grid[i],
-                     *(sd.etas[i, k] for k in range(K)),
-                     *(sd.psis[i, k] for k in range(K)),
-                     sd.mu_weights[i]))
-    return rows
-
-
 def _cmd_spectrum(args, cfg, out_dir, rep, stage):
+    import numpy as np
     from .spectral import yaglom_measure
     sd = _decomposition(cfg, stage)
     rep.add_file(out_dir, "spectrum.csv", ("k", "lambda_k"),
-                 [(k + 1, sd.lambdas[k]) for k in range(sd.K)])
+                 [np.arange(1, sd.K + 1), sd.lambdas])
     header = (["x"] + [f"eta_{k + 1}" for k in range(sd.K)]
               + [f"psi_{k + 1}" for k in range(sd.K)] + ["mu_weight"])
-    rep.add_file(out_dir, "eigenfunctions.csv", header, _spectrum_rows(sd))
+    rep.add_file(out_dir, "eigenfunctions.csv", header,
+                 [sd.grid, *sd.etas.T, *sd.psis.T, sd.mu_weights])
     ym = yaglom_measure(sd)
     rep.add_file(out_dir, "yaglom.csv", ("x", "density", "cdf"),
-                 list(zip(ym.grid, ym.density, ym.cdf)))
+                 [ym.grid, ym.density, ym.cdf])
     rep.scalars["lambda_1"] = sd.lambda1
     rep.scalars["lambda_2"] = float(sd.lambdas[1])
     rep.scalars["spectral_gap"] = float(sd.lambdas[1] - sd.lambdas[0])
@@ -255,7 +244,7 @@ def _cmd_yaglom(args, cfg, out_dir, rep, stage):
     sd = _decomposition(cfg, stage)
     ym = yaglom_measure(sd)
     rep.add_file(out_dir, "yaglom.csv", ("x", "density", "cdf"),
-                 list(zip(ym.grid, ym.density, ym.cdf)))
+                 [ym.grid, ym.density, ym.cdf])
     rep.scalars["lambda_1"] = ym.lambda1
     rep.scalars["mass_norm"] = ym.mass_norm
     rep.scalars["mean"] = ym.mean()
@@ -273,7 +262,7 @@ def _cmd_kernel(args, cfg, out_dir, rep, stage):
     density = row * np.exp(-sd.Qgrid)
     rep.add_file(out_dir, "kernel_slice.csv",
                  ("y", "kernel_vs_mu", "transition_density"),
-                 list(zip(sd.grid, row, density)))
+                 [sd.grid, row, density])
     rep.scalars["t"] = float(args.t)
     rep.scalars["x"] = float(args.x)
     rep.scalars["t_min_K"] = sd.t_min()
@@ -282,6 +271,7 @@ def _cmd_kernel(args, cfg, out_dir, rep, stage):
 
 def _cmd_simulate(args, cfg, out_dir, rep, stage):
     import numpy as np
+    from .errors import PreconditionError
     from .montecarlo import conditional_histogram, estimate_lambda1
     batch = _native_batch(cfg, stage)
     law = conditional_histogram(batch, cfg.mc["t_max"], _hist_edges(cfg))
@@ -294,7 +284,7 @@ def _cmd_simulate(args, cfg, out_dir, rep, stage):
         est = estimate_lambda1(batch, _lambda_window(cfg))
         rep.scalars["lambda1_hat"] = est.rate
         rep.scalars["lambda1_stderr"] = est.stderr
-    except Exception as exc:   # noqa: BLE001 - estimate is best-effort here
+    except PreconditionError as exc:
         rep.messages.append(f"decay-rate estimate unavailable: {exc}")
 
 
@@ -325,6 +315,7 @@ def _cmd_qprocess(args, cfg, out_dir, rep, stage):
 
 
 def _cmd_bd(args, cfg, out_dir, rep, stage):
+    import numpy as np
     from .birthdeath import (gillespie, preset_chain, preset_family,
                              s_criterion, scaling_limit_check)
     bd = cfg.bd
@@ -334,29 +325,28 @@ def _cmd_bd(args, cfg, out_dir, rep, stage):
                              seed=cfg.seed, dt=cfg.mc["dt"])
     stage.pop()
     rep.add_file(out_dir, "scaling_ks.csv", ("N", "ks_distance", "n_reps"),
-                 list(sr.rows))
+                 list(zip(*sr.rows)))
     for N, ks, _ in sr.rows:
         rep.scalars[f"ks_N{N}"] = ks
 
     biggest = preset_family(bd["kind"], bd["params"], bd["n_list"][-1])
-    rows = []
-    for replica in range(3):
-        path = gillespie(biggest, bd["z0"], bd["t"], seed=cfg.seed,
-                         replica=replica)
-        rows.extend((replica, t, int(c), z) for t, c, z in
-                    zip(path.times, path.counts, path.states))
+    paths = [gillespie(biggest, bd["z0"], bd["t"], seed=cfg.seed,
+                       replica=replica) for replica in range(3)]
     rep.add_file(out_dir, "bd_paths.csv", ("replica", "t", "count", "state"),
-                 rows)
+                 [np.repeat(np.arange(3), [len(p.times) for p in paths]),
+                  np.concatenate([p.times for p in paths]),
+                  np.concatenate([p.counts for p in paths]),
+                  np.concatenate([p.states for p in paths])])
 
     stage.append("series criterion")
     sc = s_criterion(preset_chain(bd["chain"], bd["chain_params"]),
                      bd["n_max"])
     stage.pop()
-    trail_rows = [(cut, sc.pi[cut - 1], s_val, a_val)
-                  for (cut, s_val), (_, a_val) in
-                  zip(sc.S_partial, sc.A_partial)]
+    cuts, s_vals = zip(*sc.S_partial)
+    _, a_vals = zip(*sc.A_partial)
     rep.add_file(out_dir, "s_criterion.csv",
-                 ("n", "pi_n", "S_partial", "A_partial"), trail_rows)
+                 ("n", "pi_n", "S_partial", "A_partial"),
+                 [cuts, sc.pi[np.array(cuts) - 1], s_vals, a_vals])
     for key, verdict in sc.verdict.items():
         rep.scalars[f"statement_{key}"] = verdict
     rep.scalars["sure_absorption"] = sc.sure_absorption
@@ -364,6 +354,8 @@ def _cmd_bd(args, cfg, out_dir, rep, stage):
 
 
 def _cmd_compare(args, cfg, out_dir, rep, stage):
+    import numpy as np
+    from .errors import PreconditionError
     from .montecarlo import (conditional_histogram, estimate_lambda1,
                              ks_distance, yaglom_cdf)
     from .spectral import yaglom_measure, yaglom_to_z
@@ -375,13 +367,11 @@ def _cmd_compare(args, cfg, out_dir, rep, stage):
     edges = _hist_edges(cfg)
     law = conditional_histogram(batch, cfg.mc["t_max"], edges)
     cdf = yaglom_cdf(ym)
-    spectral_mass = [float(cdf(edges[i + 1]) - cdf(edges[i]))
-                     for i in range(len(law.masses))]
     rep.add_file(out_dir, "compare.csv",
                  ("bin_lo", "bin_hi", "empirical_mass", "empirical_stderr",
                   "spectral_mass"),
-                 [(edges[i], edges[i + 1], law.masses[i], law.stderr[i],
-                   spectral_mass[i]) for i in range(len(law.masses))])
+                 [edges[:-1], edges[1:], law.masses, law.stderr,
+                  np.diff(cdf(edges))])
     rep.scalars["ks_distance"] = ks_distance(law, cdf)
     rep.scalars["lambda1_spectral"] = sd.lambda1
     try:
@@ -390,7 +380,7 @@ def _cmd_compare(args, cfg, out_dir, rep, stage):
         rep.scalars["lambda1_mc_stderr"] = est.stderr
         rep.scalars["lambda1_rel_gap"] = abs(est.rate - sd.lambda1) \
             / sd.lambda1
-    except Exception as exc:   # noqa: BLE001 - estimate is best-effort here
+    except PreconditionError as exc:
         rep.messages.append(f"decay-rate estimate unavailable: {exc}")
     rep.scalars["survivors_at_t_max"] = int(law.n_survivors)
 

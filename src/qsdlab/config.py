@@ -18,7 +18,7 @@ from .model import Model, preset_model
 from .montecarlo import SimConfig
 from .spectral import TruncationDomain, default_domain
 
-_SECTIONS = ("model", "domain", "spectral", "montecarlo", "bd", "run")
+_SECTIONS = ("model", "domain", "spectral", "montecarlo", "bd")
 
 _MODEL_KEYS = {"kind", "preset", "expression", "r", "c", "gamma", "k",
                "k0", "theta"}
@@ -42,7 +42,6 @@ class RunConfig:
     K: int
     mc: dict                             # montecarlo settings
     bd: dict                             # lattice-prelimit settings
-    commands: tuple
     seed: Optional[int]
     quick: bool
     path: str
@@ -295,12 +294,6 @@ def load_config(path, quick=False, seed_override=None) -> RunConfig:
     if bd["n_max"] < 100:
         problems.append("bd.n_max: must be at least 100")
 
-    commands = ()
-    if cp.has_section("run"):
-        _unknown_keys(cp, "run", {"commands"}, problems)
-        raw = cp.get("run", "commands", fallback="")
-        commands = tuple(s for s in raw.replace(",", " ").split() if s)
-
     if quick:
         # tenfold smoke-run reduction of the expensive sizes
         if domain is None and model is not None:
@@ -318,7 +311,7 @@ def load_config(path, quick=False, seed_override=None) -> RunConfig:
         raise ConfigError(problems)
 
     return RunConfig(model=model, domain=domain, K=K, mc=mc, bd=bd,
-                     commands=commands, seed=seed, quick=bool(quick),
+                     seed=seed, quick=bool(quick),
                      path=os.path.abspath(path))
 
 

@@ -169,21 +169,30 @@ def _inner_values(g, smax, args, spec):
                                args=tuple(a[part] for a in args),
                                maxlevel=_BATCH_LEVEL, **tol)
             val[part], ok[part] = res.integral, res.success
-            for i in lo + np.flatnonzero(res.status == -2):
+            short = lo + np.flatnonzero(res.status == -2)
+            # a heavy tail would not converge at any level either
+            heavy = _heavy_tail(g, smax, args, val, short, spec)
+            val[short[heavy]] = np.inf
+            for i in short[~heavy]:
                 res = _si.tanhsinh(g, 0.0, smax[i],
                                    args=tuple(a[i] for a in args),
                                    maxlevel=_MAXLEVEL, **tol)
                 val[i], ok[i] = res.integral, res.success
     val[~np.isfinite(val)] = np.inf
     # unconverged: decide between a heavy tail and a quadrature hiccup
-    unconverged = ~ok & np.isfinite(val)
-    if np.any(unconverged):
-        probe_s = np.minimum(smax[unconverged], 1e6)
-        tail = g(probe_s, *[a[unconverged] for a in args]) * probe_s
-        heavy = tail > np.maximum(spec.abs_tol,
-                                  1e-6 * np.abs(val[unconverged]))
-        val[np.flatnonzero(unconverged)[heavy]] = np.inf
+    unconverged = np.flatnonzero(~ok & np.isfinite(val))
+    val[unconverged[_heavy_tail(g, smax, args, val, unconverged,
+                                spec)]] = np.inf
     return val
+
+
+def _heavy_tail(g, smax, args, val, idx, spec):
+    """For the points idx, whether the integrand at the end of the range
+    (at most s = 1e6), times s, is still significant against the value."""
+    probe_s = np.minimum(smax[idx], 1e6)
+    with np.errstate(all="ignore"):
+        tail = g(probe_s, *[a[idx] for a in args]) * probe_s
+    return tail > np.maximum(spec.abs_tol, 1e-6 * np.abs(val[idx]))
 
 
 # ---------------------------------------------------------------------------

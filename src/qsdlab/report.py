@@ -9,24 +9,12 @@ diff against.
 import csv
 import hashlib
 import json
-import numbers
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-
-def fmt_value(v):
-    """One CSV cell: ints plain, floats at full round-trip precision."""
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return "%.17g" % float(v)
-    if isinstance(v, numbers.Real):
-        return "%.17g" % float(v)
-    return str(v)
+_BLOCK = 1024          # rows formatted and written at a time
 
 
 def file_sha256(path):
@@ -37,13 +25,33 @@ def file_sha256(path):
     return h.hexdigest()
 
 
-def write_csv(path, header, rows):
-    """Write one artifact; returns its content hash."""
+def _cell_format(col):
+    """A column's cell formatter, picked once from its dtype: floats at
+    round-trip precision, integers and booleans as decimals, anything
+    else as text (which the csv writer quotes where needed)."""
+    if col.dtype.kind == "f":
+        return "%.17g".__mod__
+    if col.dtype.kind in "biu":
+        return "%d".__mod__
+    return str
+
+
+def write_csv(path, header, columns):
+    """Write one artifact from one equal-length 1-D column per header
+    name, in blocks of _BLOCK rows; returns its content hash."""
+    columns = [np.asarray(c) for c in columns]
+    n = len(columns[0]) if columns else 0
+    if len(columns) != len(header) or any(
+            c.ndim != 1 or len(c) != n for c in columns):
+        raise ValueError(f"{os.path.basename(path)}: expected "
+                         f"{len(header)} 1-D columns of equal length")
+    cells = [_cell_format(c) for c in columns]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        for row in rows:
-            w.writerow([fmt_value(v) for v in row])
+        for lo in range(0, n, _BLOCK):
+            w.writerows(zip(*(map(f, c[lo:lo + _BLOCK].tolist())
+                              for f, c in zip(cells, columns))))
     return file_sha256(path)
 
 
@@ -61,8 +69,8 @@ class RunReport:
     files: list = field(default_factory=list)      # (name, sha256)
     messages: list = field(default_factory=list)
 
-    def add_file(self, out_dir, name, header, rows):
-        digest = write_csv(os.path.join(out_dir, name), header, rows)
+    def add_file(self, out_dir, name, header, columns):
+        digest = write_csv(os.path.join(out_dir, name), header, columns)
         self.files.append((name, digest))
         return digest
 
@@ -92,9 +100,7 @@ class RunReport:
             "wall_time_s": round(self.wall_time_s, 3),
             "seed": self.seed,
             "thread_cap": self.thread_cap,
-            "scalars": {k: (v if not isinstance(v, float) else
-                            float(fmt_value(v))) for k, v in
-                        self.scalars.items()},
+            "scalars": dict(self.scalars),
             "files": [{"name": n, "sha256": d} for n, d in self.files],
             "messages": list(self.messages),
         }

@@ -9,7 +9,9 @@ import sys
 import numpy as np
 import pytest
 
+from qsdlab import montecarlo
 from qsdlab.cli import _cap_threads, main
+from qsdlab.errors import PreconditionError
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 EXAMPLES = os.path.join(ROOT, "examples")
@@ -187,6 +189,35 @@ k = 32
 """)
     assert main(["spectrum", bad, "--output-dir",
                  str(tmp_path / "out")]) == 3
+
+
+@pytest.mark.parametrize("error, code", [(RuntimeError, 5),
+                                         (PreconditionError, 0)])
+def test_only_a_refused_decay_rate_becomes_a_note(tmp_path, monkeypatch,
+                                                 error, code):
+    def estimate(batch, window):
+        raise error("no decay rate")
+
+    monkeypatch.setattr(montecarlo, "estimate_lambda1", estimate)
+    cfg = _write(tmp_path, """
+[model]
+preset = ou
+kind = drift
+
+[montecarlo]
+x0 = 1.0
+dt = 0.01
+t_max = 1.0
+n_paths = 1000
+seed = 1
+""")
+    out = str(tmp_path / "out")
+    assert main(["simulate", cfg, "--output-dir", out, "--quick"]) == code
+    if code == 0:
+        with open(os.path.join(out, "run_report.json"),
+                  encoding="utf-8") as fh:
+            assert json.load(fh)["messages"] == [
+                "decay-rate estimate unavailable: no decay rate"]
 
 
 def test_reruns_are_byte_identical(tmp_path):

@@ -60,10 +60,14 @@ kind = drift
 
 [extras]
 foo = 1
+
+[run]
+commands = check, spectrum
 """)
     with pytest.raises(ConfigError) as exc:
         load_config(path)
     assert any("[extras]" in p for p in exc.value.problems)
+    assert any("[run]" in p for p in exc.value.problems)
 
 
 def test_quick_scales_the_expensive_sizes(tmp_path):
@@ -186,15 +190,3 @@ gamma = 1
     assert cfg.model.growth is not None
     assert cfg.model.growth.h(1.0) == pytest.approx(1.0)
     assert cfg.model.growth.h(2.0) == pytest.approx(0.0)
-
-
-def test_run_commands_list(tmp_path):
-    path = _write(tmp_path, """
-[model]
-preset = logistic
-
-[run]
-commands = check, spectrum yaglom
-""")
-    cfg = load_config(path)
-    assert cfg.commands == ("check", "spectrum", "yaglom")

@@ -115,12 +115,14 @@ class _CountingIntegrate:
         self.module = module
         self.calls = 0
         self.raised = 0
+        self.maxlevels = []
 
     def __getattr__(self, name):
         return getattr(self.module, name)
 
     def tanhsinh(self, *args, **kwargs):
         self.calls += 1
+        self.maxlevels.append(kwargs.get("maxlevel"))
         try:
             return self.module.tanhsinh(*args, **kwargs)
         except Exception:
@@ -154,3 +156,19 @@ def test_verdict_matrix_runs_the_designed_rule(monkeypatch):
             fails.split(), name
     assert counter.calls > 0
     assert counter.raised == 0
+
+
+def test_heavy_tails_skip_the_deep_inner_solve(monkeypatch):
+    # an inner point the tail probe calls divergent after the batched
+    # solve is not solved again alone to the deepest level
+    counter = _CountingIntegrate(hypotheses._si)
+    monkeypatch.setattr(hypotheses, "_si", counter)
+    flat = preset_model("custom", "growth", {"expression": "0*z",
+                                             "gamma": 1.0})
+    assert check_h5(flat.drift).verdict == "fails"
+    assert counter.maxlevels.count(hypotheses._MAXLEVEL) == 0
+    # points short of convergence without a heavy tail still are
+    allee = preset_model("allee", "growth",
+                         {"r": 1.0, "K0": 1.0, "K": 4.0, "gamma": 1.0})
+    assert check_h5(allee.drift).verdict == "holds"
+    assert counter.maxlevels.count(hypotheses._MAXLEVEL) > 0
