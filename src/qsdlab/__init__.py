@@ -21,13 +21,12 @@ from .hypotheses import (HypothesisCheck, HypothesisReport, check_all,
                          check_h1, check_h2, check_h3, check_h4, check_h5,
                          check_hh, inv_q_criterion, report_to_rows)
 from .spectral import (SpectralDecomposition, TruncationDomain,
-                       YaglomMeasure, appendix_bound_check,
-                       appendix_bound_sweep, build_and_solve,
+                       YaglomMeasure, appendix_bound_sweep, build_and_solve,
                        conditional_density, conditional_law,
                        default_domain, eta1_mass_trail, flux_check,
-                       kernel_r, l2_bound_check,
-                       qprocess_kernel, qprocess_row, qprocess_stationary,
-                       rate_report, survival, yaglom_measure, yaglom_to_z)
+                       kernel_r, l2_bound_check, qprocess_row,
+                       qprocess_stationary, rate_report, survival,
+                       yaglom_measure, yaglom_to_z)
 from .montecarlo import (ConditionedGrowth, EmpiricalLaw, LambdaEstimate,
                          PathBatch, SimConfig, condition_on_extinction,
                          conditional_histogram, estimate_lambda1,

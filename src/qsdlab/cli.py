@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 import time
+import warnings
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 2
@@ -110,37 +111,46 @@ def main(argv=None):
               file=sys.stderr)
         return _EXIT_CONFIG
 
-    stage = [args.command]
-    try:
-        rep = _run(args, cfg, out_dir, stage, thread_cap)
-    except (PreconditionError, DomainError, ModelError) as exc:
-        print(f"error [{stage[-1]}]: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
-        return _EXIT_PRECONDITION
-    except QsdError as exc:           # truncation, underflow, integrability
-        print(f"error [{stage[-1]}]: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
-        return _EXIT_NUMERICAL
-    except Exception as exc:          # noqa: BLE001 - the last-resort rail
-        print(f"internal error [{stage[-1]}]: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
-        return _EXIT_INTERNAL
-
-    rep.write_json(out_dir)
-    print(rep.render_text())
-    return _EXIT_OK if rep.status == "ok" else _EXIT_NUMERICAL
-
-
-def _run(args, cfg, out_dir, stage, thread_cap):
     from .report import RunReport
-
     rep = RunReport(command=args.command, label=cfg.model.label,
                     seed=cfg.seed, thread_cap=thread_cap)
+    stage = [args.command]
+    code = _EXIT_OK
+    try:
+        _run(args, cfg, out_dir, rep, stage)
+    except Exception as exc:          # noqa: BLE001 - the last-resort rail
+        if isinstance(exc, (PreconditionError, DomainError, ModelError)):
+            code = _EXIT_PRECONDITION
+        elif isinstance(exc, QsdError):   # truncation, underflow, ...
+            code = _EXIT_NUMERICAL
+        else:
+            code = _EXIT_INTERNAL
+        rep.status = "error" if code == _EXIT_INTERNAL else "refused"
+        rep.failure = {"stage": stage[-1], "type": type(exc).__name__,
+                       "message": str(exc)}
+        for msg in rep.messages:
+            print(f"note: {msg}", file=sys.stderr)
+        print(f"{'internal error' if code == _EXIT_INTERNAL else 'error'} "
+              f"[{stage[-1]}]: {type(exc).__name__}: {exc}", file=sys.stderr)
+
+    rep.write_json(out_dir)
+    if code == _EXIT_OK:
+        print(rep.render_text())
+    return code
+
+
+def _run(args, cfg, out_dir, rep, stage):
+    """Run the command's handler, timing it and recording each warning it
+    raises in the report (every occurrence, so reruns report alike)."""
     t0 = time.perf_counter()
-    handler = _HANDLERS[args.command]
-    handler(args, cfg, out_dir, rep, stage)
-    rep.wall_time_s = time.perf_counter() - t0
-    return rep
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            _HANDLERS[args.command](args, cfg, out_dir, rep, stage)
+        finally:
+            rep.wall_time_s = time.perf_counter() - t0
+            rep.messages.extend(f"{w.category.__name__}: {w.message}"
+                                for w in caught)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ diff against.
 import csv
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -68,6 +69,7 @@ class RunReport:
     scalars: dict = field(default_factory=dict)
     files: list = field(default_factory=list)      # (name, sha256)
     messages: list = field(default_factory=list)
+    failure: object = None        # {stage, type, message} of a failed run
 
     def add_file(self, out_dir, name, header, columns):
         digest = write_csv(os.path.join(out_dir, name), header, columns)
@@ -93,6 +95,15 @@ class RunReport:
         return "\n".join(lines)
 
     def to_json(self):
+        """Strict JSON: a non-finite scalar is written as null, and a
+        message names it."""
+        scalars, messages = {}, list(self.messages)
+        for key, val in self.scalars.items():
+            if isinstance(val, float) and not math.isfinite(val):
+                messages.append(f"scalar {key} is {float(val)!r}; "
+                                f"written as null")
+                val = None
+            scalars[key] = val
         payload = {
             "command": self.command,
             "label": self.label,
@@ -100,11 +111,14 @@ class RunReport:
             "wall_time_s": round(self.wall_time_s, 3),
             "seed": self.seed,
             "thread_cap": self.thread_cap,
-            "scalars": dict(self.scalars),
+            "scalars": scalars,
             "files": [{"name": n, "sha256": d} for n, d in self.files],
-            "messages": list(self.messages),
+            "messages": messages,
         }
-        return json.dumps(payload, indent=2, sort_keys=False)
+        if self.failure is not None:
+            payload["failure"] = self.failure
+        return json.dumps(payload, indent=2, sort_keys=False,
+                          allow_nan=False)
 
     def write_json(self, out_dir, name="run_report.json"):
         path = os.path.join(out_dir, name)

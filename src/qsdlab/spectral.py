@@ -19,6 +19,8 @@ and their checks probe floating-point noise only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -101,13 +103,17 @@ class SpectralDecomposition:
     etas: np.ndarray          # (n, K), eta = exp(Q/2) psi
     Qgrid: np.ndarray         # (n,) potential on the grid
     mu_weights: np.ndarray    # (n,) d_i exp(-Q_i)
-    eta_masses: np.ndarray    # (K,) <eta_k, 1> in the absorption measure
     diag: np.ndarray = field(repr=False, default=None)
     off: np.ndarray = field(repr=False, default=None)
 
     @property
     def lambda1(self):
         return float(self.lambdas[0])
+
+    @cached_property
+    def eta_masses(self):
+        """(K,) <eta_k, 1> in the absorption measure."""
+        return _project(self, 1.0)
 
     @property
     def eta1_mass(self):
@@ -212,14 +218,32 @@ def build_and_solve(d: DriftField, domain: Optional[TruncationDomain] = None,
         raise TruncationError("mode profile overflowed while unweighting; "
                               "the box extends past representable range")
 
-    mu_w = dcell * np.exp(-Qg)
-    # <eta_k, 1>_mu computed in the half-weighted form (never huge x tiny)
-    masses = (psi * (np.exp(-0.5 * Qg) * dcell)[:, None]).sum(axis=0)
-
     return SpectralDecomposition(
         domain=domain, drift=d, K=K, grid=x, cell=dcell,
-        lambdas=lam, psis=psi, etas=eta, Qgrid=Qg, mu_weights=mu_w,
-        eta_masses=masses, diag=diag, off=off)
+        lambdas=lam, psis=psi, etas=eta, Qgrid=Qg,
+        mu_weights=dcell * np.exp(-Qg), diag=diag, off=off)
+
+
+def _half_weights(sd: SpectralDecomposition, weights, half=-1):
+    return weights * np.exp(half * 0.5 * sd.Qgrid) * sd.cell
+
+
+def _project(sd: SpectralDecomposition, weights, half=-1) -> np.ndarray:
+    """<eta_k, weights> in mu (half=-1), or eta_k against the density
+    weights (half=+1), in the half-weighted form (never huge x tiny)."""
+    return (sd.psis * _half_weights(sd, weights, half)[:, None]).sum(axis=0)
+
+
+def _modes(sd: SpectralDecomposition, t: float, K: Optional[int] = None,
+           relative: bool = False):
+    """k and exp(-lambda_k t) for the lowest k modes (levels measured from
+    lambda_1 when relative); refuses k outside 1..sd.K and t < t_min(k)."""
+    k = sd.K if K is None else int(K)
+    if not 1 <= k <= sd.K:
+        raise PreconditionError(f"K={k} not in 1..{sd.K}")
+    sd.require_time(t, k)
+    lam = sd.lambdas[:k] - sd.lambdas[0] if relative else sd.lambdas[:k]
+    return k, np.exp(-lam * t)
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +271,7 @@ class YaglomMeasure:
 
 def eta1_mass_trail(sd: SpectralDecomposition):
     """Partial masses of the ground profile on geometric prefixes."""
-    half = sd.psis[:, 0] * np.exp(-0.5 * sd.Qgrid) * sd.cell
-    cum = np.cumsum(half)
+    cum = np.cumsum(sd.psis[:, 0] * _half_weights(sd, 1.0))
     cuts = []
     partials = []
     for c in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0):
@@ -260,7 +283,7 @@ def eta1_mass_trail(sd: SpectralDecomposition):
             break
         i = int(np.searchsorted(sd.grid, c))
         cuts.append(c)
-        partials.append(float(cum[i - 1] if i > 0 else 0.0))
+        partials.append(float(cum[i - 1]))      # c > grid[0], so i >= 1
     return cuts, partials
 
 
@@ -309,13 +332,9 @@ def kernel_r(sd: SpectralDecomposition, t: float, xs, ys,
     provably negligible and the truncated sum would silently misrepresent
     the kernel.
     """
-    k = sd.K if K is None else int(K)
-    if not 1 <= k <= sd.K:
-        raise PreconditionError(f"K={k} not in 1..{sd.K}")
-    sd.require_time(t, k)
+    k, decay = _modes(sd, t, K)
     ix = sd.node_index(np.atleast_1d(xs))
     iy = sd.node_index(np.atleast_1d(ys))
-    decay = np.exp(-sd.lambdas[:k] * t)
     ex = sd.etas[ix][:, :k]
     ey = sd.etas[iy][:, :k]
     out = (ex * decay) @ ey.T
@@ -336,28 +355,28 @@ def survival(sd: SpectralDecomposition, t, init) -> np.ndarray:
     could still matter there); a quasi-stationary start is exact at every
     t >= 0 because only the ground mode survives the projection.
     """
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(ts < 0):
-        raise PreconditionError("survival needs t >= 0")
-    if init[0] != "yaglom":
-        sd.require_time(float(ts.min(initial=np.inf)))
-    coeffs = _mode_coefficients(sd, init)
-    out = np.exp(-np.outer(ts, sd.lambdas)) @ (coeffs * sd.eta_masses)
+    out = _mode_sum(sd, t, init, sd.eta_masses)
     return out if np.ndim(t) else float(out[0])
 
 
-def _mode_coefficients(sd: SpectralDecomposition, init) -> np.ndarray:
+def _mode_sum(sd: SpectralDecomposition, t, init, masses) -> np.ndarray:
+    """sum_k exp(-lambda_k t) <eta_k, init> masses_k at each time t, for
+    the initial conditions and with the time checks of survival()."""
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(ts < 0):
+        raise PreconditionError("survival needs t >= 0")
     kind = init[0]
+    if kind != "yaglom":
+        sd.require_time(float(ts.min(initial=np.inf)))
     if kind == "point":
-        i = sd.node_index(float(init[1]))
-        return sd.etas[i, :]
-    if kind == "yaglom":
-        ym: YaglomMeasure = init[1]
+        coeffs = sd.etas[sd.node_index(float(init[1])), :]
+    elif kind == "yaglom":
+        ym = init[1]
         if ym.grid.shape != sd.grid.shape or not np.allclose(ym.grid, sd.grid):
             raise PreconditionError("profile grid does not match the "
                                     "decomposition grid")
-        return _density_coefficients(sd, ym.density)
-    if kind == "density":
+        coeffs = _project(sd, ym.density, half=1)
+    elif kind == "density":
         vals = np.asarray(init[1], dtype=float)
         if vals.shape != sd.grid.shape:
             raise PreconditionError("density values must live on the grid")
@@ -366,13 +385,10 @@ def _mode_coefficients(sd: SpectralDecomposition, init) -> np.ndarray:
         mass = float(np.sum(vals * sd.cell))
         if mass <= 0:
             raise PreconditionError("density has no mass on the grid")
-        return _density_coefficients(sd, vals / mass)
-    raise PreconditionError(f"unknown initial condition kind {kind!r}")
-
-
-def _density_coefficients(sd, dens):
-    # integral of eta_k against the density, in the half-weighted form
-    return (sd.psis * (dens * np.exp(0.5 * sd.Qgrid) * sd.cell)[:, None]).sum(axis=0)
+        coeffs = _project(sd, vals / mass, half=1)
+    else:
+        raise PreconditionError(f"unknown initial condition kind {kind!r}")
+    return np.exp(-np.outer(ts, sd.lambdas)) @ (coeffs * masses)
 
 
 @dataclass(frozen=True)
@@ -388,10 +404,8 @@ class ConditionalDensity:
 def conditional_density(sd: SpectralDecomposition, t: float, x0: float,
                         K: Optional[int] = None) -> ConditionalDensity:
     """Full grid density of the process at time t given it still lives."""
-    k = sd.K if K is None else int(K)
-    sd.require_time(t, k)
+    k, decay = _modes(sd, t, K)
     i0 = sd.node_index(float(x0))
-    decay = np.exp(-sd.lambdas[:k] * t)
     # r(t, x0, y) exp(-Q(y)) = sum_k decay_k eta_k(x0) psi_k(y) exp(-Q(y)/2)
     coef = decay * sd.etas[i0, :k]
     vals = (sd.psis[:, :k] @ coef) * np.exp(-0.5 * sd.Qgrid)
@@ -409,34 +423,28 @@ def conditional_density(sd: SpectralDecomposition, t: float, x0: float,
                               cell=sd.cell, survival=surv)
 
 
-def _interval_indicator(sd: SpectralDecomposition, interval) -> np.ndarray:
+def _interval_mass(sd: SpectralDecomposition, interval) -> np.ndarray:
+    """<eta_k, 1_(a, b]> in the absorption measure, for every mode."""
     a, b = float(interval[0]), float(interval[1])
     if not b > a:
         raise PreconditionError(f"interval needs b > a, got ({a!r}, {b!r})")
-    return ((sd.grid > a) & (sd.grid <= b)).astype(float)
+    return _project(sd, ((sd.grid > a) & (sd.grid <= b)).astype(float))
 
 
-def conditional_law(sd: SpectralDecomposition, init, t: float,
-                    interval) -> float:
-    """Probability the surviving process sits in the interval at time t.
+def conditional_law(sd: SpectralDecomposition, init, t, interval):
+    """Probability the surviving process sits in the interval at times t.
 
     Ratio of the interval-restricted to the full survival sum; the initial
-    condition union matches survival().
+    condition union and the time checks match survival().
     """
-    ts = float(t)
-    if init[0] != "yaglom":
-        sd.require_time(ts)
-    coeffs = _mode_coefficients(sd, init)
-    ind = _interval_indicator(sd, interval)
-    mA = (sd.psis * (ind * np.exp(-0.5 * sd.Qgrid) * sd.cell)[:, None]).sum(axis=0)
-    decay = np.exp(-sd.lambdas * ts)
-    den = float(np.sum(decay * coeffs * sd.eta_masses))
-    if not np.isfinite(den) or den < 1e-300:
+    den = _mode_sum(sd, t, init, sd.eta_masses)
+    if not np.all(np.isfinite(den) & (den >= 1e-300)):
         raise SurvivalUnderflowError(
-            f"survival at t={ts:g} underflowed ({den!r}); "
-            f"condition on a shorter horizon")
-    num = float(np.sum(decay * coeffs * mA))
-    return min(max(num / den, 0.0), 1.0)
+            f"survival at t={np.max(t):g} underflowed "
+            f"({float(np.min(den))!r}); condition on a shorter horizon")
+    out = np.clip(_mode_sum(sd, t, init, _interval_mass(sd, interval)) / den,
+                  0.0, 1.0)
+    return out if np.ndim(t) else float(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -460,29 +468,23 @@ def rate_report(sd: SpectralDecomposition, x0: float, interval,
     The conditioned probability of the interval approaches the limit like
     coefficient * exp(-gap * t) with the two-mode prefactor
     (eta_2(x)/eta_1(x)) (<1,eta_1><1_A,eta_2> - <1,eta_2><1_A,eta_1>) / <1,eta_1>^2;
-    the report also carries the exact spectral differences and the
-    straight-line fit of their logs.
+    the report also carries the exact spectral differences (conditional_law
+    from x, so ts below t_min are refused) and the straight-line fit of
+    their logs.
     """
     if sd.K < 3:
         raise PreconditionError("need at least three modes for a rate")
-    ind = _interval_indicator(sd, interval)
+    mA = _interval_mass(sd, interval)
     if ts is None:
         ts = np.linspace(1.0, 4.0, 25)
     ts = np.asarray(ts, dtype=float)
 
-    i0 = sd.node_index(float(x0))
     m = sd.eta_masses
-    # <eta_k, 1_A>_mu in the half-weighted form
-    mA = (sd.psis * (ind * np.exp(-0.5 * sd.Qgrid) * sd.cell)[:, None]).sum(axis=0)
     limit = mA[0] / m[0]
-    eta_x = sd.etas[i0, :]
+    eta_x = sd.etas[sd.node_index(float(x0)), :]
     gap = float(sd.lambdas[1] - sd.lambdas[0])
     coef = (eta_x[1] / eta_x[0]) * (mA[1] * m[0] - mA[0] * m[1]) / (m[0] ** 2)
-
-    rel = np.exp(-np.outer(ts, sd.lambdas - sd.lambdas[0]))
-    num = rel @ (eta_x * mA)
-    den = rel @ (eta_x * m)
-    diffs = num / den - limit
+    diffs = conditional_law(sd, ("point", x0), ts, interval) - limit
 
     good = np.abs(diffs) > 0
     if np.count_nonzero(good) < 3:
@@ -563,10 +565,8 @@ def qprocess_row(sd: SpectralDecomposition, t: float, x0: float,
     The row sum is exactly 1 up to rounding because the mode profiles are
     discretely orthonormal.
     """
-    k = sd.K if K is None else int(K)
-    sd.require_time(t, k)
+    k, u = _modes(sd, t, K, relative=True)
     i0 = sd.node_index(float(x0))
-    u = np.exp(-(sd.lambdas[:k] - sd.lambdas[0]) * t)
     eta_x = sd.etas[i0, :k]
     if eta_x[0] == 0.0:
         raise PreconditionError(f"ground profile vanishes at x0={x0:g}; "
@@ -574,14 +574,6 @@ def qprocess_row(sd: SpectralDecomposition, t: float, x0: float,
     c = u * eta_x / eta_x[0]
     probs = sd.psis[:, 0] * (sd.psis[:, :k] @ c) * sd.cell
     return probs, float(np.sum(probs))
-
-
-def qprocess_kernel(sd: SpectralDecomposition, t: float, x0s,
-                    K: Optional[int] = None) -> np.ndarray:
-    """Stack of conditioned-process rows for several starting points."""
-    x0s = np.atleast_1d(np.asarray(x0s, dtype=float))
-    rows = [qprocess_row(sd, t, float(x), K=K)[0] for x in x0s]
-    return np.vstack(rows)
 
 
 def qprocess_stationary(sd: SpectralDecomposition):
@@ -595,13 +587,6 @@ def qprocess_stationary(sd: SpectralDecomposition):
 # kernel bounds
 
 @dataclass(frozen=True)
-class BoundPair:
-    lhs: float
-    rhs: float
-    satisfied: bool
-
-
-@dataclass(frozen=True)
 class BoundReport:
     name: str
     max_ratio: float          # largest value / bound over the probes
@@ -609,36 +594,17 @@ class BoundReport:
     detail: str
 
 
-def appendix_bound_check(sd: SpectralDecomposition, x: float, y: float,
-                         t: float = 1.0) -> BoundPair:
-    """Weighted-mode kernel against the reflected Gaussian comparison.
-
-    lhs is the symmetrized kernel r(t,x,y) exp(-(Q(x)+Q(y))/2) (equal to
-    the plain mode sum over psi); rhs is exp(C t / 2) times the half-line
-    heat kernel with an absorbing wall at 0.
-    """
-    sd.require_time(t)
-    ix = sd.node_index(float(x))
-    iy = sd.node_index(float(y))
-    xn, yn = float(sd.grid[ix]), float(sd.grid[iy])
-    lhs = float(np.sum(np.exp(-sd.lambdas * t) * sd.psis[ix, :] * sd.psis[iy, :]))
-    heat = (np.exp(-(xn - yn) ** 2 / (2.0 * t))
-            - np.exp(-(xn + yn) ** 2 / (2.0 * t))) / np.sqrt(2.0 * np.pi * t)
-    C = max(sd.drift.C, 0.0)
-    rhs = float(np.exp(0.5 * C * t) * heat)
-    return BoundPair(lhs=lhs, rhs=rhs, satisfied=bool(lhs <= rhs * (1.0 + 1e-6)))
-
-
 def appendix_bound_sweep(sd: SpectralDecomposition, xs=None,
                          t: float = 1.0) -> BoundReport:
-    """appendix_bound_check vectorized over a probe grid of (x, y) pairs."""
-    sd.require_time(t)
+    """The symmetrized kernel r(t,x,y) exp(-(Q(x)+Q(y))/2), the plain mode
+    sum over psi, against exp(C t / 2) times the half-line heat kernel with
+    an absorbing wall at 0, over every probe pair (x, y)."""
+    _, decay = _modes(sd, t)
     if xs is None:
         xs = np.linspace(0.1, 5.0, 50)
     xs = np.asarray(xs, dtype=float)
     idx = sd.node_index(xs)
     xn = sd.grid[idx]
-    decay = np.exp(-sd.lambdas * t)
     P = sd.psis[idx, :]
     val = (P * decay) @ P.T
 
@@ -661,20 +627,14 @@ def appendix_bound_sweep(sd: SpectralDecomposition, xs=None,
 def l2_bound_check(sd: SpectralDecomposition, xs=(0.5, 1.0, 2.0),
                    ts=(0.5, 1.0)) -> BoundReport:
     """On-diagonal square sum against its closed-form envelope."""
-    worst = 0.0
-    viol = 0
-    lines = []
-    for t in ts:
-        for x in xs:
-            i = sd.node_index(float(x))
-            val = float(np.sum(np.exp(-2.0 * sd.lambdas * t)
-                               * sd.etas[i, :] ** 2))
-            C = max(sd.drift.C, 0.0)
-            bound = float(np.exp(C * t + float(sd.Qgrid[i]))
-                          / np.sqrt(2.0 * np.pi * t))
-            ratio = val / bound
-            worst = max(worst, ratio)
-            viol += int(ratio > 1.0 + 1e-9)
-            lines.append(f"(x={x:g}, t={t:g}): {ratio:.3e}")
-    return BoundReport(name="square-sum envelope", max_ratio=worst,
-                       n_violations=viol, detail="; ".join(lines))
+    i = sd.node_index(np.asarray(xs, dtype=float))
+    T = np.asarray(ts, dtype=float)[:, None]             # (t, x) probes
+    val = (np.exp(-2.0 * sd.lambdas * T[:, :, None])
+           * sd.etas[i, :] ** 2).sum(axis=-1)
+    C = max(sd.drift.C, 0.0)
+    ratio = val / (np.exp(C * T + sd.Qgrid[i]) / np.sqrt(2.0 * np.pi * T))
+    return BoundReport(
+        name="square-sum envelope", max_ratio=float(ratio.max(initial=0.0)),
+        n_violations=int(np.count_nonzero(ratio > 1.0 + 1e-9)),
+        detail="; ".join(f"(x={x:g}, t={t:g}): {r:.3e}" for (t, x), r
+                         in zip(product(ts, xs), ratio.ravel())))

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -218,6 +219,65 @@ seed = 1
                   encoding="utf-8") as fh:
             assert json.load(fh)["messages"] == [
                 "decay-rate estimate unavailable: no decay rate"]
+
+
+def _report(out_dir):
+    with open(os.path.join(out_dir, "run_report.json"),
+              encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def test_refused_run_writes_its_report(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["kernel", _cfg("logistic"), "--output-dir", out,
+                 "--t", "0.01"]) == 4
+    rep = _report(out)
+    assert rep["status"] == "refused"
+    assert rep["failure"]["stage"] == "kernel slice"
+    assert rep["failure"]["type"] == "TailDominatedError"
+    assert rep["failure"]["message"] in capsys.readouterr().err
+
+
+def test_internal_error_writes_its_report(tmp_path, monkeypatch):
+    def estimate(batch, window):
+        raise RuntimeError("no decay rate")
+
+    monkeypatch.setattr(montecarlo, "estimate_lambda1", estimate)
+    cfg = _write(tmp_path, """
+[model]
+preset = ou
+kind = drift
+
+[montecarlo]
+x0 = 1.0
+dt = 0.01
+t_max = 1.0
+n_paths = 1000
+seed = 1
+""")
+    out = str(tmp_path / "out")
+    assert main(["simulate", cfg, "--output-dir", out, "--quick"]) == 5
+    rep = _report(out)
+    assert rep["status"] == "error"
+    assert rep["failure"] == {"stage": "simulate", "type": "RuntimeError",
+                              "message": "no decay rate"}
+    # the artifacts written before the failure are in the manifest
+    assert [f["name"] for f in rep["files"]] == [
+        "paths_summary.csv", "survival.csv", "conditional_hist.csv"]
+
+
+def test_warnings_reach_the_report(tmp_path, capsys):
+    messages = []
+    for i in range(2):     # a repeated warning is recorded again
+        out = str(tmp_path / f"q{i}")
+        assert main(["qprocess", _cfg("ou"), "--output-dir", out,
+                     "--quick"]) == 0
+        messages.append(_report(out)["messages"])
+    assert messages[0] == messages[1]
+    assert len(messages[0]) == 1
+    assert re.fullmatch(r"UserWarning: [1-9]\d* excursions were reflected "
+                        r"at the spectral-grid edges", messages[0][0])
+    assert "note: " + messages[0][0] in capsys.readouterr().out
 
 
 def test_reruns_are_byte_identical(tmp_path):

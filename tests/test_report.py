@@ -1,9 +1,11 @@
-"""The CSV cell format of every artifact."""
+"""The CSV cell format of every artifact, and the run report's JSON."""
+
+import json
 
 import numpy as np
 import pytest
 
-from qsdlab.report import _BLOCK, write_csv
+from qsdlab.report import _BLOCK, RunReport, write_csv
 
 
 def test_cell_format_is_pinned(tmp_path):
@@ -41,3 +43,17 @@ def test_columns_must_match_the_header(tmp_path):
         write_csv(path, ("a", "b"), [np.zeros(3)])
     with pytest.raises(ValueError):
         write_csv(path, ("a", "b"), [np.zeros(3), np.zeros(4)])
+
+
+def test_report_is_strict_json():
+    rep = RunReport(command="spectrum", label="m", scalars={
+        "a": np.inf, "b": float("nan"), "c": 1.5, "d": True})
+
+    def refuse(name):
+        raise ValueError(f"non-standard constant {name}")
+
+    payload = json.loads(rep.to_json(), parse_constant=refuse)
+    assert payload["scalars"] == {"a": None, "b": None, "c": 1.5, "d": True}
+    assert payload["messages"] == ["scalar a is inf; written as null",
+                                   "scalar b is nan; written as null"]
+    assert rep.scalars["a"] == np.inf      # the report itself is unchanged

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from qsdlab import (PreconditionError, TailDominatedError, TruncationDomain,
-                    appendix_bound_check, build_and_solve, conditional_density,
+                    appendix_bound_sweep, build_and_solve, conditional_density,
                     conditional_law, default_domain, drift_from_growth,
                     eta1_mass_trail, flux_check, kernel_r, l2_bound_check,
-                    linear_growth, logistic_growth, ou_drift, qprocess_kernel,
-                    qprocess_row, qprocess_stationary, rate_report, survival,
+                    linear_growth, logistic_growth, ou_drift, qprocess_row,
+                    qprocess_stationary, rate_report, survival,
                     yaglom_measure, yaglom_to_z)
 
 # low levels of the reference population model, frozen from a grid
@@ -127,11 +127,24 @@ def test_two_step_composition(logistic_sd):
 
 
 def test_conditioned_rows_are_stochastic(logistic_sd):
-    rows = qprocess_kernel(logistic_sd, 1.0, [0.5, 1.0, 2.0])
+    rows = np.vstack([qprocess_row(logistic_sd, 1.0, x0)[0]
+                      for x0 in (0.5, 1.0, 2.0)])
     assert np.max(np.abs(rows.sum(axis=1) - 1.0)) < 1e-8
     assert np.all(rows > -1e-12)
     with pytest.raises(TailDominatedError):
         qprocess_row(logistic_sd, 0.05, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda sd, K: kernel_r(sd, 1.0, [1.0], [1.0], K=K),
+    lambda sd, K: conditional_density(sd, 1.0, 1.0, K=K),
+    lambda sd, K: qprocess_row(sd, 1.0, 1.0, K=K),
+], ids=["kernel_r", "conditional_density", "qprocess_row"])
+@pytest.mark.parametrize("K", [0, 33])        # the fixture has 32 modes
+def test_mode_count_out_of_range_is_refused(logistic_sd, call, K):
+    assert logistic_sd.K == 32
+    with pytest.raises(PreconditionError, match=f"K={K} not in 1..32"):
+        call(logistic_sd, K)
 
 
 def test_conditioned_stationary_dominates_yaglom(logistic_sd, logistic_ym):
@@ -177,11 +190,30 @@ def test_flux_audit(logistic_sd):
 
 
 def test_kernel_bounds_unit(logistic_sd):
-    pair = appendix_bound_check(logistic_sd, 1.0, 2.0, t=1.0)
-    assert pair.satisfied and pair.lhs <= pair.rhs * (1 + 1e-9)
+    sweep = appendix_bound_sweep(logistic_sd, xs=[1.0, 2.0], t=1.0)
+    assert sweep.n_violations == 0 and sweep.max_ratio <= 1 + 1e-9
     rep = l2_bound_check(logistic_sd)
     assert rep.n_violations == 0
     assert rep.max_ratio < 1.0
+
+
+def test_square_sum_envelope_matches_probe_by_probe_loop(logistic_sd):
+    sd, xs, ts = logistic_sd, (0.3, 1, 2.5), (0.2, 0.5, 1.0)
+    C = max(sd.drift.C, 0.0)
+    ratios, lines = [], []
+    for t in ts:
+        for x in xs:
+            i = sd.node_index(float(x))
+            val = float(np.sum(np.exp(-2.0 * sd.lambdas * t)
+                               * sd.etas[i, :] ** 2))
+            bound = float(np.exp(C * t + float(sd.Qgrid[i]))
+                          / np.sqrt(2.0 * np.pi * t))
+            ratios.append(val / bound)
+            lines.append(f"(x={x:g}, t={t:g}): {val / bound:.3e}")
+    rep = l2_bound_check(sd, xs=xs, ts=ts)
+    assert rep.max_ratio == max(ratios)
+    assert rep.n_violations == sum(r > 1.0 + 1e-9 for r in ratios)
+    assert rep.detail == "; ".join(lines)
 
 
 def test_domain_stability_of_ground_level(logistic_sd):
