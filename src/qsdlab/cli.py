@@ -20,10 +20,6 @@ _EXIT_PRECONDITION = 3
 _EXIT_NUMERICAL = 4
 _EXIT_INTERNAL = 5
 
-_COMMANDS = ("check", "spectrum", "yaglom", "kernel", "simulate",
-             "qprocess", "bd", "compare")
-
-
 def _cap_threads():
     """Propagate QSD_NUM_THREADS to the BLAS/OpenMP pools (speed only).
 
@@ -157,10 +153,9 @@ def _run(args, cfg, out_dir, rep, stage):
 # shared pipeline pieces
 
 def _decomposition(cfg, stage):
-    from .spectral import build_and_solve, default_domain
+    from .spectral import build_and_solve
     stage.append("spectral solve")
-    domain = cfg.domain or default_domain(cfg.model.drift)
-    sd = build_and_solve(cfg.model.drift, domain, K=cfg.K)
+    sd = build_and_solve(cfg.model.drift, cfg.domain, K=cfg.K)
     stage.pop()
     return sd
 
@@ -168,24 +163,21 @@ def _decomposition(cfg, stage):
 def _hist_edges(cfg):
     import numpy as np
     from .model import z_from_x
-    from .spectral import default_domain
-    domain = cfg.domain or default_domain(cfg.model.drift)
     hi = cfg.mc["hist_max"]
     if hi is None:
-        hi = domain.x_max
+        hi = cfg.domain.x_max
         if cfg.model.kind == "growth":
-            hi = z_from_x(domain.x_max, cfg.model.growth.gamma)
+            hi = z_from_x(cfg.domain.x_max, cfg.model.growth.gamma)
     return np.linspace(0.0, float(hi), cfg.mc["bins"] + 1)
 
 
 def _native_batch(cfg, stage):
     from .montecarlo import simulate_x, simulate_z
     stage.append("path simulation")
-    sim = cfg.sim_config()
     if cfg.model.kind == "growth":
-        batch = simulate_z(cfg.model.growth, cfg.mc["z0"], sim)
+        batch = simulate_z(cfg.model.growth, cfg.mc["z0"], cfg.sim)
     else:
-        batch = simulate_x(cfg.model.drift, cfg.mc["x0"], sim)
+        batch = simulate_x(cfg.model.drift, cfg.mc["x0"], cfg.sim)
     stage.pop()
     return batch
 
@@ -194,7 +186,7 @@ def _lambda_window(cfg):
     win = cfg.mc["lambda_window"]
     if win is not None:
         return win
-    t_max = cfg.mc["t_max"]
+    t_max = cfg.sim.t_max
     return (t_max / 3.0, t_max)
 
 
@@ -284,7 +276,7 @@ def _cmd_simulate(args, cfg, out_dir, rep, stage):
     from .errors import PreconditionError
     from .montecarlo import conditional_histogram, estimate_lambda1
     batch = _native_batch(cfg, stage)
-    law = conditional_histogram(batch, cfg.mc["t_max"], _hist_edges(cfg))
+    law = conditional_histogram(batch, cfg.sim.t_max, _hist_edges(cfg))
     _batch_files(rep, out_dir, batch, law)
     frac_absorbed = float(np.mean(np.isfinite(batch.T0)))
     rep.scalars["n_paths"] = batch.n_paths
@@ -305,12 +297,11 @@ def _cmd_qprocess(args, cfg, out_dir, rep, stage):
     from .spectral import qprocess_stationary
     sd = _decomposition(cfg, stage)
     stage.append("conditioned-path simulation")
-    sim = cfg.sim_config()
-    batch = simulate_qprocess(cfg.model.drift, sd, cfg.mc["x0"], sim)
+    batch = simulate_qprocess(cfg.model.drift, sd, cfg.mc["x0"], cfg.sim)
     stage.pop()
     edges = np.linspace(sd.domain.x_min, sd.domain.x_max,
                         cfg.mc["bins"] + 1)
-    law = conditional_histogram(batch, cfg.mc["t_max"], edges)
+    law = conditional_histogram(batch, cfg.sim.t_max, edges)
     _batch_files(rep, out_dir, batch, law)
     dens = qprocess_stationary(sd)
     cum = np.concatenate([[0.0], np.cumsum(dens * sd.cell)])
@@ -332,7 +323,7 @@ def _cmd_bd(args, cfg, out_dir, rep, stage):
     stage.append("scaling check")
     sr = scaling_limit_check(bd["kind"], bd["params"], bd["n_list"],
                              bd["z0"], bd["t"], bd["n_reps"],
-                             seed=cfg.seed, dt=cfg.mc["dt"])
+                             seed=cfg.seed, dt=cfg.sim.dt)
     stage.pop()
     rep.add_file(out_dir, "scaling_ks.csv", ("N", "ks_distance", "n_reps"),
                  list(zip(*sr.rows)))
@@ -375,7 +366,7 @@ def _cmd_compare(args, cfg, out_dir, rep, stage):
         ym = yaglom_to_z(ym, cfg.model.growth.gamma)
     batch = _native_batch(cfg, stage)
     edges = _hist_edges(cfg)
-    law = conditional_histogram(batch, cfg.mc["t_max"], edges)
+    law = conditional_histogram(batch, cfg.sim.t_max, edges)
     cdf = yaglom_cdf(ym)
     rep.add_file(out_dir, "compare.csv",
                  ("bin_lo", "bin_hi", "empirical_mass", "empirical_stderr",

@@ -3,34 +3,109 @@
 One file configures a whole run.  The [model] section picks the drift or
 growth preset (or a custom expression), [domain] and [spectral] shape the
 eigensolve, [montecarlo] holds the path-ensemble settings, and [bd] the
-lattice prelimit.  Validation is collective: every violated key is
-reported in one error, not just the first.
+lattice prelimit.  One table lists every key with its parser and
+default; TruncationDomain and SimConfig hold their own range rules.
+Validation is collective: every violated key is reported in one error.
 """
 
 import configparser
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import ConfigError
+from .errors import ConfigError, ModelError
 from .model import Model, preset_model
 from .montecarlo import SimConfig
 from .spectral import TruncationDomain, default_domain
 
-_SECTIONS = ("model", "domain", "spectral", "montecarlo", "bd")
-
-_MODEL_KEYS = {"kind", "preset", "expression", "r", "c", "gamma", "k",
-               "k0", "theta"}
-_DOMAIN_KEYS = {"x_min", "x_max", "n", "grid_kind"}
-_SPECTRAL_KEYS = {"k", "n_modes"}
-_MC_KEYS = {"x0", "z0", "dt", "t_max", "n_paths", "seed", "record_dt",
-            "absorb_threshold", "bridge_correction", "block_size",
-            "crn_substeps", "bins", "hist_max", "lambda_window"}
-_BD_KEYS = {"kind", "lam", "mu", "c", "gamma", "n_list", "z0", "t",
-            "n_reps", "chain", "chain_lam", "chain_mu", "chain_c", "n_max"}
-
 _STOCHASTIC = ("simulate", "qprocess", "bd", "compare")
+
+
+def _parser(convert, what, ok=None, rule=None):
+    """A key parser: raw text -> value, or ValueError with the complaint."""
+    def parse(raw):
+        try:
+            value = convert(raw)
+        except (ValueError, KeyError):
+            raise ValueError(f"not {what} ({raw!r})") from None
+        if ok is not None and not ok(value):
+            raise ValueError(f"{rule}, got {value!r}")
+        return value
+    return parse
+
+
+def _at_least(low):
+    return _parser(int, "an integer", lambda v: v >= low,
+                   f"must be at least {low}")
+
+
+def _choice(*options):
+    return _parser(str, "text", lambda v: v in options,
+                   f"must be {' or '.join(options)}")
+
+
+def _window(raw):
+    try:
+        parts = raw.split(",")
+        lo, hi = float(parts[0]), float(parts[1])
+        if lo < hi:
+            return lo, hi
+    except (ValueError, IndexError):
+        pass
+    raise ValueError(f"expected 'lo, hi' with lo < hi, got {raw!r}")
+
+
+def _increasing(raw):
+    try:
+        values = tuple(int(s) for s in raw.split(","))
+        if all(a < b for a, b in zip(values, values[1:])):
+            return values
+    except ValueError:
+        pass
+    raise ValueError(f"expected increasing integers, got {raw!r}")
+
+
+_FLOAT = _parser(float, "a number")
+_INT = _parser(int, "an integer")
+_BOOL = _parser(lambda raw: configparser.ConfigParser.BOOLEAN_STATES[
+    raw.lower()], "a boolean")
+
+# section -> key -> (parser, default).  Model parameters stay text:
+# preset_model parses the ones its preset uses.
+_SCHEMA = {
+    "model": {"kind": (str, "growth"),
+              **{key: (str, None) for key in ("preset", "expression", "r",
+                                              "c", "gamma", "k", "k0",
+                                              "theta")}},
+    "domain": {"x_min": (_FLOAT, None), "x_max": (_FLOAT, None),
+               "n": (_INT, None), "grid_kind": (str, None)},
+    "spectral": {"k": (_at_least(2), 16)},
+    "montecarlo": {
+        "x0": (_FLOAT, 1.0), "z0": (_FLOAT, 1.0), "dt": (_FLOAT, 1e-3),
+        "t_max": (_FLOAT, 6.0), "n_paths": (_INT, 100000),
+        "seed": (_INT, None), "record_dt": (_FLOAT, None),
+        "absorb_threshold": (_FLOAT, 1e-4), "bridge_correction": (_BOOL, True),
+        "block_size": (_INT, 4096), "crn_substeps": (_INT, 1),
+        "bins": (_at_least(1), 60),
+        "hist_max": (_parser(float, "a number", lambda v: 0 < v < math.inf,
+                             "must be positive and finite"), None),
+        "lambda_window": (_window, None)},
+    "bd": {
+        "kind": (_choice("pure_branching", "logistic_branching"),
+                 "logistic_branching"),
+        "lam": (_FLOAT, 2.0), "mu": (_FLOAT, 1.0), "c": (_FLOAT, 1.0),
+        "gamma": (_FLOAT, 1.0), "n_list": (_increasing, (10, 30, 100)),
+        "z0": (_FLOAT, 1.0), "t": (_FLOAT, 1.0),
+        "n_reps": (_at_least(1), 10000),
+        "chain": (_choice("linear", "logistic"), "logistic"),
+        "chain_lam": (_FLOAT, 1.0), "chain_mu": (_FLOAT, 1.0),
+        "chain_c": (_FLOAT, 1.0), "n_max": (_at_least(100), 10000)},
+}
+_SIM_KEYS = [f.name for f in dataclasses.fields(SimConfig) if f.name != "seed"]
+# configparser lowercases option names; the presets name these two K, K0
+_MODEL_PARAMS = {"k": "K", "k0": "K0"}
 
 
 @dataclass(frozen=True)
@@ -38,74 +113,52 @@ class RunConfig:
     """Everything a command needs, already validated and typed."""
 
     model: Model
-    domain: Optional[TruncationDomain]   # None: derive from the drift
+    domain: TruncationDomain   # [domain] over the model's default box
     K: int
-    mc: dict                             # montecarlo settings
-    bd: dict                             # lattice-prelimit settings
+    sim: SimConfig             # the [montecarlo] step controls
+    mc: dict                   # x0, z0, bins, hist_max, lambda_window
+    bd: dict                   # lattice-prelimit settings
     seed: Optional[int]
-    quick: bool
-    path: str
-
-    def sim_config(self, t_max=None, n_paths=None, record_dt=None):
-        """A SimConfig from the [montecarlo] section, with overrides."""
-        m = self.mc
-        return SimConfig(
-            dt=m["dt"],
-            t_max=m["t_max"] if t_max is None else float(t_max),
-            n_paths=m["n_paths"] if n_paths is None else int(n_paths),
-            seed=0 if self.seed is None else self.seed,
-            absorb_threshold=m["absorb_threshold"],
-            bridge_correction=m["bridge_correction"],
-            record_dt=m["record_dt"] if record_dt is None else record_dt,
-            block_size=m["block_size"],
-            crn_substeps=m["crn_substeps"])
-
-    def start_state(self):
-        """Initial state in the model's native coordinate."""
-        if self.model.kind == "growth":
-            return self.mc["z0"]
-        return self.mc["x0"]
 
 
-def _get_float(cp, section, key, default, problems):
-    if not cp.has_option(section, key):
-        return default
-    raw = cp.get(section, key)
+def _read(cp, problems):
+    """Every schema key's value (its default when absent or unparsable)."""
+    values = {}
+    for section in cp.sections():
+        if section not in _SCHEMA:
+            problems.append(f"[{section}]: unknown section")
+            continue
+        for key in cp.options(section):
+            if key not in _SCHEMA[section]:
+                problems.append(f"{section}.{key}: unknown key")
+    for section, keys in _SCHEMA.items():
+        values[section] = out = {}
+        for key, (parse, default) in keys.items():
+            out[key] = default
+            if cp.has_option(section, key):
+                try:
+                    out[key] = parse(cp.get(section, key))
+                except ValueError as exc:
+                    problems.append(f"{section}.{key}: {exc}")
+    return values
+
+
+def _model(cp, m, problems):
+    if not cp.has_section("model"):
+        problems.append("[model]: section required")
+        return None
+    if m["preset"] is None:
+        problems.append("model.preset: required")
+        return None
+    params = {_MODEL_PARAMS.get(key, key): raw for key, raw in m.items()
+              if key not in ("kind", "preset") and raw is not None}
     try:
-        return float(raw)
-    except ValueError:
-        problems.append(f"{section}.{key}: not a number ({raw!r})")
-        return default
-
-
-def _get_int(cp, section, key, default, problems):
-    if not cp.has_option(section, key):
-        return default
-    raw = cp.get(section, key)
-    try:
-        return int(raw)
-    except ValueError:
-        problems.append(f"{section}.{key}: not an integer ({raw!r})")
-        return default
-
-
-def _get_bool(cp, section, key, default, problems):
-    if not cp.has_option(section, key):
-        return default
-    try:
-        return cp.getboolean(section, key)
-    except ValueError:
-        problems.append(f"{section}.{key}: not a boolean "
-                        f"({cp.get(section, key)!r})")
-        return default
-
-
-def _unknown_keys(cp, section, known, problems):
-    if not cp.has_section(section):
-        return
-    for key in cp.options(section):
-        if key not in known:
-            problems.append(f"{section}.{key}: unknown key")
+        return preset_model(m["preset"], m["kind"], params)
+    except ConfigError as exc:
+        problems.extend(exc.problems)
+    except ModelError as exc:        # a parameter outside the model's range
+        problems.append(f"model: {exc}")
+    return None
 
 
 def load_config(path, quick=False, seed_override=None) -> RunConfig:
@@ -123,196 +176,47 @@ def load_config(path, quick=False, seed_override=None) -> RunConfig:
             cp.read_file(fh)
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError([f"config parse error: {exc}"]) from None
+    values = _read(cp, problems)
+    model = _model(cp, values["model"], problems)
 
-    for section in cp.sections():
-        if section not in _SECTIONS:
-            problems.append(f"[{section}]: unknown section")
-
-    # --- model ---
-    if not cp.has_section("model"):
-        problems.append("[model]: section required")
-        model = None
-    else:
-        _unknown_keys(cp, "model", _MODEL_KEYS, problems)
-        kind = cp.get("model", "kind", fallback="growth").strip()
-        preset = cp.get("model", "preset", fallback=None)
-        if preset is None:
-            problems.append("model.preset: required")
-            model = None
-        else:
-            params = {}
-            for key in ("r", "c", "gamma", "theta"):
-                if cp.has_option("model", key):
-                    params[key] = cp.get("model", key)
-            # configparser lowercases option names; map back
-            if cp.has_option("model", "k"):
-                params["K"] = cp.get("model", "k")
-            if cp.has_option("model", "k0"):
-                params["K0"] = cp.get("model", "k0")
-            if cp.has_option("model", "expression"):
-                params["expression"] = cp.get("model", "expression")
-            try:
-                model = preset_model(preset.strip(), kind, params)
-            except ConfigError as exc:
-                problems.extend(exc.problems)
-                model = None
-
-    # --- domain ---
-    domain = None
-    if cp.has_section("domain"):
-        _unknown_keys(cp, "domain", _DOMAIN_KEYS, problems)
-        x_min = _get_float(cp, "domain", "x_min", None, problems)
-        x_max = _get_float(cp, "domain", "x_max", None, problems)
-        n = _get_int(cp, "domain", "n", None, problems)
-        gk = cp.get("domain", "grid_kind", fallback=None)
-        section_ok = True
-        if gk is not None and gk not in ("uniform", "sqrt"):
-            problems.append(f"domain.grid_kind: must be uniform or sqrt, "
-                            f"got {gk!r}")
-            gk = None
-            section_ok = False
-        if x_min is not None and not x_min > 0:
-            problems.append(f"domain.x_min: must be positive, got {x_min}")
-            section_ok = False
-        if x_max is not None and x_min is not None and not x_max > x_min:
-            problems.append(f"domain.x_max: must exceed x_min, got {x_max}")
-            section_ok = False
-        if n is not None and n < 16:
-            problems.append(f"domain.n: must be at least 16, got {n}")
-            section_ok = False
-        if model is not None and section_ok:
-            base = default_domain(model.drift)
-            domain = dataclasses.replace(
-                base,
-                x_min=base.x_min if x_min is None else x_min,
-                x_max=base.x_max if x_max is None else x_max,
-                n=base.n if n is None else n,
-                grid_kind=base.grid_kind if gk is None else gk)
-            try:
-                domain.validate()
-            except Exception as exc:
-                problems.append(f"domain: {exc}")
-                domain = None
-
-    # --- spectral ---
-    K = 16
-    if cp.has_section("spectral"):
-        _unknown_keys(cp, "spectral", _SPECTRAL_KEYS, problems)
-        K = _get_int(cp, "spectral", "k",
-                     _get_int(cp, "spectral", "n_modes", 16, problems),
-                     problems)
-    if K < 2:
-        problems.append(f"spectral.k: need at least 2 modes, got {K}")
-
-    # --- montecarlo ---
-    _unknown_keys(cp, "montecarlo", _MC_KEYS, problems)
-    sec = "montecarlo"
-    mc = {
-        "x0": _get_float(cp, sec, "x0", 1.0, problems),
-        "z0": _get_float(cp, sec, "z0", 1.0, problems),
-        "dt": _get_float(cp, sec, "dt", 1e-3, problems),
-        "t_max": _get_float(cp, sec, "t_max", 6.0, problems),
-        "n_paths": _get_int(cp, sec, "n_paths", 100000, problems),
-        "record_dt": _get_float(cp, sec, "record_dt", None, problems),
-        "absorb_threshold": _get_float(cp, sec, "absorb_threshold", 1e-4,
-                                       problems),
-        "bridge_correction": _get_bool(cp, sec, "bridge_correction", True,
-                                       problems),
-        "block_size": _get_int(cp, sec, "block_size", 4096, problems),
-        "crn_substeps": _get_int(cp, sec, "crn_substeps", 1, problems),
-        "bins": _get_int(cp, sec, "bins", 60, problems),
-        "hist_max": _get_float(cp, sec, "hist_max", None, problems),
-    }
-    for key in ("dt", "t_max"):
-        if mc[key] <= 0:
-            problems.append(f"montecarlo.{key}: must be positive")
-    for key in ("n_paths", "bins", "block_size", "crn_substeps"):
-        if mc[key] < 1:
-            problems.append(f"montecarlo.{key}: must be at least 1")
-    window = None
-    if cp.has_option(sec, "lambda_window"):
-        raw = cp.get(sec, "lambda_window")
-        parts = [s.strip() for s in raw.split(",")]
-        try:
-            window = (float(parts[0]), float(parts[1]))
-            if not window[0] < window[1]:
-                raise ValueError
-        except (ValueError, IndexError):
-            problems.append(f"montecarlo.lambda_window: expected "
-                            f"'lo, hi' with lo < hi, got {raw!r}")
-            window = None
-    mc["lambda_window"] = window
-
-    seed = None
-    if cp.has_option(sec, "seed"):
-        seed = _get_int(cp, sec, "seed", None, problems)
+    # without a model there is no default box: the given fields are
+    # checked inside a stand-in that passes every range rule
+    base = (default_domain(model.drift) if model is not None
+            else TruncationDomain(x_min=1e-3, x_max=4.0))
+    domain = dataclasses.replace(base, **{
+        key: value for key, value in values["domain"].items()
+        if value is not None})
+    mc = values["montecarlo"]
+    seed = mc.pop("seed")
     if seed_override is not None:
         seed = int(seed_override)
+    sim = SimConfig(seed=0 if seed is None else seed,
+                    **{key: mc.pop(key) for key in _SIM_KEYS})
+    for section, obj in (("domain", domain), ("montecarlo", sim)):
+        problems.extend(f"{section}.{field}: {text}"
+                        for field, text in obj.problems())
 
-    # --- bd ---
-    _unknown_keys(cp, "bd", _BD_KEYS, problems)
-    sec = "bd"
-    bd_kind = cp.get(sec, "kind", fallback="logistic_branching")
-    if bd_kind not in ("pure_branching", "logistic_branching"):
-        problems.append(f"bd.kind: must be pure_branching or "
-                        f"logistic_branching, got {bd_kind!r}")
-    chain = cp.get(sec, "chain", fallback="logistic")
-    if chain not in ("linear", "logistic"):
-        problems.append(f"bd.chain: must be linear or logistic, "
-                        f"got {chain!r}")
-    raw_nlist = cp.get(sec, "n_list", fallback="10, 30, 100")
-    try:
-        n_list = tuple(int(s) for s in raw_nlist.split(","))
-        if not n_list or any(b <= a for a, b in zip(n_list, n_list[1:])):
-            raise ValueError
-    except ValueError:
-        problems.append(f"bd.n_list: expected increasing integers, "
-                        f"got {raw_nlist!r}")
-        n_list = (10, 30, 100)
-    bd = {
-        "kind": bd_kind,
-        "params": {
-            "lam": _get_float(cp, sec, "lam", 2.0, problems),
-            "mu": _get_float(cp, sec, "mu", 1.0, problems),
-            "c": _get_float(cp, sec, "c", 1.0, problems),
-            "gamma": _get_float(cp, sec, "gamma", 1.0, problems),
-        },
-        "n_list": n_list,
-        "z0": _get_float(cp, sec, "z0", 1.0, problems),
-        "t": _get_float(cp, sec, "t", 1.0, problems),
-        "n_reps": _get_int(cp, sec, "n_reps", 10000, problems),
-        "chain": chain,
-        "chain_params": {
-            "lam": _get_float(cp, sec, "chain_lam", 1.0, problems),
-            "mu": _get_float(cp, sec, "chain_mu", 1.0, problems),
-            "c": _get_float(cp, sec, "chain_c", 1.0, problems),
-        },
-        "n_max": _get_int(cp, sec, "n_max", 10000, problems),
-    }
-    if bd["n_reps"] < 1:
-        problems.append("bd.n_reps: must be at least 1")
-    if bd["n_max"] < 100:
-        problems.append("bd.n_max: must be at least 100")
+    b = values["bd"]
+    bd = {"kind": b["kind"],
+          "params": {key: b[key] for key in ("lam", "mu", "c", "gamma")},
+          "n_list": b["n_list"], "z0": b["z0"], "t": b["t"],
+          "n_reps": b["n_reps"], "chain": b["chain"],
+          "chain_params": {key: b["chain_" + key]
+                           for key in ("lam", "mu", "c")},
+          "n_max": b["n_max"]}
+
+    if problems:          # a model that could not be built is among them
+        raise ConfigError(problems)
 
     if quick:
         # tenfold smoke-run reduction of the expensive sizes
-        if domain is None and model is not None:
-            domain = default_domain(model.drift)
-        if domain is not None:
-            domain = dataclasses.replace(domain,
-                                         n=max(256, domain.n // 10))
-        mc["n_paths"] = max(1000, mc["n_paths"] // 10)
+        domain = dataclasses.replace(domain, n=max(256, domain.n // 10))
+        sim = dataclasses.replace(sim, n_paths=max(1000, sim.n_paths // 10))
         bd["n_reps"] = max(500, bd["n_reps"] // 10)
         bd["n_max"] = max(100, bd["n_max"] // 10)
 
-    if problems or model is None:
-        if model is None and not problems:
-            problems.append("[model]: could not be built")
-        raise ConfigError(problems)
-
-    return RunConfig(model=model, domain=domain, K=K, mc=mc, bd=bd,
-                     seed=seed, quick=bool(quick),
-                     path=os.path.abspath(path))
+    return RunConfig(model=model, domain=domain, K=values["spectral"]["k"],
+                     sim=sim, mc=mc, bd=bd, seed=seed)
 
 
 def require_seed(cfg: RunConfig, command) -> None:

@@ -202,10 +202,9 @@ def check_h1(d: DriftField, spec: Optional[QuadratureSpec] = None) -> Hypothesis
     """Certain absorption: scale integral diverges, origin exit integral finite."""
     spec = spec or QuadratureSpec()
 
+    @positive_integrand
     def eQ(y):
-        with np.errstate(all="ignore"):
-            out = np.exp(np.asarray(d.Q(y), dtype=float))
-        return np.where(np.isnan(out), np.inf, out)
+        return np.exp(np.asarray(d.Q(y), dtype=float))
 
     scale = integrate(eQ, 1.0, np.inf, spec)
 
@@ -259,12 +258,11 @@ def check_h3(d: DriftField, spec: Optional[QuadratureSpec] = None) -> Hypothesis
     spec = spec or QuadratureSpec()
     C = d.C
 
+    @positive_integrand
     def f(y):
         y = np.asarray(y, dtype=float)
-        with np.errstate(all="ignore"):
-            den = np.asarray(d.q(y), dtype=float) ** 2 - np.asarray(d.q_prime(y), dtype=float) + C + 2.0
-            out = np.exp(-np.asarray(d.Q(y), dtype=float)) / den
-        return np.where(np.isnan(out), np.inf, out)
+        den = np.asarray(d.q(y), dtype=float) ** 2 - np.asarray(d.q_prime(y), dtype=float) + C + 2.0
+        return np.exp(-np.asarray(d.Q(y), dtype=float)) / den
 
     v = integrate(f, 0.0, 1.0, spec)
     verdict = {"converges": "holds", "diverges": "fails"}.get(v.status, "inconclusive")
@@ -278,17 +276,15 @@ def check_h4(d: DriftField, spec: Optional[QuadratureSpec] = None) -> Hypothesis
     """Finite speed tail and finite root-moment at the origin."""
     spec = spec or QuadratureSpec()
 
+    @positive_integrand
     def emQ(y):
         y = np.asarray(y, dtype=float)
-        with np.errstate(all="ignore"):
-            out = np.exp(-np.asarray(d.Q(y), dtype=float))
-        return np.where(np.isnan(out), np.inf, out)
+        return np.exp(-np.asarray(d.Q(y), dtype=float))
 
+    @positive_integrand
     def root_moment(y):
         y = np.asarray(y, dtype=float)
-        with np.errstate(all="ignore"):
-            out = y * np.exp(-0.5 * np.asarray(d.Q(y), dtype=float))
-        return np.where(np.isnan(out), np.inf, out)
+        return y * np.exp(-0.5 * np.asarray(d.Q(y), dtype=float))
 
     tail = integrate(emQ, 1.0, np.inf, spec)
     origin = integrate(root_moment, 0.0, 1.0, spec)
@@ -390,11 +386,10 @@ def inv_q_criterion(d: DriftField, spec: Optional[QuadratureSpec] = None,
     monotone = viol.size == 0
     first_violation = float(nodes[start + 1 + viol[0]]) if viol.size else None
 
+    @positive_integrand
     def inv_q(x):
         x = np.asarray(x, dtype=float)
-        with np.errstate(all="ignore"):
-            out = 1.0 / np.asarray(d.q(x), dtype=float)
-        return np.where(np.isnan(out), np.inf, out)
+        return 1.0 / np.asarray(d.q(x), dtype=float)
 
     v = integrate(inv_q, x0, np.inf, spec)
     return InvQReport(x0=x0, verdict=v, eventually_monotone=bool(monotone),

@@ -46,24 +46,27 @@ class SimConfig:
     # streams identically and ride the same Brownian path - the standard
     # common-random-numbers setup for step-size sensitivity audits.
 
+    def problems(self):
+        """(field, complaint) for every field outside its range."""
+        rules = ((self.dt > 0, "dt", "must be positive"),
+                 (self.dt < self.t_max < np.inf, "t_max",
+                  "must exceed dt and be finite"),
+                 (self.n_paths >= 1, "n_paths", "must be at least 1"),
+                 (self.absorb_threshold > 0, "absorb_threshold",
+                  "must be positive"),
+                 (self.record_dt is None or 0 < self.record_dt < np.inf,
+                  "record_dt", "must be positive and finite when given"),
+                 (self.block_size >= 1, "block_size", "must be at least 1"),
+                 (self.crn_substeps >= 1, "crn_substeps",
+                  "must be at least 1"))
+        return [(name, f"{rule}, got {getattr(self, name)!r}")
+                for ok, name, rule in rules if not ok]
+
     def validate(self):
-        problems = []
-        if not self.dt > 0:
-            problems.append(f"dt must be positive, got {self.dt!r}")
-        if not self.t_max > self.dt:
-            problems.append("t_max must exceed dt")
-        if self.n_paths < 1:
-            problems.append(f"need at least one path, got {self.n_paths}")
-        if not self.absorb_threshold > 0:
-            problems.append("absorb_threshold must be positive")
-        if self.record_dt is not None and not self.record_dt > 0:
-            problems.append("record_dt must be positive when given")
-        if self.block_size < 1:
-            problems.append("block_size must be positive")
-        if self.crn_substeps < 1:
-            problems.append("crn_substeps must be a positive integer")
+        problems = self.problems()
         if problems:
-            raise PreconditionError("; ".join(problems))
+            raise PreconditionError("; ".join(f"{name} {text}"
+                                              for name, text in problems))
 
 
 @dataclass(frozen=True)

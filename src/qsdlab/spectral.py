@@ -53,18 +53,21 @@ class TruncationDomain:
     n: int = 2048
     grid_kind: str = "sqrt"
 
+    def problems(self):
+        """(field, complaint) for every field outside its range."""
+        rules = ((0.0 < self.x_min < 1.0, "x_min", "must sit in (0, 1)"),
+                 (self.x_max > 1.0, "x_max", "must exceed 1"),
+                 (self.n >= 64, "n", "must be at least 64"),
+                 (self.grid_kind in ("uniform", "sqrt"), "grid_kind",
+                  "must be uniform or sqrt"))
+        return [(name, f"{rule}, got {getattr(self, name)!r}")
+                for ok, name, rule in rules if not ok]
+
     def validate(self):
-        problems = []
-        if not (0.0 < self.x_min < 1.0):
-            problems.append(f"x_min must sit in (0, 1), got {self.x_min!r}")
-        if not (self.x_max > 1.0):
-            problems.append(f"x_max must exceed 1, got {self.x_max!r}")
-        if self.n < 64:
-            problems.append(f"need at least 64 interior nodes, got {self.n}")
-        if self.grid_kind not in ("uniform", "sqrt"):
-            problems.append(f"unknown grid_kind {self.grid_kind!r}")
+        problems = self.problems()
         if problems:
-            raise PreconditionError("; ".join(problems))
+            raise PreconditionError("; ".join(f"{name} {text}"
+                                              for name, text in problems))
 
     def full_grid(self):
         """All n+2 nodes including the two Dirichlet walls."""
@@ -298,7 +301,7 @@ def yaglom_measure(sd: SpectralDecomposition) -> YaglomMeasure:
             f"(growth model: {growth}); the quasi-stationary profile is "
             f"not normalizable for this drift")
     dens = sd.psis[:, 0] * np.exp(-0.5 * sd.Qgrid)
-    mass = float(np.sum(dens * sd.cell))
+    mass = sd.eta1_mass
     if not (mass > 0 and np.isfinite(mass)):
         raise IntegrabilityError("ground-profile mass is not a positive "
                                  "finite number")

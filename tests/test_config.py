@@ -6,6 +6,7 @@ import os
 import pytest
 
 from qsdlab import ConfigError, default_domain, load_config
+from qsdlab.cli import main
 from qsdlab.config import require_seed
 
 EXAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "examples")
@@ -90,11 +91,11 @@ n_max = 10000
 """)
     cfg = load_config(path, quick=True)
     assert cfg.domain.n == 409
-    assert cfg.mc["n_paths"] == 10000
+    assert cfg.sim.n_paths == 10000
     assert cfg.bd["n_reps"] == 1000
     assert cfg.bd["n_max"] == 1000
     full = load_config(path)
-    assert full.domain.n == 4096 and full.mc["n_paths"] == 100000
+    assert full.domain.n == 4096 and full.sim.n_paths == 100000
 
 
 def test_quick_shrinks_the_default_grid(tmp_path):
@@ -102,9 +103,10 @@ def test_quick_shrinks_the_default_grid(tmp_path):
 [model]
 preset = logistic
 """)
-    assert load_config(path).domain is None
+    full = load_config(path)
+    base = default_domain(full.model.drift)
+    assert full.domain == base
     quick = load_config(path, quick=True)
-    base = default_domain(quick.model.drift)
     assert quick.domain == dataclasses.replace(base,
                                                n=max(256, base.n // 10))
     assert quick.domain.n < base.n
@@ -153,16 +155,10 @@ seed = 8
 lambda_window = 1, 3
 """)
     cfg = load_config(path)
-    sc = cfg.sim_config()
+    sc = cfg.sim
     assert (sc.dt, sc.t_max, sc.n_paths, sc.seed) == (0.002, 3.0, 1234, 8)
-    assert cfg.sim_config(t_max=9.0, n_paths=10).t_max == 9.0
     assert cfg.mc["lambda_window"] == (1.0, 3.0)
-    # growth models start on the population scale
-    assert cfg.start_state() == 0.75
-    ou_path = tmp_path / "ou.cfg"
-    ou_path.write_text("[model]\npreset = ou\nkind = drift\n"
-                       "\n[montecarlo]\nx0 = 2.0\n", encoding="utf-8")
-    assert load_config(str(ou_path)).start_state() == 2.0
+    assert (cfg.mc["x0"], cfg.mc["z0"]) == (1.5, 0.75)
 
 
 def test_bad_lambda_window(tmp_path):
@@ -190,3 +186,63 @@ gamma = 1
     assert cfg.model.growth is not None
     assert cfg.model.growth.h(1.0) == pytest.approx(1.0)
     assert cfg.model.growth.h(2.0) == pytest.approx(0.0)
+
+
+# step controls that used to pass the config and stop the run later
+OUT_OF_RANGE = [("absorb_threshold", "-1"), ("record_dt", "0"),
+                ("t_max", "0.0005"), ("hist_max", "-1"), ("t_max", "inf"),
+                ("record_dt", "inf"), ("hist_max", "inf")]
+
+
+def _montecarlo(tmp_path, key, value):
+    return _write(tmp_path, f"""
+[model]
+preset = logistic
+
+[montecarlo]
+seed = 1
+{key} = {value}
+""")
+
+
+@pytest.mark.parametrize("key, value", OUT_OF_RANGE)
+def test_out_of_range_step_control_is_a_config_error(tmp_path, key, value):
+    with pytest.raises(ConfigError) as exc:
+        load_config(_montecarlo(tmp_path, key, value))
+    assert any(p.startswith(f"montecarlo.{key}:") for p in exc.value.problems)
+
+
+@pytest.mark.parametrize("key, value", OUT_OF_RANGE)
+def test_out_of_range_step_control_exits_two_before_any_work(tmp_path, key,
+                                                              value):
+    out = tmp_path / "out"
+    assert main(["simulate", _montecarlo(tmp_path, key, value),
+                 "--output-dir", str(out), "--quick"]) == 2
+    assert not out.exists()
+
+
+def test_domain_checked_without_a_model(tmp_path):
+    path = _write(tmp_path, """
+[model]
+preset = nosuch
+
+[domain]
+x_min = -2
+""")
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    text = "\n".join(exc.value.problems)
+    assert "model.preset" in text
+    assert "domain.x_min" in text
+
+
+def test_model_parameter_out_of_range_is_a_config_error(tmp_path):
+    path = _write(tmp_path, """
+[model]
+preset = ou
+kind = drift
+theta = -1
+""")
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert exc.value.problems == ["model: theta must be positive"]

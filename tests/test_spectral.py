@@ -28,6 +28,8 @@ def test_logistic_levels_frozen(logistic_sd):
 def test_ou_levels_are_odd_integers(ou_sd):
     for k in range(4):
         assert abs(ou_sd.lambdas[k] - (2 * k + 1)) < 1e-3
+    # the profile is normalized by the stored ground mass, to the last bit
+    assert yaglom_measure(ou_sd).mass_norm == ou_sd.eta1_mass
 
 
 def test_subcritical_linear_levels_are_integers():
