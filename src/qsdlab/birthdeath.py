@@ -7,7 +7,6 @@ evaluates the summability series that decides uniqueness of the
 quasi-stationary law for an unscaled chain.
 """
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -16,13 +15,14 @@ from scipy.integrate import solve_ivp
 
 from . import rng
 from .errors import DomainError, PreconditionError, TruncationError
-from .model import linear_growth, logistic_growth
-from .montecarlo import SimConfig, simulate_z
+from .model import preset_model, x_from_z, z_from_x
 from .quadrature import classify_growth
-from .spectral import tridiagonal_modes
+from .spectral import (TruncationDomain, build_and_solve,
+                       conditional_density, tridiagonal_modes)
 
 _CHUNK = 512                      # uniforms per stream refill (2 per event)
 _MAX_EVENTS = 100_000_000
+_REF_X_MIN, _REF_N, _REF_K = 1e-3, 4096, 64   # the limit diffusion's solve
 
 
 # ---------------------------------------------------------------------------
@@ -341,58 +341,55 @@ def lattice_law(m: BDModel, z0, t) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScalingReport:
-    rows: tuple                 # (N, ks_distance, n_reps)
-    t: float
-    z0: float
-    reference_size: int
+    rows: tuple                 # (N, ks_distance, M)
 
 
-def scaling_limit_check(kind, params, N_list, z0, t, n_reps, seed=0,
-                        dt=1e-3) -> ScalingReport:
+def _diffusion_cdf(kind, params, z0, t, z_max):
+    """Exact cdf at time t of the diffusion limit of a lattice family.
+
+    The family's jump variance per unit time, (b+d)/N^2, tends to
+    2 gamma z: the limit has growth (lam - mu) z - c z^2 at noise scale
+    2 gamma.  One solve (sqrt grid, 4096 nodes, 64 modes) on (1e-3,
+    x(z_max)) gives S(t) and the conditional law; the law at t is the
+    atom 1 - S(t) at 0 plus S(t) times that law, mapped to z.  A t below
+    the solve's t_min raises TailDominatedError.
+    """
+    p = dict(params)
+    noise = 2.0 * float(p.get("gamma", 1.0))
+    box = TruncationDomain(x_min=_REF_X_MIN, x_max=x_from_z(z_max, noise),
+                           n=_REF_N)
+    model = preset_model(
+        {"logistic_branching": "logistic", "pure_branching": "linear"}[kind],
+        "growth", {"r": float(p.get("lam", 1.0)) - float(p.get("mu", 1.0)),
+                   "c": float(p.get("c", 1.0)), "gamma": noise})
+    law = conditional_density(build_and_solve(model.drift, box, K=_REF_K),
+                              t, x_from_z(z0, noise))
+    S, zs = law.survival, z_from_x(law.grid, noise)
+    return lambda z: 1.0 - S + S * np.interp(z, zs, law.cdf, left=0.0)
+
+
+def scaling_limit_check(kind, params, N_list, z0, t) -> ScalingReport:
     """Endpoint laws of the lattice families against the diffusion's.
 
-    For each N the exact lattice law (atom at 0 included) is compared
-    with the empirical law of a simulated diffusion ensemble at the same
-    time, through the sup distance between their cdfs; the distances
-    should shrink as N grows.  The ensemble has max(10000, n_reps) paths.
+    For each N the exact lattice law (atom at 0 included), truncated at
+    M, is compared with the limit diffusion's exact law at the same time
+    through the sup distance between their cdfs, taken on both sides of
+    every lattice step (the diffusion's cdf is continuous past its atom
+    at 0); the distances should shrink as N grows.
     """
     N_list = [int(N) for N in N_list]
     if len(N_list) < 1 or any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise PreconditionError("N_list must be strictly increasing")
-    p = dict(params)
-    gamma = float(p.get("gamma", 1.0))
-    if gamma <= 0:
-        raise PreconditionError("the diffusion comparison needs gamma > 0")
-    r = float(p.get("lam", 1.0)) - float(p.get("mu", 1.0))
-    # jump variance of the lattice family per unit time is (b+d)/N^2,
-    # which tends to 2*gamma*x: the weak limit of these rates is the
-    # population diffusion whose squared noise coefficient is 2*gamma*z
-    gamma_sde = 2.0 * gamma
-    if kind == "logistic_branching":
-        g = logistic_growth(r, float(p.get("c", 1.0)), gamma_sde)
-    elif kind == "pure_branching":
-        g = linear_growth(r, gamma_sde)
-    else:
-        raise PreconditionError(f"unknown family kind {kind!r}")
-
-    n_ref = max(10000, int(n_reps))
-    cfg = SimConfig(dt=dt, t_max=t, n_paths=n_ref, seed=seed + 1_000_003)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        ref = np.sort(simulate_z(g, z0, cfg).states[:, -1])
-
+    laws = [lattice_law(preset_family(kind, params, N), z0, t)
+            for N in N_list]
+    G = _diffusion_cdf(kind, params, z0, t,
+                       max((len(law) - 1) / N for N, law in zip(N_list, laws)))
     rows = []
-    for N in N_list:
-        law = lattice_law(preset_family(kind, params, N), z0, t)
-        support = np.arange(len(law)) / N
-        # both cdfs are right-continuous steps: the sup sits at a jump
-        pool = np.concatenate([support, ref])
-        F = np.concatenate([[0.0], np.cumsum(law)])[
-            np.searchsorted(support, pool, side="right")]
-        G = np.searchsorted(ref, pool, side="right") / n_ref
-        rows.append((N, float(np.max(np.abs(F - G))), n_reps))
-    return ScalingReport(rows=tuple(rows), t=float(t), z0=float(z0),
-                         reference_size=n_ref)
+    for N, law in zip(N_list, laws):
+        F, g = np.cumsum(law), G(np.arange(len(law)) / N)
+        ks = np.max(np.abs(np.concatenate([F - g, F[:-1] - g[1:]])))
+        rows.append((N, float(ks), len(law) - 1))
+    return ScalingReport(rows=tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -321,11 +321,12 @@ def _cmd_bd(args, cfg, out_dir, rep, stage):
                              s_criterion, scaling_limit_check)
     bd = cfg.bd
     stage.append("scaling check")
+    if bd["n_reps"] is not None:
+        rep.messages.append("bd.n_reps is ignored: nothing is sampled")
     sr = scaling_limit_check(bd["kind"], bd["params"], bd["n_list"],
-                             bd["z0"], bd["t"], bd["n_reps"],
-                             seed=cfg.seed, dt=cfg.sim.dt)
+                             bd["z0"], bd["t"])
     stage.pop()
-    rep.add_file(out_dir, "scaling_ks.csv", ("N", "ks_distance", "n_reps"),
+    rep.add_file(out_dir, "scaling_ks.csv", ("N", "ks_distance", "M"),
                  list(zip(*sr.rows)))
     for N, ks, _ in sr.rows:
         rep.scalars[f"ks_N{N}"] = ks

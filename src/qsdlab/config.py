@@ -69,6 +69,9 @@ def _increasing(raw):
 
 _FLOAT = _parser(float, "a number")
 _INT = _parser(int, "an integer")
+_RATE = _parser(float, "a number", lambda v: v >= 0, "must be nonnegative")
+_POSITIVE = _parser(float, "a number", lambda v: 0 < v < math.inf,
+                    "must be positive and finite")
 _BOOL = _parser(lambda raw: configparser.ConfigParser.BOOLEAN_STATES[
     raw.lower()], "a boolean")
 
@@ -88,20 +91,18 @@ _SCHEMA = {
         "seed": (_INT, None), "record_dt": (_FLOAT, None),
         "absorb_threshold": (_FLOAT, 1e-4), "bridge_correction": (_BOOL, True),
         "block_size": (_INT, 4096), "crn_substeps": (_INT, 1),
-        "bins": (_at_least(1), 60),
-        "hist_max": (_parser(float, "a number", lambda v: 0 < v < math.inf,
-                             "must be positive and finite"), None),
+        "bins": (_at_least(1), 60), "hist_max": (_POSITIVE, None),
         "lambda_window": (_window, None)},
     "bd": {
         "kind": (_choice("pure_branching", "logistic_branching"),
                  "logistic_branching"),
-        "lam": (_FLOAT, 2.0), "mu": (_FLOAT, 1.0), "c": (_FLOAT, 1.0),
-        "gamma": (_FLOAT, 1.0), "n_list": (_increasing, (10, 30, 100)),
-        "z0": (_FLOAT, 1.0), "t": (_FLOAT, 1.0),
-        "n_reps": (_at_least(1), 10000),
+        "lam": (_RATE, 2.0), "mu": (_RATE, 1.0), "c": (_RATE, 1.0),
+        "gamma": (_POSITIVE, 1.0), "n_list": (_increasing, (10, 30, 100)),
+        "z0": (_FLOAT, 1.0), "t": (_POSITIVE, 1.0),
+        "n_reps": (_at_least(1), None),  # read by nothing; qsd bd says so
         "chain": (_choice("linear", "logistic"), "logistic"),
-        "chain_lam": (_FLOAT, 1.0), "chain_mu": (_FLOAT, 1.0),
-        "chain_c": (_FLOAT, 1.0), "n_max": (_at_least(100), 10000)},
+        "chain_lam": (_RATE, 1.0), "chain_mu": (_RATE, 1.0),
+        "chain_c": (_RATE, 1.0), "n_max": (_at_least(100), 10000)},
 }
 _SIM_KEYS = [f.name for f in dataclasses.fields(SimConfig) if f.name != "seed"]
 # configparser lowercases option names; the presets name these two K, K0
@@ -196,14 +197,10 @@ def load_config(path, quick=False, seed_override=None) -> RunConfig:
         problems.extend(f"{section}.{field}: {text}"
                         for field, text in obj.problems())
 
-    b = values["bd"]
-    bd = {"kind": b["kind"],
-          "params": {key: b[key] for key in ("lam", "mu", "c", "gamma")},
-          "n_list": b["n_list"], "z0": b["z0"], "t": b["t"],
-          "n_reps": b["n_reps"], "chain": b["chain"],
-          "chain_params": {key: b["chain_" + key]
-                           for key in ("lam", "mu", "c")},
-          "n_max": b["n_max"]}
+    bd = values["bd"]
+    bd["params"] = {key: bd.pop(key) for key in ("lam", "mu", "c", "gamma")}
+    bd["chain_params"] = {key: bd.pop("chain_" + key)
+                          for key in ("lam", "mu", "c")}
 
     if problems:          # a model that could not be built is among them
         raise ConfigError(problems)
@@ -212,7 +209,6 @@ def load_config(path, quick=False, seed_override=None) -> RunConfig:
         # tenfold smoke-run reduction of the expensive sizes
         domain = dataclasses.replace(domain, n=max(256, domain.n // 10))
         sim = dataclasses.replace(sim, n_paths=max(1000, sim.n_paths // 10))
-        bd["n_reps"] = max(500, bd["n_reps"] // 10)
         bd["n_max"] = max(100, bd["n_max"] // 10)
 
     return RunConfig(model=model, domain=domain, K=values["spectral"]["k"],

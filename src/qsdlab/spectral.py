@@ -406,7 +406,9 @@ class ConditionalDensity:
 
 def conditional_density(sd: SpectralDecomposition, t: float, x0: float,
                         K: Optional[int] = None) -> ConditionalDensity:
-    """Full grid density of the process at time t given it still lives."""
+    """Full grid density of the process at time t given it still lives;
+    a sum whose negative lobes exceed 1e-6 of its mass (rounding noise,
+    the discrete kernel being nonnegative) raises TruncationError."""
     k, decay = _modes(sd, t, K)
     i0 = sd.node_index(float(x0))
     # r(t, x0, y) exp(-Q(y)) = sum_k decay_k eta_k(x0) psi_k(y) exp(-Q(y)/2)
@@ -419,6 +421,9 @@ def conditional_density(sd: SpectralDecomposition, t: float, x0: float,
             f"({surv!r}); condition on a shorter horizon")
     dens = np.maximum(vals, 0.0)
     mass = float(np.sum(dens * sd.cell))
+    if mass - surv > 1e-6 * mass:
+        raise TruncationError(f"the mode sum from x0={x0:g} cancels: "
+                              f"negative lobes hold {1 - surv / mass:.3g}")
     dens = dens / mass
     cdf = np.cumsum(dens * sd.cell)
     cdf /= cdf[-1]

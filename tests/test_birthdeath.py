@@ -7,12 +7,14 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.sparse import diags
 from scipy.sparse.linalg import expm_multiply
+from scipy.stats import gamma as gamma_law, poisson
 
-from qsdlab import (BDModel, DomainError, PreconditionError, TruncationError,
+from qsdlab import (BDModel, DomainError, PreconditionError,
+                    TailDominatedError, TruncationError,
                     deterministic_limit_check, gillespie, lattice_law,
                     preset_chain, preset_family, s_criterion,
                     scaling_limit_check)
-from qsdlab.birthdeath import _gillespie_batch
+from qsdlab.birthdeath import _diffusion_cdf, _gillespie_batch
 
 
 @pytest.fixture(scope="module")
@@ -206,10 +208,42 @@ def test_scaling_rows_shrink_with_lattice_size():
     # small smoke version; the full criterion run lives in the gate
     sr = scaling_limit_check(
         "pure_branching", {"lam": 1.0, "mu": 2.0, "gamma": 1.0},
-        [10, 100], z0=1.0, t=1.0, n_reps=4000, seed=11)
+        [10, 100], z0=1.0, t=1.0)
     ks = [k for _, k, _ in sr.rows]
     assert ks[1] < ks[0]
     assert ks[1] < 0.1
+
+
+@pytest.mark.parametrize("lam, mu, gamma", [(1.0, 2.0, 1.0), (1.0, 1.5, 0.5),
+                                             (1.0, 1.0, 1.0)])
+def test_diffusion_reference_matches_feller_closed_form(lam, mu, gamma):
+    # dZ = r Z dt + sqrt(2 gamma Z) dB at t: a Poisson(m) number of
+    # Exponential(B) summands, A = e^{rt}, B = gamma (A - 1) / r, m = z0 A / B
+    z0, t, z_max = 1.0, 1.0, 12.0
+    r = lam - mu
+    A = math.exp(r * t)
+    B = gamma * t if r == 0 else gamma * (A - 1.0) / r
+    m = z0 * A / B
+    z = np.linspace(0.0, z_max, 2401)
+    k = np.arange(1, int(m + 40.0 * math.sqrt(m)) + 60)[:, None]
+    exact = math.exp(-m) + (poisson.pmf(k, m)
+                            * gamma_law.cdf(z, a=k, scale=B)).sum(axis=0)
+    G = _diffusion_cdf("pure_branching", {"lam": lam, "mu": mu,
+                                          "gamma": gamma}, z0, t, z_max)
+    assert np.max(np.abs(G(z) - exact)) <= 1e-3
+
+
+@pytest.mark.parametrize("gamma, t, error, match", [
+    (1.0, 0.001, TailDominatedError, "below t_min"),
+    # weak noise starts the diffusion far up its potential, where the
+    # mode sum cancels past double precision
+    (0.02, 1.0, TruncationError, "cancels")])
+def test_scaling_check_refuses_an_unresolved_reference(gamma, t, error,
+                                                       match):
+    with pytest.raises(error, match=match):
+        scaling_limit_check("pure_branching",
+                            {"lam": 1.0, "mu": 2.0, "gamma": gamma},
+                            [10], z0=1.0, t=t)
 
 
 def test_rate_family_identities_exact():

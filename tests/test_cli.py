@@ -128,7 +128,7 @@ def test_bd_quick(tmp_path):
     assert main(["bd", _cfg("logistic"), "--output-dir", out,
                  "--quick"]) == 0
     header, rows = _read_csv(out, "scaling_ks.csv")
-    assert header == ["N", "ks_distance", "n_reps"]
+    assert header == ["N", "ks_distance", "M"]
     ks = [float(r[1]) for r in rows]
     assert ks[-1] < 0.2
     header, rows = _read_csv(out, "s_criterion.csv")
@@ -136,6 +136,17 @@ def test_bd_quick(tmp_path):
     with open(os.path.join(out, "run_report.json"), encoding="utf-8") as fh:
         rep = json.load(fh)
     assert rep["scalars"]["iii_iv_agree"] is True
+    assert not any("n_reps" in m for m in rep["messages"])
+
+    # the sampling-size key still parses, and the report says it does nothing
+    with open(_cfg("logistic"), encoding="utf-8") as fh:
+        text = fh.read().replace("[bd]\n", "[bd]\nn_reps = 10000\n")
+    out = str(tmp_path / "out_reps")
+    assert main(["bd", _write(tmp_path, text), "--output-dir", out,
+                 "--quick"]) == 0
+    with open(os.path.join(out, "run_report.json"), encoding="utf-8") as fh:
+        rep = json.load(fh)
+    assert any(m.startswith("bd.n_reps is ignored") for m in rep["messages"])
 
 
 def test_config_errors_exit_two(tmp_path):

@@ -92,7 +92,6 @@ n_max = 10000
     cfg = load_config(path, quick=True)
     assert cfg.domain.n == 409
     assert cfg.sim.n_paths == 10000
-    assert cfg.bd["n_reps"] == 1000
     assert cfg.bd["n_max"] == 1000
     full = load_config(path)
     assert full.domain.n == 4096 and full.sim.n_paths == 100000
@@ -218,6 +217,30 @@ def test_out_of_range_step_control_exits_two_before_any_work(tmp_path, key,
     out = tmp_path / "out"
     assert main(["simulate", _montecarlo(tmp_path, key, value),
                  "--output-dir", str(out), "--quick"]) == 2
+    assert not out.exists()
+
+
+# lattice settings that used to stop the run only after work and artifacts
+BD_OUT_OF_RANGE = [(key, "-1") for key in ("lam", "mu", "c", "chain_lam",
+                                           "chain_mu", "chain_c")] + [
+    ("gamma", "0"), ("gamma", "-1"), ("t", "0"), ("t", "-1"), ("t", "inf")]
+
+
+@pytest.mark.parametrize("key, value", BD_OUT_OF_RANGE)
+def test_out_of_range_bd_value_exits_two_before_any_work(tmp_path, key,
+                                                         value):
+    out = tmp_path / "out"
+    path = _write(tmp_path, f"""
+[model]
+preset = logistic
+
+[montecarlo]
+seed = 1
+
+[bd]
+{key} = {value}
+""")
+    assert main(["bd", path, "--output-dir", str(out), "--quick"]) == 2
     assert not out.exists()
 
 
