@@ -14,7 +14,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import rng
-from .errors import DomainError, PreconditionError, TruncationError
+from .errors import (DomainError, PreconditionError, TailDominatedError,
+                     TruncationError)
 from .model import preset_model, x_from_z, z_from_x
 from .quadrature import classify_growth
 from .spectral import (TruncationDomain, build_and_solve,
@@ -352,7 +353,8 @@ def _diffusion_cdf(kind, params, z0, t, z_max):
     2 gamma.  One solve (sqrt grid, 4096 nodes, 64 modes) on (1e-3,
     x(z_max)) gives S(t) and the conditional law; the law at t is the
     atom 1 - S(t) at 0 plus S(t) times that law, mapped to z.  A t below
-    the solve's t_min raises TailDominatedError.
+    the solve's t_min raises TailDominatedError; K is fixed here, so the
+    only remedy is a later t.
     """
     p = dict(params)
     noise = 2.0 * float(p.get("gamma", 1.0))
@@ -362,8 +364,12 @@ def _diffusion_cdf(kind, params, z0, t, z_max):
         {"logistic_branching": "logistic", "pure_branching": "linear"}[kind],
         "growth", {"r": float(p.get("lam", 1.0)) - float(p.get("mu", 1.0)),
                    "c": float(p.get("c", 1.0)), "gamma": noise})
-    law = conditional_density(build_and_solve(model.drift, box, K=_REF_K),
-                              t, x_from_z(z0, noise))
+    sd = build_and_solve(model.drift, box, K=_REF_K)
+    try:
+        law = conditional_density(sd, t, x_from_z(z0, noise))
+    except TailDominatedError as exc:
+        raise TailDominatedError(exc.t, exc.t_min, exc.K,
+                                 "use t >= t_min") from None
     S, zs = law.survival, z_from_x(law.grid, noise)
     return lambda z: 1.0 - S + S * np.interp(z, zs, law.cdf, left=0.0)
 

@@ -282,6 +282,7 @@ def _cmd_simulate(args, cfg, out_dir, rep, stage):
     rep.scalars["n_paths"] = batch.n_paths
     rep.scalars["absorbed_fraction"] = frac_absorbed
     rep.scalars["survivors_at_t_max"] = int(law.n_survivors)
+    rep.scalars.update(batch.events)
     try:
         est = estimate_lambda1(batch, _lambda_window(cfg))
         rep.scalars["lambda1_hat"] = est.rate
@@ -313,6 +314,7 @@ def _cmd_qprocess(args, cfg, out_dir, rep, stage):
 
     rep.scalars["n_paths"] = batch.n_paths
     rep.scalars["ks_vs_stationary"] = ks_distance(law, stat_cdf)
+    rep.scalars.update(batch.events)
 
 
 def _cmd_bd(args, cfg, out_dir, rep, stage):
@@ -385,6 +387,7 @@ def _cmd_compare(args, cfg, out_dir, rep, stage):
     except PreconditionError as exc:
         rep.messages.append(f"decay-rate estimate unavailable: {exc}")
     rep.scalars["survivors_at_t_max"] = int(law.n_survivors)
+    rep.scalars.update(batch.events)
 
 
 _HANDLERS = {

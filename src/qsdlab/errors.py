@@ -28,16 +28,18 @@ class TruncationError(QsdError):
 class TailDominatedError(QsdError):
     """Requested time too small for the truncated spectral sum.
 
-    Carries t_min, the smallest admissible time for the decomposition.
+    Carries t_min, the smallest admissible time for the decomposition,
+    and ends its message with advice the caller can act on.
     """
 
-    def __init__(self, t, t_min, K):
+    def __init__(self, t, t_min, K,
+                 advice="increase K or evaluate at a larger time"):
         self.t = t
         self.t_min = t_min
         self.K = K
         super().__init__(
             f"t={t:g} is below t_min={t_min:g} for K={K} retained modes; "
-            f"increase K or evaluate at a larger time"
+            f"{advice}"
         )
 
 

@@ -22,6 +22,12 @@ from .quadrature import QuadratureSpec, integrate
 from .spectral import SpectralDecomposition, YaglomMeasure
 
 _CHUNK = 512              # steps drawn per RNG refill
+# exp(-2 y / dt) underflows to exactly 0.0 once y >= 373 dt (the bound is
+# 372.57 dt), so no crossing test is needed past it
+_CROSS_SKIP = 373.0
+# the step events _euler_paths counts, one int each
+PATH_EVENTS = ("landings", "non_finite_steps", "crossing_kills",
+               "reflections")
 
 
 # ---------------------------------------------------------------------------
@@ -75,13 +81,16 @@ class PathBatch:
 
     states holds the recorded positions, one row per path, frozen at 0
     from absorption onward.  T0 is the per-path absorption time with an
-    infinity sentinel for paths still alive at t_max.
+    infinity sentinel for paths still alive at t_max.  events counts the
+    steps that ended a path (landings, non-finite steps, crossing-test
+    kills) and the reflections, by the names in PATH_EVENTS.
     """
 
     scheme: str
     times: np.ndarray
     states: np.ndarray
     T0: np.ndarray
+    events: dict
 
     @property
     def n_paths(self):
@@ -145,7 +154,8 @@ def _euler_paths(v, x0, cfg, edges=None):
     the pinned-path crossing probability exp(-2 (x - d)(x' - d)/dt) for
     steps that stay above it.  With edges (lo, hi) the paths live forever
     and excursions past an edge are mirrored back inside.  Returns the
-    read-only (times, states, T0) and the number of reflections.
+    read-only (times, states, T0) and the step events counted by name
+    (PATH_EVENTS).
     """
     cfg.validate()
     try:
@@ -166,27 +176,33 @@ def _euler_paths(v, x0, cfg, edges=None):
     times = rec_steps * cfg.dt
     states = np.zeros((cfg.n_paths, len(rec_steps)))
     T0 = np.full(cfg.n_paths, np.inf)
-    reflections = 0
+    events = dict.fromkeys(PATH_EVENTS, 0)
     for lo in range(0, cfg.n_paths, cfg.block_size):
         hi = min(lo + cfg.block_size, cfg.n_paths)
-        reflections += _march_block(v, x0[lo:hi], lo, cfg, edges, rec_steps,
-                                    states[lo:hi], T0[lo:hi])
+        _march_block(v, x0[lo:hi], lo, cfg, edges, rec_steps,
+                     states[lo:hi], T0[lo:hi], events)
     for arr in (times, states, T0):
         arr.setflags(write=False)
-    return times, states, T0, reflections
+    return times, states, T0, events
 
 
-def _march_block(v, x0, first, cfg, edges, rec_steps, states, T0):
+@np.errstate(all="ignore")
+def _march_block(v, x0, first, cfg, edges, rec_steps, states, T0, events):
     """Step paths first, first + 1, ... into their rows of states and T0.
 
-    Only live paths are stepped and refilled: ids lists them (row in the
-    block) and x holds their states.  A dead path's stream is never read
+    Each refill draws the next chunk of steps for the live paths only:
+    ids lists them (row in the block) and x holds their states, one lane
+    each.  A path that dies inside a chunk keeps its lane until the next
+    refill, held at its last live state behind the dead mask, so v only
+    ever sees states a live path had.  A dead path's stream is never read
     again, so dropping it leaves every other path's draws unchanged.
-    Returns the number of reflections.
+    Floating-point warnings are off: a step that overflows is a
+    non-finite step.  Adds the block's step events to the events counts.
     """
     dt, delta, k = cfg.dt, cfg.absorb_threshold, cfg.crn_substeps
     sqdt, sqk = np.sqrt(dt), np.sqrt(float(k))
     bridge = edges is None and cfg.bridge_correction
+    near = _CROSS_SKIP * dt
     B = len(x0)
     gens = [rng.stream(cfg.seed, first + i) for i in range(B)]
     ugens = ([rng.stream(cfg.seed, first + i, rng.UNIFORM) for i in range(B)]
@@ -196,11 +212,16 @@ def _march_block(v, x0, first, cfg, edges, rec_steps, states, T0):
 
     ids = np.arange(B)
     x = np.array(x0, dtype=float)
+    dead = np.zeros(B, dtype=bool)
+    n_dead = 0
     states[:, 0] = x
     rp = 1
-    reflections = 0
     n_steps = int(rec_steps[-1])
     for start in range(0, n_steps, _CHUNK):
+        if n_dead:
+            live = ~dead
+            ids, x, dead = ids[live], x[live], dead[live]
+            n_dead = 0
         m = min(_CHUNK, n_steps - start)
         n = len(ids)
         for r, i in enumerate(ids):
@@ -208,51 +229,65 @@ def _march_block(v, x0, first, cfg, edges, rec_steps, states, T0):
             if bridge:
                 ugens[i].random(out=unif[r, :m])
         noise = (raw[:n, :m * k].reshape(n, m, k).sum(axis=2) / sqk
-                 if k > 1 else raw)
-        row = np.arange(n)                 # each live path's buffer row
+                 if k > 1 else raw[:n, :m])
+        noise *= sqdt
         for j in range(m):
             s = start + j
-            with np.errstate(all="ignore"):
-                xn = x + v(x) * dt + sqdt * noise[row, j]
+            xn = x + v(x) * dt + noise[:, j]
             if edges is None:
+                if n_dead:
+                    np.copyto(xn, x, where=dead)
                 t = s * dt
                 bad = ~np.isfinite(xn)
-                hit = (xn <= delta) & ~bad
-                dead = hit | bad
-                if np.any(bad):
-                    T0[ids[bad]] = t + 0.5 * dt
-                if np.any(hit):
-                    frac = (x[hit] - delta) / np.maximum(x[hit] - xn[hit],
-                                                         1e-300)
-                    T0[ids[hit]] = t + dt * np.clip(frac, 0.0, 1.0)
+                hit = xn <= delta
+                gone = []
+                if bad.any():
+                    hit &= ~bad
+                    lanes = np.flatnonzero(bad)
+                    T0[ids[lanes]] = t + 0.5 * dt
+                    events["non_finite_steps"] += lanes.size
+                    gone.append(lanes)
+                if hit.any():
+                    lanes = np.flatnonzero(hit)
+                    frac = (x[lanes] - delta) / np.maximum(
+                        x[lanes] - xn[lanes], 1e-300)
+                    T0[ids[lanes]] = t + dt * np.clip(frac, 0.0, 1.0)
+                    events["landings"] += lanes.size
+                    gone.append(lanes)
                 if bridge:
-                    open_ = np.nonzero(~dead)[0]
-                    # crossing probability for a pinned Brownian path
-                    pcross = np.exp(-2.0 * (x[open_] - delta)
-                                    * (xn[open_] - delta) / dt)
-                    bhit = open_[unif[row[open_], j] < pcross]
-                    if bhit.size:
-                        T0[ids[bhit]] = t + 0.5 * dt
-                        dead[bhit] = True
-                if np.any(dead):
-                    live = ~dead
-                    ids, row, xn = ids[live], row[live], xn[live]
-                    if not ids.size:
-                        return reflections
+                    # the crossing probability underflows to exactly 0.0,
+                    # which no uniform undercuts, unless the step is near
+                    lanes = np.flatnonzero((x - delta) * (xn - delta) < near)
+                    lanes = lanes[~(dead[lanes] | bad[lanes] | hit[lanes])]
+                    if lanes.size:
+                        # crossing probability for a pinned Brownian path
+                        pcross = np.exp(-2.0 * (x[lanes] - delta)
+                                        * (xn[lanes] - delta) / dt)
+                        lanes = lanes[unif[lanes, j] < pcross]
+                        if lanes.size:
+                            T0[ids[lanes]] = t + 0.5 * dt
+                            events["crossing_kills"] += lanes.size
+                            gone.append(lanes)
+                if gone:
+                    lanes = np.concatenate(gone)
+                    xn[lanes] = x[lanes]
+                    dead[lanes] = True
+                    n_dead += lanes.size
+                    if n_dead == n:
+                        return
             else:
                 out_lo = xn < edges[0]
                 out_hi = xn > edges[1]
                 if np.any(out_lo) or np.any(out_hi):
-                    reflections += int(np.count_nonzero(out_lo)
-                                       + np.count_nonzero(out_hi))
+                    events["reflections"] += int(np.count_nonzero(out_lo)
+                                                 + np.count_nonzero(out_hi))
                     xn[out_lo] = 2.0 * edges[0] - xn[out_lo]
                     xn[out_hi] = 2.0 * edges[1] - xn[out_hi]
                     np.clip(xn, edges[0], edges[1], out=xn)
             x = xn
             if rec_steps[rp] == s + 1:
-                states[ids, rp] = x
+                states[ids[~dead], rp] = x[~dead]
                 rp += 1
-    return reflections
 
 
 def simulate_x(d: DriftField, x0, cfg: SimConfig) -> PathBatch:
@@ -266,7 +301,7 @@ def simulate_x(d: DriftField, x0, cfg: SimConfig) -> PathBatch:
     ensemble bit for bit regardless of blocking: every path owns
     counter-based substreams keyed by (seed, path index).
     """
-    times, states, T0, _ = _euler_paths(
+    times, states, T0, events = _euler_paths(
         lambda x: -np.asarray(d.q(x), dtype=float), x0, cfg)
     censored = np.mean(~np.isfinite(T0))
     if censored > 0.9:
@@ -274,7 +309,8 @@ def simulate_x(d: DriftField, x0, cfg: SimConfig) -> PathBatch:
             f"{100 * censored:.0f}% of paths were still alive at t_max; "
             "absorption statistics will be censoring-dominated",
             stacklevel=2)
-    return PathBatch(scheme="em-x", times=times, states=states, T0=T0)
+    return PathBatch(scheme="em-x", times=times, states=states, T0=T0,
+                     events=events)
 
 
 def simulate_z(g: GrowthModel, z0, cfg: SimConfig) -> PathBatch:
@@ -298,14 +334,15 @@ def simulate_z(g: GrowthModel, z0, cfg: SimConfig) -> PathBatch:
         T0 = np.zeros(cfg.n_paths)
         for arr in (states, T0, times):
             arr.setflags(write=False)
-        return PathBatch(scheme="em-z", times=times, states=states, T0=T0)
+        return PathBatch(scheme="em-z", times=times, states=states, T0=T0,
+                         events=dict.fromkeys(PATH_EVENTS, 0))
 
     d = drift_from_growth(g)
     batch = simulate_x(d, x_from_z(z0, g.gamma), cfg)
     zstates = z_from_x(batch.states, g.gamma)
     zstates.setflags(write=False)
     return PathBatch(scheme="em-z", times=batch.times, states=zstates,
-                     T0=batch.T0)
+                     T0=batch.T0, events=batch.events)
 
 
 # ---------------------------------------------------------------------------
@@ -414,17 +451,40 @@ def simulate_qprocess(d: DriftField, s: SpectralDecomposition, x0,
     never absorbed; excursions past the spectral grid are reflected.
     """
     logeta = 0.5 * s.Qgrid + np.log(np.maximum(np.abs(s.psis[:, 0]), 1e-280))
-    dlog = PchipInterpolator(s.grid, logeta).derivative()
+    dlog = _located(PchipInterpolator(s.grid, logeta).derivative(), s.domain)
 
     def v(x):
         return -np.asarray(d.q(x), dtype=float) + dlog(x)
 
-    times, states, T0, reflections = _euler_paths(
+    times, states, T0, events = _euler_paths(
         v, x0, cfg, edges=(float(s.grid[0]), float(s.grid[-1])))
-    if reflections:
-        warnings.warn(f"{reflections} excursions were reflected at the "
-                      "spectral-grid edges", stacklevel=2)
-    return PathBatch(scheme="qprocess", times=times, states=states, T0=T0)
+    if events["reflections"]:
+        warnings.warn(f"{events['reflections']} excursions were reflected "
+                      "at the spectral-grid edges", stacklevel=2)
+    return PathBatch(scheme="qprocess", times=times, states=states, T0=T0,
+                     events=events)
+
+
+def _located(pp, domain):
+    """The piecewise quadratic pp on domain's interior nodes as a callable
+    that returns exactly what pp(x) does.
+
+    The piece comes from inverting the grid map plus one step against the
+    breakpoints, not from a binary search; outside the nodes the end
+    pieces extrapolate, and the value is summed in PPoly's order.
+    """
+    bp = pp.x
+    c0, c1, c2 = pp.c
+    c2 = 0.0 + c2                  # PPoly's sum starts at 0.0 (-0.0 -> 0.0)
+    last = len(bp) - 2
+
+    def f(x):
+        i = np.fmin(np.fmax(domain.node_position(x) - 1.0, 0.0),
+                    last).astype(np.intp)
+        i = np.clip(i + (x >= bp[i + 1]) - (x < bp[i]), 0, last)
+        s = x - bp[i]
+        return (c2[i] + c1[i] * s) + c0[i] * (s * s)
+    return f
 
 
 # ---------------------------------------------------------------------------

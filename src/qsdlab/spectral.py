@@ -80,6 +80,15 @@ class TruncationDomain:
             return self.x_min + (v * v - s)
         return self.x_min + (self.x_max - self.x_min) * u
 
+    def node_position(self, x):
+        """Fractional index of x among full_grid's n+2 nodes: the grid map
+        inverted, up to rounding."""
+        scale = self.n + 1
+        if self.grid_kind == "sqrt":
+            lo, hi = np.sqrt(self.x_min), np.sqrt(self.x_max)
+            return (np.sqrt(x) - lo) * (scale / (hi - lo))
+        return (x - self.x_min) * (scale / (self.x_max - self.x_min))
+
 
 def default_domain(d: DriftField, n: int = 2048, x_min: float = 1e-3) -> TruncationDomain:
     """Pick a box large enough that the confinement wall dwarfs the low modes."""

@@ -119,6 +119,7 @@ def test_compare_quick(tmp_path):
         rep = json.load(fh)
     assert float(rep["scalars"]["ks_distance"]) < 0.05
     assert float(rep["scalars"]["lambda1_rel_gap"]) < 0.05
+    assert rep["scalars"]["landings"] > 0
     header, _ = _read_csv(out, "compare.csv")
     assert header[0] == "bin_lo"
 
@@ -247,6 +248,41 @@ def test_refused_run_writes_its_report(tmp_path, capsys):
     assert rep["failure"]["stage"] == "kernel slice"
     assert rep["failure"]["type"] == "TailDominatedError"
     assert rep["failure"]["message"] in capsys.readouterr().err
+
+
+def test_bd_below_t_min_asks_for_a_later_time(tmp_path, capsys):
+    # C11's family at t = 0.01: the diffusion reference's K is fixed, so
+    # the refusal may only ask for a later t
+    with open(_cfg("logistic"), encoding="utf-8") as fh:
+        text = fh.read()
+    text = text.replace("lam = 2.0", "lam = 1.0").replace(
+        "t = 1.0", "t = 0.01")
+    out = str(tmp_path / "out")
+    assert main(["bd", _write(tmp_path, text), "--output-dir", out,
+                 "--quick"]) == 4
+    failure = _report(out)["failure"]
+    assert failure["type"] == "TailDominatedError"
+    assert "t_min" in failure["message"]
+    assert "increase K" not in failure["message"]
+    assert failure["message"] in capsys.readouterr().err
+
+
+def test_path_event_scalars(tmp_path):
+    # the report counts the steps that ended a path, and the reflections
+    for command in ("simulate", "qprocess"):
+        out = str(tmp_path / command)
+        assert main([command, _cfg("ou"), "--output-dir", out,
+                     "--quick"]) == 0
+        sc = _report(out)["scalars"]
+        absorbed = (sc["landings"] + sc["non_finite_steps"]
+                    + sc["crossing_kills"])
+        _, rows = _read_csv(out, "paths_summary.csv")
+        assert absorbed == sum(row[2] == "0" for row in rows)
+        if command == "qprocess":
+            assert absorbed == 0 and sc["reflections"] > 0
+        else:
+            assert sc["landings"] > 0 and sc["crossing_kills"] > 0
+            assert sc["reflections"] == 0
 
 
 def test_internal_error_writes_its_report(tmp_path, monkeypatch):

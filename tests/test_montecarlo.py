@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 from scipy.special import erf
 
 from qsdlab import (DomainError, DriftField, PreconditionError, SimConfig,
                     condition_on_extinction, conditional_histogram,
                     drift_field, estimate_lambda1, ks_distance,
-                    linear_growth, ou_drift, sample_yaglom,
+                    linear_growth, ou_drift, rng, sample_yaglom,
                     simulate_qprocess, simulate_x, simulate_z, yaglom_cdf)
+from qsdlab.montecarlo import PATH_EVENTS, _CHUNK, _located, _record_steps
 
 
 def _free_drift():
@@ -24,6 +26,174 @@ def _wall_drift():
         return np.where(x > 10.0, np.inf, x)
     return DriftField(q=q, q_prime=None, Q=None, C=0.0, origin_exponent=None,
                       name="wall")
+
+
+# the per-step-compacting stepper the engine replaced, kept verbatim: the
+# engine must reproduce its every state and absorption time bit for bit
+def _reference_march(v, x0, first, cfg, edges, rec_steps, states, T0):
+    """Step paths first, first + 1, ... into their rows of states and T0.
+
+    Only live paths are stepped and refilled: ids lists them (row in the
+    block) and x holds their states.  A dead path's stream is never read
+    again, so dropping it leaves every other path's draws unchanged.
+    Returns the number of reflections.
+    """
+    dt, delta, k = cfg.dt, cfg.absorb_threshold, cfg.crn_substeps
+    sqdt, sqk = np.sqrt(dt), np.sqrt(float(k))
+    bridge = edges is None and cfg.bridge_correction
+    B = len(x0)
+    gens = [rng.stream(cfg.seed, first + i) for i in range(B)]
+    ugens = ([rng.stream(cfg.seed, first + i, rng.UNIFORM) for i in range(B)]
+             if bridge else None)
+    raw = np.empty((B, _CHUNK * k))
+    unif = np.empty((B, _CHUNK)) if bridge else None
+
+    ids = np.arange(B)
+    x = np.array(x0, dtype=float)
+    states[:, 0] = x
+    rp = 1
+    reflections = 0
+    n_steps = int(rec_steps[-1])
+    for start in range(0, n_steps, _CHUNK):
+        m = min(_CHUNK, n_steps - start)
+        n = len(ids)
+        for r, i in enumerate(ids):
+            gens[i].standard_normal(out=raw[r, :m * k])
+            if bridge:
+                ugens[i].random(out=unif[r, :m])
+        noise = (raw[:n, :m * k].reshape(n, m, k).sum(axis=2) / sqk
+                 if k > 1 else raw)
+        row = np.arange(n)                 # each live path's buffer row
+        for j in range(m):
+            s = start + j
+            with np.errstate(all="ignore"):
+                xn = x + v(x) * dt + sqdt * noise[row, j]
+            if edges is None:
+                t = s * dt
+                bad = ~np.isfinite(xn)
+                hit = (xn <= delta) & ~bad
+                dead = hit | bad
+                if np.any(bad):
+                    T0[ids[bad]] = t + 0.5 * dt
+                if np.any(hit):
+                    frac = (x[hit] - delta) / np.maximum(x[hit] - xn[hit],
+                                                         1e-300)
+                    T0[ids[hit]] = t + dt * np.clip(frac, 0.0, 1.0)
+                if bridge:
+                    open_ = np.nonzero(~dead)[0]
+                    # crossing probability for a pinned Brownian path
+                    pcross = np.exp(-2.0 * (x[open_] - delta)
+                                    * (xn[open_] - delta) / dt)
+                    bhit = open_[unif[row[open_], j] < pcross]
+                    if bhit.size:
+                        T0[ids[bhit]] = t + 0.5 * dt
+                        dead[bhit] = True
+                if np.any(dead):
+                    live = ~dead
+                    ids, row, xn = ids[live], row[live], xn[live]
+                    if not ids.size:
+                        return reflections
+            else:
+                out_lo = xn < edges[0]
+                out_hi = xn > edges[1]
+                if np.any(out_lo) or np.any(out_hi):
+                    reflections += int(np.count_nonzero(out_lo)
+                                       + np.count_nonzero(out_hi))
+                    xn[out_lo] = 2.0 * edges[0] - xn[out_lo]
+                    xn[out_hi] = 2.0 * edges[1] - xn[out_hi]
+                    np.clip(xn, edges[0], edges[1], out=xn)
+            x = xn
+            if rec_steps[rp] == s + 1:
+                states[ids, rp] = x
+                rp += 1
+    return reflections
+
+
+def _reference_paths(v, x0, cfg, edges=None):
+    rec_steps = _record_steps(cfg)
+    x0 = np.broadcast_to(np.asarray(x0, dtype=float), (cfg.n_paths,))
+    states = np.zeros((cfg.n_paths, len(rec_steps)))
+    T0 = np.full(cfg.n_paths, np.inf)
+    reflections = 0
+    for lo in range(0, cfg.n_paths, cfg.block_size):
+        hi = min(lo + cfg.block_size, cfg.n_paths)
+        reflections += _reference_march(v, x0[lo:hi], lo, cfg, edges,
+                                        rec_steps, states[lo:hi], T0[lo:hi])
+    return states, T0, reflections
+
+
+def _pchip_drift(sd):
+    logeta = 0.5 * sd.Qgrid + np.log(np.maximum(np.abs(sd.psis[:, 0]),
+                                                1e-280))
+    return PchipInterpolator(sd.grid, logeta).derivative()
+
+
+# OU from x0 = 0.05: paths land and fail the crossing test mid-chunk, and
+# t_max = 1.2 at dt = 1e-3 takes two refills
+_NEAR = dict(dt=1e-3, t_max=1.2, n_paths=60, seed=3)
+
+
+@pytest.mark.parametrize("drift, x0, extra", [
+    pytest.param(ou_drift(1.0), 0.05, {}, id="ou-near"),
+    pytest.param(ou_drift(1.0), 0.05, {"block_size": 1}, id="block-1"),
+    pytest.param(ou_drift(1.0), 0.05, {"block_size": 7}, id="block-7"),
+    pytest.param(ou_drift(1.0), 0.05, {"n_paths": 5000}, id="block-4096"),
+    pytest.param(ou_drift(1.0), 0.05, {"crn_substeps": 2}, id="crn2"),
+    pytest.param(ou_drift(1.0), 0.05, {"bridge_correction": False},
+                 id="no-bridge"),
+    pytest.param(_wall_drift(), np.r_[10.5, 9.99, np.full(58, 1.5)], {},
+                 id="wall"),
+])
+def test_engine_matches_reference_stepper(drift, x0, extra):
+    cfg = SimConfig(**{**_NEAR, **extra})
+    assert _record_steps(cfg)[-1] > 2 * _CHUNK
+    b = simulate_x(drift, x0, cfg)
+    states, T0, _ = _reference_paths(
+        lambda x: -np.asarray(drift.q(x), dtype=float), x0, cfg)
+    assert np.array_equal(b.T0, T0)
+    assert np.array_equal(b.states, states)
+    # paths die after a refill, and some outlive t_max
+    assert np.any(np.isfinite(T0) & (T0 > _CHUNK * cfg.dt))
+    assert np.any(np.isinf(T0))
+
+
+def test_qprocess_matches_reference_stepper(logistic_sd):
+    cfg = SimConfig(dt=1e-2, t_max=12.0, n_paths=400, seed=5)
+    sd = logistic_sd
+    with pytest.warns(UserWarning, match="reflected"):
+        b = simulate_qprocess(sd.drift, sd, 0.05, cfg)
+    dlog = _pchip_drift(sd)
+    states, T0, reflections = _reference_paths(
+        lambda x: -np.asarray(sd.drift.q(x), dtype=float) + dlog(x), 0.05,
+        cfg, edges=(float(sd.grid[0]), float(sd.grid[-1])))
+    assert reflections > 0
+    assert b.events["reflections"] == reflections
+    assert np.array_equal(b.T0, T0)
+    assert np.array_equal(b.states, states)
+
+
+@pytest.mark.parametrize("sd_name", ["logistic_sd", "ou_sd"])
+def test_located_drift_equals_pchip_derivative(sd_name, request):
+    sd = request.getfixturevalue(sd_name)
+    pp = _pchip_drift(sd)
+    g = sd.grid
+    xs = np.concatenate([
+        g, np.nextafter(g, -np.inf), np.nextafter(g, np.inf),
+        np.random.default_rng(7).uniform(g[0], g[-1], 100000),
+        [sd.domain.x_min, sd.domain.x_max]])
+    assert np.array_equal(_located(pp, sd.domain)(xs), pp(xs))
+
+
+def test_path_event_counts():
+    cfg = SimConfig(**_NEAR)
+    b = simulate_x(_wall_drift(), np.r_[10.5, np.full(59, 0.05)], cfg)
+    absorbed = [b.events[name] for name in PATH_EVENTS[:3]]
+    assert sum(absorbed) == np.count_nonzero(np.isfinite(b.T0))
+    assert min(absorbed) > 0 and b.events["reflections"] == 0
+    plain = simulate_x(ou_drift(1.0), 0.05,
+                       SimConfig(bridge_correction=False, **_NEAR))
+    assert plain.events["crossing_kills"] == 0
+    assert plain.events["landings"] == np.count_nonzero(np.isfinite(plain.T0))
 
 
 @pytest.mark.parametrize("engine, crn_substeps", [
