@@ -6,54 +6,64 @@ manifest of everything written, which is what the reproducibility tests
 diff against.
 """
 
-import csv
 import hashlib
 import json
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-_BLOCK = 1024          # rows formatted and written at a time
+_BLOCK = 256           # rows formatted and written by one % operation
+
+# cell formats by dtype kind: floats at round-trip precision, integers
+# and booleans as decimals; any other kind is text
+_FORMAT = {"f": "%.17g", "b": "%d", "i": "%d", "u": "%d"}
 
 
-def file_sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _cell_format(col):
-    """A column's cell formatter, picked once from its dtype: floats at
-    round-trip precision, integers and booleans as decimals, anything
-    else as text (which the csv writer quotes where needed)."""
-    if col.dtype.kind == "f":
-        return "%.17g".__mod__
-    if col.dtype.kind in "biu":
-        return "%d".__mod__
-    return str
+def _csv_text(value, alone):
+    """One text cell as the csv module's minimal quoting writes it with
+    an LF line end: quoted where it holds a comma, a quote or a line
+    feed, and as "" where it is the row's only, empty cell."""
+    text = str(value)
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text or ('""' if alone else "")
 
 
 def write_csv(path, header, columns):
     """Write one artifact from one equal-length 1-D column per header
-    name, in blocks of _BLOCK rows; returns its content hash."""
+    name; returns its content hash.
+
+    One row template, picked once from the column dtypes, formats each
+    block of _BLOCK rows in a single % operation; text cells enter it
+    pre-quoted through %s, so no cell is ever read as a format."""
     columns = [np.asarray(c) for c in columns]
     n = len(columns[0]) if columns else 0
     if len(columns) != len(header) or any(
             c.ndim != 1 or len(c) != n for c in columns):
         raise ValueError(f"{os.path.basename(path)}: expected "
                          f"{len(header)} 1-D columns of equal length")
-    cells = [_cell_format(c) for c in columns]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
+    alone = len(columns) == 1
+    fmts = [_FORMAT.get(c.dtype.kind, "%s") for c in columns]
+    texts = [j for j, f in enumerate(fmts) if f == "%s"]
+    row = ",".join(fmts) + "\n"
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        def emit(text):
+            data = text.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+
+        emit(",".join(_csv_text(h, alone) for h in header) + "\n")
         for lo in range(0, n, _BLOCK):
-            w.writerows(zip(*(map(f, c[lo:lo + _BLOCK].tolist())
-                              for f, c in zip(cells, columns))))
-    return file_sha256(path)
+            cells = [c[lo:lo + _BLOCK].tolist() for c in columns]
+            for j in texts:
+                cells[j] = [_csv_text(v, alone) for v in cells[j]]
+            emit((row * len(cells[0]))
+                 % tuple(chain.from_iterable(zip(*cells))))
+    return digest.hexdigest()
 
 
 @dataclass
@@ -67,13 +77,14 @@ class RunReport:
     seed: object = None
     thread_cap: object = None     # QSD_NUM_THREADS as applied; None: unset
     scalars: dict = field(default_factory=dict)
-    files: list = field(default_factory=list)      # (name, sha256)
+    files: list = field(default_factory=list)   # (name, sha256, bytes)
     messages: list = field(default_factory=list)
     failure: object = None        # {stage, type, message} of a failed run
 
     def add_file(self, out_dir, name, header, columns):
-        digest = write_csv(os.path.join(out_dir, name), header, columns)
-        self.files.append((name, digest))
+        path = os.path.join(out_dir, name)
+        digest = write_csv(path, header, columns)
+        self.files.append((name, digest, os.path.getsize(path)))
         return digest
 
     def render_text(self):
@@ -90,7 +101,7 @@ class RunReport:
             lines.append(f"  note: {msg}")
         if self.files:
             lines.append("  files:")
-            for name, digest in self.files:
+            for name, digest, _ in self.files:
                 lines.append(f"    {name}  sha256={digest[:16]}…")
         return "\n".join(lines)
 
@@ -112,7 +123,8 @@ class RunReport:
             "seed": self.seed,
             "thread_cap": self.thread_cap,
             "scalars": scalars,
-            "files": [{"name": n, "sha256": d} for n, d in self.files],
+            "files": [{"name": n, "sha256": d, "bytes": b}
+                      for n, d, b in self.files],
             "messages": messages,
         }
         if self.failure is not None:

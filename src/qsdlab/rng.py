@@ -9,15 +9,34 @@ draws.
 """
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 _MASK64 = (1 << 64) - 1
 
 UNIFORM = 1 << 62          # counter region of the crossing-test uniforms
 
 
+class _Key(ISeedSequence):
+    """Hands Philox the key words set just before it is built, so no
+    OS-entropy SeedSequence is drawn for a generator whose key is given.
+    One shared holder: a generator copies the words when it is built
+    and never asks its seed sequence again."""
+
+    def __init__(self):
+        self.words = np.zeros(2, dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+_KEY = _Key()
+
+
 def stream(seed, index, region=0):
-    """Generator keyed by (seed, index), its counter at the region start."""
-    key = ((int(seed) & _MASK64) << 64) | (int(index) & _MASK64)
+    """Generator keyed by (seed, index), its counter at the region start;
+    the draws of Philox(key=(seed << 64) | index)."""
+    _KEY.words[0] = int(index) & _MASK64
+    _KEY.words[1] = int(seed) & _MASK64
     counter = np.zeros(4, dtype=np.uint64)
     counter[3] = region
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+    return np.random.Generator(np.random.Philox(_KEY, counter=counter))

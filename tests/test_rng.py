@@ -1,0 +1,34 @@
+"""Counter-based streams: the keyed Philox draws, built without entropy."""
+
+import random
+
+import numpy as np
+import pytest
+
+from qsdlab import rng
+
+_MASK64 = (1 << 64) - 1
+
+
+@pytest.mark.parametrize("seed", [0, -1, 2**64 + 5])
+@pytest.mark.parametrize("index", [0, 2**63 + 1])
+@pytest.mark.parametrize("region", [0, rng.UNIFORM])
+def test_stream_draws_are_the_keyed_philox_draws(seed, index, region):
+    counter = np.zeros(4, dtype=np.uint64)
+    counter[3] = region
+    key = ((seed & _MASK64) << 64) | index
+    ref = np.random.Generator(np.random.Philox(key=key, counter=counter))
+    gen = rng.stream(seed, index, region)
+    assert np.array_equal(gen.standard_normal(1000),
+                          ref.standard_normal(1000))
+    assert np.array_equal(gen.random(1000), ref.random(1000))
+
+
+def test_stream_draws_no_os_entropy(monkeypatch):
+    def refuse(n):
+        raise AssertionError("OS entropy drawn")
+
+    monkeypatch.setattr(random, "_urandom", refuse)
+    first = rng.stream(3, 7).standard_normal(5)
+    rng.stream(4, 8)               # another key in between changes nothing
+    assert np.array_equal(rng.stream(3, 7).standard_normal(5), first)
