@@ -11,10 +11,10 @@ from .errors import (ConfigError, DomainError, IntegrabilityError,
                      ModelError, PreconditionError, QsdError,
                      SurvivalUnderflowError, TailDominatedError,
                      TruncationError)
-from .model import (DriftField, GrowthModel, Model, ScaleFunctions,
-                    allee_growth, drift_field, drift_from_growth,
-                    linear_growth, logistic_growth, ou_drift, potential,
-                    preset_model, scale_functions, x_from_z, z_from_x)
+from .model import (DriftField, GrowthModel, Model, allee_growth,
+                    drift_field, drift_from_growth, linear_growth,
+                    logistic_growth, ou_drift, potential, preset_model,
+                    x_from_z, z_from_x)
 from .quadrature import IntegralVerdict, QuadratureSpec, classify_growth, \
     integrate
 from .hypotheses import (HypothesisCheck, HypothesisReport, check_all,
@@ -30,11 +30,10 @@ from .spectral import (SpectralDecomposition, TruncationDomain,
 from .montecarlo import (ConditionedGrowth, EmpiricalLaw, LambdaEstimate,
                          PathBatch, SimConfig, condition_on_extinction,
                          conditional_histogram, estimate_lambda1,
-                         ks_distance, sample_yaglom, simulate_qprocess,
-                         simulate_x, simulate_z, yaglom_cdf)
-from .birthdeath import (BDChainSpec, BDModel, BDPath, DeterministicReport,
-                         ScalingReport, SCriterionReport,
-                         deterministic_limit_check, gillespie, lattice_law,
+                         ks_distance, simulate_qprocess, simulate_x,
+                         simulate_z, yaglom_cdf)
+from .birthdeath import (BDChainSpec, BDModel, BDPath, ScalingReport,
+                         SCriterionReport, gillespie, lattice_law,
                          preset_chain, preset_family, s_criterion,
                          scaling_limit_check)
 from .config import RunConfig, load_config

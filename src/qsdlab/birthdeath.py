@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import rng
 from .errors import (DomainError, PreconditionError, TailDominatedError,
@@ -149,6 +148,8 @@ class BDPath:
 
 
 def _snap_count(z0, N):
+    if not np.isfinite(z0):
+        raise DomainError(f"z0={z0!r} must be finite")
     n0 = float(np.rint(z0 * N))
     if abs(z0 * N - n0) > 1e-6:
         raise DomainError(f"z0={z0!r} is not on the lattice of counts "
@@ -161,114 +162,59 @@ def _snap_count(z0, N):
 def gillespie(m: BDModel, z0, t_max, seed, replica=0) -> BDPath:
     """Exact jump-chain trajectory from lattice state z0 up to t_max.
 
-    One replica of the lockstep sampler, with its event log kept, so a
-    batch run and a rerun of the same replica agree event for event.
-    """
-    events = []
-    _, T0, _ = _gillespie_batch(m, z0, t_max, 1, seed, first=replica,
-                                log=events)
-    times, counts = events[0]
-    return BDPath(times=times, counts=counts, states=counts / m.N,
-                  T0=float(T0[0]), N=m.N)
-
-
-def _gillespie_batch(m: BDModel, z0, t_max, n_reps, seed, record_ts=None,
-                     first=0, log=None):
-    """March replicas first .. first + n_reps - 1 in lockstep.
-
     Waiting times are exponential with the total rate at the current
     count; a uniform then picks birth against death.  Absorption at 0 is
-    permanent.  Replica j draws from stream (seed, j), so results do not
-    depend on which replicas share a batch.  Returns (final_counts, T0,
-    recorded), where recorded is the pre-crossing count at every
-    requested record time (or None).  When log is a list, one
-    (times, counts) pair per replica is appended to it, starting at
-    (0, initial count) and holding every event up to t_max.
+    permanent, and a count whose total rate is 0 keeps the path alive.
+    The path draws two uniforms per event from stream (seed, replica),
+    refilled _CHUNK at a time, so a rerun agrees event for event.
     """
     N = m.N
-    n0 = _snap_count(z0, N)
-    n = np.full(n_reps, n0, dtype=np.int64)
-    t = np.zeros(n_reps)
-    T0 = np.full(n_reps, np.inf if n0 > 0 else 0.0)
-    gens = [rng.stream(seed, first + j) for j in range(n_reps)]
-    # every live replica draws two uniforms per lockstep event, so all
-    # share one position in their refill buffers
-    buf = np.empty((n_reps, _CHUNK))
+    n = _snap_count(z0, N)
+    t, T0 = 0.0, (np.inf if n > 0 else 0.0)
+    times, counts = [t], [n]
+    gen = rng.stream(seed, replica)
+    buf = np.empty(_CHUNK)
     pos = _CHUNK                                    # force initial refill
-    events = None if log is None else [([0.0], [n0]) for _ in range(n_reps)]
-    # rates are tabulated past the top live count; counts move by one per
-    # event, so the table stays valid for `safe` more events
-    safe = 0
-
-    recorded = None
-    if record_ts is not None:
-        recorded = np.zeros((n_reps, len(record_ts)), dtype=np.int64)
-        rec_idx = np.zeros(n_reps, dtype=np.int64)
-        # a replica past its last record time waits for t = inf
-        record_ts = np.append(np.asarray(record_ts, dtype=float), np.inf)
-
-    act = np.nonzero(n > 0)[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_MAX_EVENTS):
-            if act.size == 0:
-                break
-            if pos == _CHUNK:
-                for i in act:
-                    gens[i].random(out=buf[i])
-                pos = 0
-            cur = n[act]
-            if safe == 0:
-                top = int(cur.max())
-                x = np.arange(2 * top + 2) / N
-                birth = np.asarray(m.b(x), dtype=float)
-                total = birth + np.asarray(m.d(x), dtype=float)
-                tame = bool(np.all(total <= 1e300))
-                safe = len(total) - top
-            safe -= 1
-            bn = birth[cur]
-            tot = total[cur]
-            if not (tame or np.all(tot <= 1e300)):
-                raise TruncationError("total jump rate exceeds the "
-                                      "representable scale in a replica")
-            u1 = buf[act, pos]
-            u2 = buf[act, pos + 1]
-            pos += 2
-            t_new = t[act] - np.log(u1) / tot
-            t_new[tot <= 0] = np.inf      # isolated state: nothing fires
-
-            if recorded is not None:
-                # snapshot the pre-event count at every record time crossed
-                while True:
-                    cross = t_new > record_ts[rec_idx[act]]
-                    if not cross.any():
-                        break
-                    rows = act[cross]
-                    recorded[rows, rec_idx[rows]] = n[rows]
-                    rec_idx[rows] += 1
-
-            fire = t_new <= t_max
-            rows = act[fire]
-            t[rows] = t_new[fire]
-            n[rows] += 2 * (u2[fire] * tot[fire] < bn[fire]) - 1
-            if events is not None:
-                for j in rows:
-                    events[j][0].append(float(t[j]))
-                    events[j][1].append(int(n[j]))
-            alive = n[rows] > 0
-            T0[rows[~alive]] = t[rows[~alive]]
-            act = rows[alive]
-        else:
-            raise TruncationError(f"more than {_MAX_EVENTS} lockstep events "
-                                  "before t_max; rates outpace the clock")
-
-    if recorded is not None:
-        # times past the last event of a replica see its final count
-        for j in range(n_reps):
-            recorded[j, rec_idx[j]:] = n[j]
-    if events is not None:
-        log.extend((np.asarray(ts, dtype=float),
-                    np.asarray(ns, dtype=np.int64)) for ts, ns in events)
-    return n, T0, recorded
+    total = ()
+    for _ in range(_MAX_EVENTS):
+        if n == 0:
+            break
+        if n >= len(total):
+            # rates are tabulated up to twice the count, rebuilt when the
+            # count leaves the table; every entry is elementwise in x
+            x = np.arange(2 * n + 2) / N
+            with np.errstate(divide="ignore", invalid="ignore"):
+                b = np.asarray(m.b(x), dtype=float)
+                birth = b.tolist()
+                total = (b + np.asarray(m.d(x), dtype=float)).tolist()
+        tot = total[n]
+        if not tot <= 1e300:
+            raise TruncationError(f"total jump rate {tot:.3g} at count {n} "
+                                  "exceeds the representable scale")
+        if tot <= 0:
+            break                           # isolated state: nothing fires
+        if pos == _CHUNK:
+            gen.random(out=buf)
+            u = buf.tolist()
+            with np.errstate(divide="ignore"):
+                log_u = np.log(buf).tolist()
+            pos = 0
+        t_new = t - log_u[pos] / tot
+        if not t_new <= t_max:
+            break
+        t = t_new
+        n += 1 if u[pos + 1] * tot < birth[n] else -1
+        pos += 2
+        times.append(t)
+        counts.append(n)
+        if n == 0:
+            T0 = t
+    else:
+        raise TruncationError(f"more than {_MAX_EVENTS} events before "
+                              "t_max; rates outpace the clock")
+    counts = np.asarray(counts, dtype=np.int64)
+    return BDPath(times=np.asarray(times, dtype=float), counts=counts,
+                  states=counts / N, T0=float(T0), N=N)
 
 
 # ---------------------------------------------------------------------------
@@ -396,43 +342,6 @@ def scaling_limit_check(kind, params, N_list, z0, t) -> ScalingReport:
         ks = np.max(np.abs(np.concatenate([F - g, F[:-1] - g[1:]])))
         rows.append((N, float(ks), len(law) - 1))
     return ScalingReport(rows=tuple(rows))
-
-
-@dataclass(frozen=True)
-class DeterministicReport:
-    rows: tuple                 # (t, empirical_mean, ode_value, rel_gap)
-    N: int
-    n_reps: int
-
-
-def deterministic_limit_check(kind, params, N, z0, ts, n_reps,
-                              seed=0) -> DeterministicReport:
-    """Fluctuation-free limit: mean lattice path against the growth flow.
-
-    Drops the noise term from the rate family (the part that scales like
-    N^2) and compares the empirical mean path with the solution of the
-    plain growth equation.
-    """
-    p = dict(params)
-    p["gamma"] = 0.0
-    m = preset_family(kind, p, N)
-    ts = np.asarray(ts, dtype=float)
-    if ts.ndim != 1 or len(ts) < 1 or np.any(np.diff(ts) <= 0):
-        raise PreconditionError("ts must be strictly increasing")
-
-    _, _, rec = _gillespie_batch(m, z0, float(ts[-1]) + 1e-9, n_reps, seed,
-                                 record_ts=ts)
-    means = rec.mean(axis=0) / N
-
-    r = float(p.get("lam", 1.0)) - float(p.get("mu", 1.0))
-    c = float(p.get("c", 1.0)) if kind == "logistic_branching" else 0.0
-    sol = solve_ivp(lambda _, y: r * y - c * y * y, (0.0, float(ts[-1])),
-                    [float(z0)], t_eval=ts, rtol=1e-10, atol=1e-12)
-    ode = sol.y[0]
-    rows = tuple((float(tv), float(mv), float(ov),
-                  float(abs(mv - ov) / max(abs(ov), 1e-300)))
-                 for tv, mv, ov in zip(ts, means, ode))
-    return DeterministicReport(rows=rows, N=int(N), n_reps=int(n_reps))
 
 
 # ---------------------------------------------------------------------------

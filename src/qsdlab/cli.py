@@ -324,7 +324,8 @@ def _cmd_bd(args, cfg, out_dir, rep, stage):
     bd = cfg.bd
     stage.append("scaling check")
     if bd["n_reps"] is not None:
-        rep.messages.append("bd.n_reps is ignored: nothing is sampled")
+        rep.messages.append("bd.n_reps is ignored: the scaling check samples "
+                            "nothing")
     sr = scaling_limit_check(bd["kind"], bd["params"], bd["n_list"],
                              bd["z0"], bd["t"])
     stage.pop()

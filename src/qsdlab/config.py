@@ -60,16 +60,17 @@ def _window(raw):
 def _increasing(raw):
     try:
         values = tuple(int(s) for s in raw.split(","))
-        if all(a < b for a, b in zip(values, values[1:])):
+        if values[0] >= 1 and all(a < b for a, b in zip(values, values[1:])):
             return values
     except ValueError:
         pass
-    raise ValueError(f"expected increasing integers, got {raw!r}")
+    raise ValueError(f"expected increasing positive integers, got {raw!r}")
 
 
 _FLOAT = _parser(float, "a number")
 _INT = _parser(int, "an integer")
-_RATE = _parser(float, "a number", lambda v: v >= 0, "must be nonnegative")
+_NONNEGATIVE = _parser(float, "a number", lambda v: 0 <= v < math.inf,
+                       "must be nonnegative and finite")
 _POSITIVE = _parser(float, "a number", lambda v: 0 < v < math.inf,
                     "must be positive and finite")
 _BOOL = _parser(lambda raw: configparser.ConfigParser.BOOLEAN_STATES[
@@ -96,13 +97,14 @@ _SCHEMA = {
     "bd": {
         "kind": (_choice("pure_branching", "logistic_branching"),
                  "logistic_branching"),
-        "lam": (_RATE, 2.0), "mu": (_RATE, 1.0), "c": (_RATE, 1.0),
+        "lam": (_NONNEGATIVE, 2.0), "mu": (_NONNEGATIVE, 1.0),
+        "c": (_NONNEGATIVE, 1.0),
         "gamma": (_POSITIVE, 1.0), "n_list": (_increasing, (10, 30, 100)),
-        "z0": (_FLOAT, 1.0), "t": (_POSITIVE, 1.0),
+        "z0": (_NONNEGATIVE, 1.0), "t": (_POSITIVE, 1.0),
         "n_reps": (_at_least(1), None),  # read by nothing; qsd bd says so
         "chain": (_choice("linear", "logistic"), "logistic"),
-        "chain_lam": (_RATE, 1.0), "chain_mu": (_RATE, 1.0),
-        "chain_c": (_RATE, 1.0), "n_max": (_at_least(100), 10000)},
+        "chain_lam": (_NONNEGATIVE, 1.0), "chain_mu": (_NONNEGATIVE, 1.0),
+        "chain_c": (_NONNEGATIVE, 1.0), "n_max": (_at_least(100), 10000)},
 }
 _SIM_KEYS = [f.name for f in dataclasses.fields(SimConfig) if f.name != "seed"]
 # configparser lowercases option names; the presets name these two K, K0

@@ -50,13 +50,6 @@ class GrowthModel:
 
 
 @dataclass(frozen=True)
-class ScaleFunctions:
-    Lambda: Callable   # scale integral, Lambda(1) = 0
-    kappa: Callable    # exit-measure integral, kappa(1) = 0
-    mu_density: Callable  # speed density exp(-Q)
-
-
-@dataclass(frozen=True)
 class Model:
     """A configured model: the drift field plus its growth form, if any."""
 
@@ -251,56 +244,6 @@ def drift_from_growth(g: GrowthModel) -> DriftField:
 
     return drift_field(q, q_prime, Q=Q, origin_exponent=0.5,
                        name=f"{g.name}-drift", singular_origin=True)
-
-
-def scale_functions(d: DriftField) -> ScaleFunctions:
-    """Scale integral, exit-measure integral, and speed density.
-
-    Lambda(x) = int_1^x e^Q, kappa(x) = int_1^x e^Q(y) int_1^y e^-Q dy.
-    Values may overflow to inf far out; boundary classification uses the
-    hypothesis engine instead of these raw callables.
-    """
-
-    def eQ(y):
-        with np.errstate(over="ignore"):
-            return np.exp(d.Q(y))
-
-    def emQ(y):
-        with np.errstate(over="ignore"):
-            return np.exp(-np.asarray(d.Q(y), dtype=float))
-
-    def Lambda(x):
-        x = float(x)
-        if x <= 0:
-            raise DomainError("Lambda is defined on x > 0")
-        lo, hi, sign = (1.0, x, 1.0) if x >= 1.0 else (x, 1.0, -1.0)
-        nodes = np.geomspace(lo, hi, 512) if hi / lo > 1.0001 else np.linspace(lo, hi, 8)
-        return sign * float(_gauss_legendre_panels(eQ, nodes)[-1])
-
-    def inner(y):
-        y = float(y)
-        lo, hi, sign = (1.0, y, 1.0) if y >= 1.0 else (y, 1.0, -1.0)
-        if abs(hi - lo) < 1e-300:
-            return 0.0
-        nodes = np.geomspace(lo, hi, 256) if hi / lo > 1.0001 else np.linspace(lo, hi, 8)
-        return sign * float(_gauss_legendre_panels(emQ, nodes)[-1])
-
-    def kappa(x):
-        x = float(x)
-        if x <= 0:
-            raise DomainError("kappa is defined on x > 0")
-        lo, hi, sign = (1.0, x, 1.0) if x >= 1.0 else (x, 1.0, -1.0)
-        if abs(hi - lo) < 1e-300:
-            return 0.0
-        nodes = np.geomspace(lo, hi, 192) if hi / lo > 1.0001 else np.linspace(lo, hi, 16)
-
-        def f(ys):
-            ys = np.atleast_1d(ys)
-            return np.array([eQ(y) * inner(y) for y in ys])
-
-        return sign * float(_gauss_legendre_panels(f, nodes)[-1])
-
-    return ScaleFunctions(Lambda=Lambda, kappa=kappa, mu_density=emQ)
 
 
 # ---------------------------------------------------------------------------

@@ -389,12 +389,6 @@ def yaglom_cdf(ym: YaglomMeasure) -> Callable:
     return F
 
 
-def sample_yaglom(ym: YaglomMeasure, n, seed) -> np.ndarray:
-    """Inverse-cdf draws from a computed quasi-stationary profile."""
-    gen = rng.stream(seed, 0, rng.UNIFORM)
-    return np.interp(gen.random(int(n)), ym.cdf, ym.grid)
-
-
 def estimate_lambda1(b: PathBatch, window) -> LambdaEstimate:
     """Decay rate of the empirical survival on a time window.
 

@@ -4,8 +4,7 @@ Every path, replica and draw set owns the stream keyed by (seed, index),
 so results never depend on how the work is blocked or ordered (Salmon
 et al., SC'11).  The top bits of the counter split each key into
 disjoint regions: region 0 carries the Gaussian increments and the
-jump-chain uniforms, UNIFORM the crossing-test uniforms and the profile
-draws.
+jump-chain uniforms, UNIFORM the crossing-test uniforms.
 """
 
 import numpy as np

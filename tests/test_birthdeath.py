@@ -10,11 +10,10 @@ from scipy.sparse.linalg import expm_multiply
 from scipy.stats import gamma as gamma_law, poisson
 
 from qsdlab import (BDModel, DomainError, PreconditionError,
-                    TailDominatedError, TruncationError,
-                    deterministic_limit_check, gillespie, lattice_law,
-                    preset_chain, preset_family, s_criterion,
-                    scaling_limit_check)
-from qsdlab.birthdeath import _diffusion_cdf, _gillespie_batch
+                    TailDominatedError, TruncationError, gillespie,
+                    lattice_law, preset_chain, preset_family, rng,
+                    s_criterion, scaling_limit_check)
+from qsdlab.birthdeath import _CHUNK, _MAX_EVENTS, _diffusion_cdf, _snap_count
 
 
 @pytest.fixture(scope="module")
@@ -102,17 +101,163 @@ def test_pure_death_mean_absorption_time():
         assert abs(t0s.mean() - exact) < 3.0 * se
 
 
-def test_batch_equals_scalar_replica_by_replica():
-    m = preset_family("logistic_branching",
-                      {"lam": 2.0, "mu": 1.0, "c": 1.0, "gamma": 1.0}, 20)
-    counts, T0, _ = _gillespie_batch(m, 1.0, 2.0, 12, seed=42)
-    for j in range(12):
-        p = gillespie(m, 1.0, 2.0, seed=42, replica=j)
-        assert p.counts[-1] == counts[j]
-        assert (math.isinf(p.T0) and math.isinf(T0[j])) \
-            or abs(p.T0 - T0[j]) < 1e-12
-    again, _, _ = _gillespie_batch(m, 1.0, 2.0, 12, seed=42)
-    assert np.array_equal(counts, again)
+def _reference_batch(m: BDModel, z0, t_max, n_reps, seed, record_ts=None,
+                     first=0, log=None):
+    """The lockstep batch sampler that `gillespie` replaced, kept verbatim
+    as the oracle of its draws."""
+    N = m.N
+    n0 = _snap_count(z0, N)
+    n = np.full(n_reps, n0, dtype=np.int64)
+    t = np.zeros(n_reps)
+    T0 = np.full(n_reps, np.inf if n0 > 0 else 0.0)
+    gens = [rng.stream(seed, first + j) for j in range(n_reps)]
+    # every live replica draws two uniforms per lockstep event, so all
+    # share one position in their refill buffers
+    buf = np.empty((n_reps, _CHUNK))
+    pos = _CHUNK                                    # force initial refill
+    events = None if log is None else [([0.0], [n0]) for _ in range(n_reps)]
+    # rates are tabulated past the top live count; counts move by one per
+    # event, so the table stays valid for `safe` more events
+    safe = 0
+
+    recorded = None
+    if record_ts is not None:
+        recorded = np.zeros((n_reps, len(record_ts)), dtype=np.int64)
+        rec_idx = np.zeros(n_reps, dtype=np.int64)
+        # a replica past its last record time waits for t = inf
+        record_ts = np.append(np.asarray(record_ts, dtype=float), np.inf)
+
+    act = np.nonzero(n > 0)[0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_EVENTS):
+            if act.size == 0:
+                break
+            if pos == _CHUNK:
+                for i in act:
+                    gens[i].random(out=buf[i])
+                pos = 0
+            cur = n[act]
+            if safe == 0:
+                top = int(cur.max())
+                x = np.arange(2 * top + 2) / N
+                birth = np.asarray(m.b(x), dtype=float)
+                total = birth + np.asarray(m.d(x), dtype=float)
+                tame = bool(np.all(total <= 1e300))
+                safe = len(total) - top
+            safe -= 1
+            bn = birth[cur]
+            tot = total[cur]
+            if not (tame or np.all(tot <= 1e300)):
+                raise TruncationError("total jump rate exceeds the "
+                                      "representable scale in a replica")
+            u1 = buf[act, pos]
+            u2 = buf[act, pos + 1]
+            pos += 2
+            t_new = t[act] - np.log(u1) / tot
+            t_new[tot <= 0] = np.inf      # isolated state: nothing fires
+
+            if recorded is not None:
+                # snapshot the pre-event count at every record time crossed
+                while True:
+                    cross = t_new > record_ts[rec_idx[act]]
+                    if not cross.any():
+                        break
+                    rows = act[cross]
+                    recorded[rows, rec_idx[rows]] = n[rows]
+                    rec_idx[rows] += 1
+
+            fire = t_new <= t_max
+            rows = act[fire]
+            t[rows] = t_new[fire]
+            n[rows] += 2 * (u2[fire] * tot[fire] < bn[fire]) - 1
+            if events is not None:
+                for j in rows:
+                    events[j][0].append(float(t[j]))
+                    events[j][1].append(int(n[j]))
+            alive = n[rows] > 0
+            T0[rows[~alive]] = t[rows[~alive]]
+            act = rows[alive]
+        else:
+            raise TruncationError(f"more than {_MAX_EVENTS} lockstep events "
+                                  "before t_max; rates outpace the clock")
+
+    if recorded is not None:
+        # times past the last event of a replica see its final count
+        for j in range(n_reps):
+            recorded[j, rec_idx[j]:] = n[j]
+    if events is not None:
+        log.extend((np.asarray(ts, dtype=float),
+                    np.asarray(ns, dtype=np.int64)) for ts, ns in events)
+    return n, T0, recorded
+
+
+def _assert_matches_reference(m, z0, t_max, n_reps, seed, first=0):
+    """gillespie against the lockstep batch, replica by replica; returns
+    the longest path's event count."""
+    log = []
+    _, T0, _ = _reference_batch(m, z0, t_max, n_reps, seed, first=first,
+                                log=log)
+    for j, (times, counts) in enumerate(log):
+        p = gillespie(m, z0, t_max, seed=seed, replica=first + j)
+        assert np.array_equal(p.times, times)
+        assert np.array_equal(p.counts, counts)
+        assert p.counts.dtype == counts.dtype
+        assert np.array_equal(p.states, counts / m.N)
+        assert p.T0 == T0[j] and p.N == m.N
+    return max(len(times) for times, _ in log) - 1
+
+
+_FAMILIES = {
+    # the lattice workload's family, the example's lam = 2 at its top N,
+    # a small lam = 2 chain run longer, subcritical pure branching, and
+    # pure death run to an effectively infinite horizon
+    "workload": ("logistic_branching",
+                 {"lam": 1.0, "mu": 1.0, "c": 1.0, "gamma": 0.1}, 100, 1.0,
+                 1.0),
+    "example": ("logistic_branching",
+                {"lam": 2.0, "mu": 1.0, "c": 1.0, "gamma": 1.0}, 100, 1.0,
+                0.05),
+    "lam2_N20": ("logistic_branching",
+                 {"lam": 2.0, "mu": 1.0, "c": 1.0, "gamma": 1.0}, 20, 1.0,
+                 2.0),
+    "subcritical": ("pure_branching",
+                    {"lam": 1.0, "mu": 2.0, "gamma": 1.0}, 10, 3.0, 1.0),
+    "pure_death": ("pure_branching",
+                   {"lam": 0.0, "mu": 1.0, "gamma": 0.0}, 1, 300.0, 1e9),
+}
+
+
+@pytest.mark.parametrize("seed, first", [(1, 0), (42, 5)])
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_gillespie_draws_what_the_lockstep_batch_drew(family, seed, first):
+    kind, params, N, z0, t_max = _FAMILIES[family]
+    m = preset_family(kind, params, N)
+    longest = _assert_matches_reference(m, z0, t_max, 4, seed, first)
+    assert 2 * longest > _CHUNK       # two uniforms per event: two refills
+
+
+def _custom_model(b_of_n, d_of_n):
+    def rates(f):
+        return lambda x: f(np.rint(np.asarray(x, dtype=float)))
+    return BDModel(N=1, b=rates(b_of_n), d=rates(d_of_n), state_scale=1.0)
+
+
+def test_gillespie_edge_cases_match_the_lockstep_batch():
+    m = preset_family("pure_branching", {"lam": 1.0, "mu": 1.0}, 10)
+    for model, z0, T0 in [
+            (m, 0.0, 0.0),              # starts absorbed
+            # no event can fire from count 2: alive at t_max
+            (_custom_model(lambda n: np.where(n == 2, 0.0, n),
+                           lambda n: np.where(n == 2, 0.0, n)), 2.0, np.inf)]:
+        _assert_matches_reference(model, z0, 1.0, 2, seed=7)
+        p = gillespie(model, z0, 1.0, seed=7)
+        assert len(p.times) == 1 and p.times[0] == 0.0
+        assert p.T0 == T0
+    huge = _custom_model(lambda n: 1e301 * n, lambda n: 1e301 * n)
+    with pytest.raises(TruncationError):
+        _reference_batch(huge, 1.0, 1.0, 1, seed=7)
+    with pytest.raises(TruncationError):
+        gillespie(huge, 1.0, 1.0, seed=7)
 
 
 def test_ensemble_matches_master_equation():
@@ -142,7 +287,8 @@ def test_ensemble_matches_master_equation():
     sol = solve_ivp(lambda t, p: p @ Q, (0.0, 1.5), p0,
                     rtol=1e-10, atol=1e-12)
     mean_exact = float(np.arange(5) @ sol.y[:, -1])
-    counts, _, _ = _gillespie_batch(m5, 2.0, 1.5, 20000, seed=3)
+    counts = np.asarray([gillespie(m5, 2.0, 1.5, seed=3, replica=j).counts[-1]
+                         for j in range(20000)])
     se = counts.std(ddof=1) / math.sqrt(len(counts))
     assert abs(counts.mean() - mean_exact) < 3.0 * se
 
@@ -194,14 +340,6 @@ def test_sampler_mean_matches_exact_law():
                     for j in range(1000)])
     se = z.std(ddof=1) / math.sqrt(len(z))
     assert abs(z.mean() - exact) < 3.0 * se
-
-
-def test_noise_free_family_follows_growth_flow():
-    det = deterministic_limit_check(
-        "logistic_branching", {"lam": 2.0, "mu": 1.0, "c": 1.0}, N=1000,
-        z0=0.5, ts=[0.5, 1.0, 2.0], n_reps=400, seed=5)
-    for _, emp, ode, rel in det.rows:
-        assert rel < 0.02, (emp, ode, rel)
 
 
 def test_scaling_rows_shrink_with_lattice_size():
@@ -272,6 +410,11 @@ def test_family_and_chain_guards():
     m = preset_family("pure_branching", {"lam": 1.0, "mu": 1.0}, 10)
     with pytest.raises(DomainError):
         gillespie(m, 0.55, 1.0, seed=0)   # 5.5 lattice units: off-grid
+    for z0 in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            gillespie(m, z0, 1.0, seed=0)
+        with pytest.raises(DomainError, match="finite"):
+            lattice_law(m, z0, 1.0)
 
 
 def test_truncated_chain_is_never_absorbed():

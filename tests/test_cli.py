@@ -333,7 +333,12 @@ def test_reruns_are_byte_identical(tmp_path):
                  "--quick"]) == 0
     assert main(["spectrum", _cfg("logistic"), "--output-dir", out2,
                  "--quick"]) == 0
-    for name in ("spectrum.csv", "eigenfunctions.csv", "yaglom.csv"):
+    # the lattice paths are sampled: their reruns must agree too
+    for out in (out1, out2):
+        assert main(["bd", _cfg("logistic"), "--output-dir", out,
+                     "--quick"]) == 0
+    for name in ("spectrum.csv", "eigenfunctions.csv", "yaglom.csv",
+                 "scaling_ks.csv", "bd_paths.csv", "s_criterion.csv"):
         with open(os.path.join(out1, name), "rb") as fh:
             b1 = fh.read()
         with open(os.path.join(out2, name), "rb") as fh:

@@ -223,7 +223,9 @@ def test_out_of_range_step_control_exits_two_before_any_work(tmp_path, key,
 # lattice settings that used to stop the run only after work and artifacts
 BD_OUT_OF_RANGE = [(key, "-1") for key in ("lam", "mu", "c", "chain_lam",
                                            "chain_mu", "chain_c")] + [
-    ("gamma", "0"), ("gamma", "-1"), ("t", "0"), ("t", "-1"), ("t", "inf")]
+    ("gamma", "0"), ("gamma", "-1"), ("t", "0"), ("t", "-1"), ("t", "inf"),
+    ("z0", "nan"), ("z0", "inf"), ("z0", "-1"), ("lam", "inf"),
+    ("chain_mu", "inf"), ("n_list", "0, 10")]
 
 
 @pytest.mark.parametrize("key, value", BD_OUT_OF_RANGE)

@@ -5,7 +5,7 @@ import pytest
 
 from qsdlab import (ConfigError, DomainError, ModelError, allee_growth, drift_from_growth,
                     linear_growth, logistic_growth, ou_drift, potential,
-                    preset_model, scale_functions, x_from_z, z_from_x)
+                    preset_model, x_from_z, z_from_x)
 
 
 def test_coordinate_round_trip():
@@ -60,19 +60,6 @@ def test_origin_exponent_of_population_drifts():
     d = drift_from_growth(logistic_growth(1.0, 1.0, 1.0))
     assert d.origin_exponent > 0
     assert ou_drift(1.0).origin_exponent == 0.0
-
-
-def test_scale_functions_derivative():
-    d = ou_drift(1.0)
-    sf = scale_functions(d)
-    # Lambda' = exp(Q), both anchored to vanish at 1
-    eps = 1e-5
-    for x in (0.5, 1.0, 1.5):
-        dl = (sf.Lambda(x + eps) - sf.Lambda(x - eps)) / (2 * eps)
-        assert dl == pytest.approx(np.exp(d.Q(x)), rel=1e-7)
-    assert sf.Lambda(1.0) == 0.0
-    assert sf.kappa(1.0) == 0.0
-    assert sf.mu_density(1.0) == pytest.approx(np.exp(-d.Q(1.0)))
 
 
 def test_preset_model_surface():

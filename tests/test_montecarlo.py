@@ -8,8 +8,8 @@ from scipy.special import erf
 from qsdlab import (DomainError, DriftField, PreconditionError, SimConfig,
                     condition_on_extinction, conditional_histogram,
                     drift_field, estimate_lambda1, ks_distance,
-                    linear_growth, ou_drift, rng, sample_yaglom,
-                    simulate_qprocess, simulate_x, simulate_z, yaglom_cdf)
+                    linear_growth, ou_drift, rng, simulate_qprocess,
+                    simulate_x, simulate_z)
 from qsdlab.montecarlo import PATH_EVENTS, _CHUNK, _located, _record_steps
 
 
@@ -322,17 +322,6 @@ def test_conditional_histogram_and_ks():
     assert law.ecdf()[0] == 0.0 and law.ecdf()[-1] == pytest.approx(1.0)
     with pytest.raises(PreconditionError):
         conditional_histogram(b, 1.0, edges[::-1])
-
-
-def test_yaglom_sampling_round_trip(logistic_ym):
-    xs = sample_yaglom(logistic_ym, 40000, seed=2)
-    assert np.all((xs >= logistic_ym.grid[0]) & (xs <= logistic_ym.grid[-1]))
-    F = yaglom_cdf(logistic_ym)
-    srt = np.sort(xs)
-    n = len(srt)
-    gaps = np.maximum(np.arange(1, n + 1) / n - F(srt),
-                      F(srt) - np.arange(0, n) / n)
-    assert float(np.max(gaps)) < 0.015  # ~2 sigma for this n
 
 
 def test_conditioned_process_stays_alive(logistic_sd):
