@@ -98,12 +98,16 @@ def compile_expression(text, variable, params=None):
 
 
 def fd_derivative(f, rel_step=None):
-    """Central finite-difference derivative of a compiled expression."""
+    """Central finite-difference derivative of a compiled expression.
+
+    The step is relative to |v|, so it never crosses the origin; at v = 0
+    it is the bare relative step.
+    """
     step = rel_step or float(np.cbrt(np.finfo(float).eps))
 
     def deriv(v):
         v = np.asarray(v, dtype=float)
-        h = step * np.maximum(np.abs(v), 1.0)
+        h = step * np.where(v == 0.0, 1.0, np.abs(v))
         out = (np.asarray(f(v + h)) - np.asarray(f(v - h))) / (2.0 * h)
         if v.ndim == 0:
             return float(out)

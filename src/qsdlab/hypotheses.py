@@ -18,7 +18,10 @@ spectral machinery applies, plus one growth-side property:
 
 All exp(Q) arithmetic is shift-stabilized: double integrals are evaluated
 as integrals of exp(Q(y) - Q(z)), never as products of huge and tiny
-factors.
+factors.  The inner integrals of h1 and h5 at all of an outer rule's nodes
+come from one sweep over the sorted nodes: each node's gap to its
+neighbour is integrated on Gauss-Legendre panels, with the exponent built
+from q alone, and the gaps are summed from the far end inward.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate as _si
 
 from .errors import PreconditionError
 from .model import DriftField, GrowthModel, Model
@@ -64,135 +66,83 @@ class HypothesisReport:
 # ---------------------------------------------------------------------------
 # shift-stabilized inner integrals
 
-def _decay_length(d: DriftField, y):
-    with np.errstate(all="ignore"):
-        qy = np.asarray(d.q(y), dtype=float)
-        return np.where(np.isfinite(qy) & (qy > 0.5 / (1.0 + y)),
-                        1.0 / (2.0 * qy), 1.0 + y)
+# 20-point Gauss-Legendre on [-1, 1] and its integration matrix: row i
+# integrates the rule's interpolant from -1 to node i
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
+_GL_INT = (np.polynomial.legendre.legval(
+    _GL_X, np.polynomial.legendre.legint(np.eye(20), lbnd=-1)).T
+    @ np.linalg.inv(np.polynomial.legendre.legvander(_GL_X, 19)))
+_FADE = 50.0            # a gap stops once its integrand is e^-50 below it
+_MAX_PANELS = 160       # a gap still open after this many panels is inf
 
 
-_GL2_A = 0.5 - 0.5 / np.sqrt(3.0)
-_GL2_B = 0.5 + 0.5 / np.sqrt(3.0)
-
-# Inner solves run in batches of at most _BATCH points up to level
-# _BATCH_LEVEL; points still short of convergence there (status -2) are
-# solved again one at a time up to _MAXLEVEL.  scipy's tanhsinh holds
-# about 5 MB for each element it runs to level 13, so one batch of all of
-# an outer rule's nodes would hold gigabytes on a divergent inner integral.
-_BATCH = 128
-_BATCH_LEVEL = 6
-_MAXLEVEL = 13
+def inner_tail(d: DriftField, y, hi: float = np.inf):
+    """int_y^hi exp(Q(y) - Q(z)) dz at every point of y (a float for a
+    scalar y, else an array of y's shape)."""
+    return _sweep(d, y, hi, +1)
 
 
-def _potential_step(d: DriftField, y, delta, sign: int, Qy):
-    """Q(y + sign*delta) - Q(y) without cancellation, elementwise.
-
-    Short steps integrate 2q locally by two-point Gauss (exact through
-    cubic drifts); long steps fall back to the potential difference,
-    with Qy = Q(y).
-    """
-    delta = np.asarray(delta, dtype=float)
-    y = np.broadcast_to(y, delta.shape)
-    out = np.empty_like(delta)
-    # step must stay well inside the drift's own scale: q may be singular
-    # like 1/(2y) at the origin, so the panel width is tied to y itself
-    small = delta <= 0.05 * np.abs(y)
-    if np.any(small):
-        ds = delta[small]
-        ys = y[small]
-        z1 = ys + sign * _GL2_A * ds
-        z2 = ys + sign * _GL2_B * ds
-        out[small] = sign * ds * (np.asarray(d.q(z1), dtype=float)
-                                  + np.asarray(d.q(z2), dtype=float))
-    if np.any(~small):
-        db = delta[~small]
-        out[~small] = (np.asarray(d.Q(y[~small] + sign * db), dtype=float)
-                       - np.broadcast_to(Qy, delta.shape)[~small])
-    return out
+def inner_head(d: DriftField, y, lo: float = 1.0):
+    """int_lo^y exp(Q(z) - Q(y)) dz at every point of y (a float for a
+    scalar y, else an array of y's shape)."""
+    return _sweep(d, y, lo, -1)
 
 
-def inner_tail(d: DriftField, y, hi: float = np.inf,
-               spec: Optional[QuadratureSpec] = None):
-    """int_y^hi exp(Q(y) - Q(z)) dz, evaluated in the decay-length coordinate.
+def _sweep(d, y, end, sign):
+    """int of exp(-R(z)) from each y toward end, R(z) = sign int_y^z 2 q.
 
-    y is a scalar (the result is a float) or an array of any shape (the
-    result has that shape); all points of an array are solved together.
+    In u = sign z the unique nodes are sorted toward end.  Each node's gap
+    to the next (the last node's to end) is covered by Gauss-Legendre
+    panels, and R at the panel nodes comes from q alone by the rule's
+    integration matrix.  A panel is at most four decay lengths
+    min((1 + z)/4, 1/(2|q|)) wide, and going down at most 0.8 z, so a q
+    singular like 1/z at the origin stays resolved; a panel over which R
+    moves by more than 8 is halved.  A gap stops once exp(-R), times the
+    distance covered, is e^-50 below its integral G; a gap not stopped
+    after _MAX_PANELS panels is a heavy tail, and inf.  The gaps are then
+    summed from end outward, I_i = G_i + exp(-R_i(u_i+1)) I_i+1.
     """
     y = np.asarray(y, dtype=float)
-    return _inner(d, y, hi - y, +1, spec)
-
-
-def inner_head(d: DriftField, y, lo: float = 1.0,
-               spec: Optional[QuadratureSpec] = None):
-    """int_lo^y exp(Q(z) - Q(y)) dz, evaluated in the decay-length coordinate.
-
-    y is a scalar (the result is a float) or an array of any shape (the
-    result has that shape); all points of an array are solved together.
-    """
-    y = np.asarray(y, dtype=float)
-    return _inner(d, y, y - lo, -1, spec)
-
-
-def _inner(d, y, width, sign, spec):
-    """int_0^smax exp(-sign (Q(y + sign L s) - Q(y))) L ds for every y,
-    with L the decay length at y and smax = width / L (0 when width <= 0)."""
-    spec = spec or QuadratureSpec()
-    ys = y.reshape(-1)
-    L = _decay_length(d, ys)
+    u, back = np.unique(sign * y.reshape(-1), return_inverse=True)
+    a = u[u < sign * end]
+    b = np.append(a[1:], sign * end)
+    z, R, G = a.copy(), np.zeros(a.size), np.zeros(a.size)
+    step = np.zeros(a.size)         # exp(-R) at b; 0 for a gap stopped short
+    cap = np.full(a.size, np.inf)   # panel width cap
+    todo = np.arange(a.size)
     with np.errstate(all="ignore"):
-        smax = np.maximum(width.reshape(-1) / L, 0.0)
-    out = np.zeros_like(ys)
-    todo = np.flatnonzero(smax > 0.0)
-
-    def g(s, y, L, Qy):
-        with np.errstate(all="ignore"):
-            out = np.exp(-sign * _potential_step(d, y, L * s, sign, Qy)) * L
-        return np.where(np.isnan(out), np.inf, out)
-
-    if todo.size:
-        with np.errstate(all="ignore"):
-            Qy = np.asarray(d.Q(ys[todo]), dtype=float)
-        args = (ys[todo], L[todo], Qy)
-        out[todo] = _inner_values(g, smax[todo], args, spec)
+        for _ in range(_MAX_PANELS):
+            if not todo.size:
+                break
+            zt, left = z[todo], b[todo] - z[todo]
+            reach = 1.0 + zt if sign > 0 else -0.8 * zt
+            qt = np.abs(np.asarray(d.q(sign * zt), dtype=float))
+            w = np.minimum(np.fmin(reach, 2.0 / qt),
+                           np.minimum(cap[todo], left))
+            half = 0.5 * w
+            p = 2.0 * np.asarray(d.q(sign * (zt[:, None] + half[:, None]
+                                               * (_GL_X + 1.0))), dtype=float)
+            dR = half[:, None] * (p @ _GL_INT.T)
+            keep = np.abs(dR).max(axis=1) > 8.0       # rejected: too wide
+            cap[todo] = np.where(keep, 0.5, 2.0) * w
+            ok, i = ~keep, todo[~keep]
+            G[i] += half[ok] * (np.exp(-(R[i, None] + dR[ok])) @ _GL_W)
+            R[i] += half[ok] * (p[ok] @ _GL_W)
+            reached = w[ok] >= left[ok]
+            z[i] = np.where(reached, b[i], zt[ok] + w[ok])
+            step[i[reached]] = np.exp(-R[i[reached]])
+            faded = np.exp(-R[i]) * (z[i] - a[i]) <= np.exp(-_FADE) * G[i]
+            keep[ok] = ~(reached | faded)
+            todo = todo[keep]
+    G[todo] = np.inf
+    out = np.zeros(u.size)
+    acc = 0.0
+    for k in range(a.size - 1, -1, -1):
+        acc = G[k] + (step[k] * acc if step[k] > 0.0 else 0.0)
+        out[k] = acc
+    out[np.isnan(out)] = np.inf
+    out = out[back]
     return float(out[0]) if y.ndim == 0 else out.reshape(y.shape)
-
-
-def _inner_values(g, smax, args, spec):
-    """int_0^smax[i] g(s, *args[i]) ds for every point i; inf if divergent."""
-    tol = dict(rtol=min(1e-11, spec.rel_tol), atol=spec.abs_tol * 1e-3)
-    val = np.empty_like(smax)
-    ok = np.empty(smax.shape, dtype=bool)
-    with np.errstate(all="ignore"):
-        for lo in range(0, smax.size, _BATCH):
-            part = slice(lo, lo + _BATCH)
-            res = _si.tanhsinh(g, 0.0, smax[part],
-                               args=tuple(a[part] for a in args),
-                               maxlevel=_BATCH_LEVEL, **tol)
-            val[part], ok[part] = res.integral, res.success
-            short = lo + np.flatnonzero(res.status == -2)
-            # a heavy tail would not converge at any level either
-            heavy = _heavy_tail(g, smax, args, val, short, spec)
-            val[short[heavy]] = np.inf
-            for i in short[~heavy]:
-                res = _si.tanhsinh(g, 0.0, smax[i],
-                                   args=tuple(a[i] for a in args),
-                                   maxlevel=_MAXLEVEL, **tol)
-                val[i], ok[i] = res.integral, res.success
-    val[~np.isfinite(val)] = np.inf
-    # unconverged: decide between a heavy tail and a quadrature hiccup
-    unconverged = np.flatnonzero(~ok & np.isfinite(val))
-    val[unconverged[_heavy_tail(g, smax, args, val, unconverged,
-                                spec)]] = np.inf
-    return val
-
-
-def _heavy_tail(g, smax, args, val, idx, spec):
-    """For the points idx, whether the integrand at the end of the range
-    (at most s = 1e6), times s, is still significant against the value."""
-    probe_s = np.minimum(smax[idx], 1e6)
-    with np.errstate(all="ignore"):
-        tail = g(probe_s, *[a[idx] for a in args]) * probe_s
-    return tail > np.maximum(spec.abs_tol, 1e-6 * np.abs(val[idx]))
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +159,7 @@ def check_h1(d: DriftField, spec: Optional[QuadratureSpec] = None) -> Hypothesis
     scale = integrate(eQ, 1.0, np.inf, spec)
 
     origin = integrate(positive_integrand(
-        lambda ys: inner_tail(d, ys, hi=1.0, spec=spec)), 0.0, 1.0, spec)
+        lambda ys: inner_tail(d, ys, hi=1.0)), 0.0, 1.0, spec)
 
     if scale.status == "diverges" and origin.status == "converges":
         verdict = "holds"
@@ -304,9 +254,9 @@ def check_h5(d: DriftField, spec: Optional[QuadratureSpec] = None) -> Hypothesis
     spec = spec or QuadratureSpec()
 
     va = integrate(positive_integrand(
-        lambda ys: inner_tail(d, ys, spec=spec)), 1.0, np.inf, spec)
+        lambda ys: inner_tail(d, ys)), 1.0, np.inf, spec)
     vb = integrate(positive_integrand(
-        lambda ys: inner_head(d, ys, lo=1.0, spec=spec)), 1.0, np.inf, spec)
+        lambda ys: inner_head(d, ys, lo=1.0)), 1.0, np.inf, spec)
     agree = va.status == vb.status
     if va.status == "converges" and vb.status == "converges":
         verdict = "holds"

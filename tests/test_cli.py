@@ -353,13 +353,15 @@ def test_thread_cap_does_not_change_output(tmp_path):
         out = str(tmp_path / f"t{i}")
         env = dict(os.environ, QSD_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.path.join(ROOT, "src")
-        r = subprocess.run(
-            [sys.executable, "-m", "qsdlab.cli", "spectrum",
-             _cfg("logistic"), "--output-dir", out, "--quick"],
-            env=env, capture_output=True, text=True, cwd=ROOT)
-        assert r.returncode == 0, r.stderr
+        for args in (("spectrum", _cfg("logistic"), "--quick"),
+                     ("check", _cfg("logistic"))):
+            r = subprocess.run(
+                [sys.executable, "-m", "qsdlab.cli", *args,
+                 "--output-dir", out],
+                env=env, capture_output=True, text=True, cwd=ROOT)
+            assert r.returncode == 0, r.stderr
         outs.append(out)
-    for name in ("spectrum.csv", "eigenfunctions.csv"):
+    for name in ("spectrum.csv", "eigenfunctions.csv", "hypotheses.csv"):
         with open(os.path.join(outs[0], name), "rb") as fh:
             b1 = fh.read()
         with open(os.path.join(outs[1], name), "rb") as fh:
