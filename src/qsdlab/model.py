@@ -222,24 +222,20 @@ def drift_from_growth(g: GrowthModel) -> DriftField:
                    - np.asarray(g.h_prime(z), dtype=float))
         return float(out) if out.ndim == 0 else out
 
-    # Q(x) = ln x - int over z of 2 h / (gamma z), anchored at x = 1.
-    def growth_part(z):
-        z = np.asarray(z, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.asarray(g.h(z), dtype=float) / z
-        # h is C^1 with h(0) = 0, so h(z)/z extends continuously
-        small = np.abs(z) < 1e-12
-        if np.any(small):
-            ratio = np.where(small, float(g.h_prime(0.0)), ratio)
-        return (2.0 / gamma) * ratio
+    # Q(x) = ln x - int_1^x 2 p(s) ds with p(s) = 2 h(gamma s^2/4)/(gamma s),
+    # integrated in x: p stays bounded at the origin for h = O(sqrt(z)),
+    # where the same integral in z, of 2 h(z)/(gamma z), is singular
+    def pull(s):
+        s = np.asarray(s, dtype=float)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return (2.0 / (gamma * s)) * np.asarray(g.h(gamma * s * s / 4.0),
+                                                    dtype=float)
 
-    Gz = make_potential_integral(lambda z: growth_part(z) / 2.0)
-    z_anchor = gamma / 4.0
+    G = make_potential_integral(pull)
 
     def Q(x):
         x = np.asarray(x, dtype=float)
-        z = gamma * x * x / 4.0
-        out = np.log(x) - (Gz(z) - Gz(z_anchor))
+        out = np.log(x) - G(x)
         return float(out) if out.ndim == 0 else out
 
     return drift_field(q, q_prime, Q=Q, origin_exponent=0.5,

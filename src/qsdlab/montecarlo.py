@@ -21,10 +21,16 @@ from .model import (DriftField, GrowthModel, drift_from_growth, panel_gl10,
 from .quadrature import QuadratureSpec, integrate
 from .spectral import SpectralDecomposition, YaglomMeasure
 
-_CHUNK = 512              # steps drawn per RNG refill
+# steps drawn per RNG refill; a multiple of 4, so that a chunk of
+# crossing-test uniforms fills whole Philox blocks of four doubles
+_CHUNK = 512
+_WIN = 32                 # absorbed steps marched between settlements
+_LANES = 512              # lanes per piece of a window's transposed copy
 # exp(-2 y / dt) underflows to exactly 0.0 once y >= 373 dt (the bound is
 # 372.57 dt), so no crossing test is needed past it
 _CROSS_SKIP = 373.0
+# and it is below 2**-53, the smallest nonzero uniform, once y > 18.4 dt
+_CROSS_NARROW = 19.0
 # the step events _euler_paths counts, one int each
 PATH_EVENTS = ("landings", "non_finite_steps", "crossing_kills",
                "reflections")
@@ -190,92 +196,47 @@ def _euler_paths(v, x0, cfg, edges=None):
 def _march_block(v, x0, first, cfg, edges, rec_steps, states, T0, events):
     """Step paths first, first + 1, ... into their rows of states and T0.
 
-    Each refill draws the next chunk of steps for the live paths only:
-    ids lists them (row in the block) and x holds their states, one lane
-    each.  A path that dies inside a chunk keeps its lane until the next
-    refill, held at its last live state behind the dead mask, so v only
-    ever sees states a live path had.  A dead path's stream is never read
-    again, so dropping it leaves every other path's draws unchanged.
+    Each refill draws the next chunk of Gaussian steps for the live paths
+    only: ids lists them (row in the block), one lane each.  A dead path's
+    stream is never read again, so dropping it at the refill leaves every
+    other path's draws unchanged.  Reflected paths take the chunk one step
+    at a time.  Absorbed paths take it in windows of _WIN steps on a
+    time-major slab, one row per step; after each window _settle dates
+    every lane's first event in it.  A lane that died inside a window was
+    stepped on to the window's end: those states are discarded, and until
+    the next refill the lane is held at its state at the window's start.
     Floating-point warnings are off: a step that overflows is a
     non-finite step.  Adds the block's step events to the events counts.
     """
-    dt, delta, k = cfg.dt, cfg.absorb_threshold, cfg.crn_substeps
+    dt, k = cfg.dt, cfg.crn_substeps
     sqdt, sqk = np.sqrt(dt), np.sqrt(float(k))
-    bridge = edges is None and cfg.bridge_correction
-    near = _CROSS_SKIP * dt
     B = len(x0)
     gens = [rng.stream(cfg.seed, first + i) for i in range(B)]
-    ugens = ([rng.stream(cfg.seed, first + i, rng.UNIFORM) for i in range(B)]
-             if bridge else None)
     raw = np.empty((B, _CHUNK * k))
-    unif = np.empty((B, _CHUNK)) if bridge else None
+    unif = (_Uniforms(cfg.seed, first, B)
+            if edges is None and cfg.bridge_correction else None)
+    slab = np.empty((_WIN + 1, B)) if edges is None else None
 
     ids = np.arange(B)
     x = np.array(x0, dtype=float)
     dead = np.zeros(B, dtype=bool)
-    n_dead = 0
     states[:, 0] = x
     rp = 1
     n_steps = int(rec_steps[-1])
     for start in range(0, n_steps, _CHUNK):
-        if n_dead:
+        if dead.any():
             live = ~dead
             ids, x, dead = ids[live], x[live], dead[live]
-            n_dead = 0
         m = min(_CHUNK, n_steps - start)
         n = len(ids)
         for r, i in enumerate(ids):
             gens[i].standard_normal(out=raw[r, :m * k])
-            if bridge:
-                ugens[i].random(out=unif[r, :m])
         noise = (raw[:n, :m * k].reshape(n, m, k).sum(axis=2) / sqk
                  if k > 1 else raw[:n, :m])
-        noise *= sqdt
-        for j in range(m):
-            s = start + j
-            xn = x + v(x) * dt + noise[:, j]
-            if edges is None:
-                if n_dead:
-                    np.copyto(xn, x, where=dead)
-                t = s * dt
-                bad = ~np.isfinite(xn)
-                hit = xn <= delta
-                gone = []
-                if bad.any():
-                    hit &= ~bad
-                    lanes = np.flatnonzero(bad)
-                    T0[ids[lanes]] = t + 0.5 * dt
-                    events["non_finite_steps"] += lanes.size
-                    gone.append(lanes)
-                if hit.any():
-                    lanes = np.flatnonzero(hit)
-                    frac = (x[lanes] - delta) / np.maximum(
-                        x[lanes] - xn[lanes], 1e-300)
-                    T0[ids[lanes]] = t + dt * np.clip(frac, 0.0, 1.0)
-                    events["landings"] += lanes.size
-                    gone.append(lanes)
-                if bridge:
-                    # the crossing probability underflows to exactly 0.0,
-                    # which no uniform undercuts, unless the step is near
-                    lanes = np.flatnonzero((x - delta) * (xn - delta) < near)
-                    lanes = lanes[~(dead[lanes] | bad[lanes] | hit[lanes])]
-                    if lanes.size:
-                        # crossing probability for a pinned Brownian path
-                        pcross = np.exp(-2.0 * (x[lanes] - delta)
-                                        * (xn[lanes] - delta) / dt)
-                        lanes = lanes[unif[lanes, j] < pcross]
-                        if lanes.size:
-                            T0[ids[lanes]] = t + 0.5 * dt
-                            events["crossing_kills"] += lanes.size
-                            gone.append(lanes)
-                if gone:
-                    lanes = np.concatenate(gone)
-                    xn[lanes] = x[lanes]
-                    dead[lanes] = True
-                    n_dead += lanes.size
-                    if n_dead == n:
-                        return
-            else:
+        if edges is not None:
+            noise *= sqdt
+            for j in range(m):
+                xn = x + v(x) * dt + noise[:, j]
                 out_lo = xn < edges[0]
                 out_hi = xn > edges[1]
                 if np.any(out_lo) or np.any(out_hi):
@@ -284,10 +245,158 @@ def _march_block(v, x0, first, cfg, edges, rec_steps, states, T0, events):
                     xn[out_lo] = 2.0 * edges[0] - xn[out_lo]
                     xn[out_hi] = 2.0 * edges[1] - xn[out_hi]
                     np.clip(xn, edges[0], edges[1], out=xn)
-            x = xn
-            if rec_steps[rp] == s + 1:
-                states[ids[~dead], rp] = x[~dead]
+                x = xn
+                if rec_steps[rp] == start + j + 1:
+                    states[ids, rp] = x
+                    rp += 1
+            continue
+
+        if unif is not None:
+            unif.refill(start // _CHUNK, m, n)
+        slab[0, :n] = x
+        for j0 in range(0, m, _WIN):
+            W = min(_WIN, m - j0)
+            X = slab[:W + 1, :n]
+            for l0 in range(0, n, _LANES):
+                np.multiply(noise[l0:l0 + _LANES, j0:j0 + W].T, sqdt,
+                            out=X[1:, l0:l0 + _LANES])
+            # (x + v(x) dt) + noise, the per-step sum: IEEE addition
+            # commutes, so the terms may be added in place
+            for w in range(W):
+                step = v(X[w]) * dt
+                step += X[w]
+                X[w + 1] += step
+            stop = _settle(X, dead, ids, start + j0, cfg, unif, T0, events)
+            while rp < len(rec_steps) and rec_steps[rp] <= start + j0 + W:
+                w = rec_steps[rp] - (start + j0)
+                alive = stop >= w
+                states[ids[alive], rp] = X[w, alive]
                 rp += 1
+            dead = stop < W
+            if dead.all():
+                return
+            np.copyto(X[0], X[W], where=~dead)
+        x = slab[0, :n]
+
+
+def _settle(X, dead, ids, s0, cfg, unif, T0, events):
+    """Date each lane's first event in the window X, where X[w] holds the
+    states after step s0 + w - 1 and dead marks lanes that died earlier.
+
+    Returns stop: the window step at which each lane died, len(X) - 1 for
+    a lane alive at the window's end and -1 for a dead one.  A step ends
+    a path when its end is not finite (dated at mid-step), when it lands
+    at or below the threshold (dated by linear interpolation) or, with
+    unif, when it fails the pinned-path crossing test; each lane's first
+    such step in step order counts, by the rules the per-step test used.
+    """
+    dt, delta = cfg.dt, cfg.absorb_threshold
+    W = len(X) - 1
+    stop = np.where(dead, -1, W)
+    near = _CROSS_SKIP * dt if unif is not None else 0.0
+    # every step of a lane whose lowest state is delta + lo, lo > 0, has
+    # (x - delta)(x' - delta) >= lo^2; if that clears the band and the last
+    # state is finite (one that is not stays so to the window's end), the
+    # lane can neither end its path nor need uniforms in this window
+    lo = X.min(axis=0) - delta
+    far = (lo > 0.0) & (lo * lo >= near) & np.isfinite(X[W])
+    sub = np.flatnonzero(~(far | dead))
+    if not sub.size:
+        return stop
+    D = X[:, sub] - delta
+    P = D[:-1] * D[1:]
+    if unif is None:
+        cand = ~(P > 0.0)
+    else:
+        # a lane draws the chunk's uniforms the first time it comes near
+        lanes = sub[(P < near).any(axis=0)]
+        lanes = lanes[unif.row[lanes] < 0]
+        if lanes.size:
+            unif.draw(lanes, ids)
+        cand = ~(P >= (_CROSS_SKIP if unif.wide else _CROSS_NARROW) * dt)
+    # a step can end its path only when it lands (P <= 0), its end is not
+    # finite or it is in the crossing-test band; P misses an end at +inf
+    if not np.isfinite(X[W, sub]).all():
+        cand |= D[1:] == np.inf
+    ws, ls = np.divmod(np.flatnonzero(cand), sub.size)
+    ls = sub[ls]
+    if not ws.size:
+        return stop
+    end = X[ws + 1, ls]
+    hard = ~((end > delta) & (end < np.inf))
+    hl, first = np.unique(ls[hard], return_index=True)
+    hw = ws[hard][first]
+    stop[hl] = hw
+    if unif is not None:
+        soft = ~hard
+        soft &= ws < stop[ls]
+        ws, ls = ws[soft], ls[soft]
+        # crossing probability for a pinned Brownian path
+        pcross = np.exp(-2.0 * (X[ws, ls] - delta) * (X[ws + 1, ls] - delta)
+                        / dt)
+        kill = unif.u[unif.row[ls], s0 % _CHUNK + ws] < pcross
+        kl, first = np.unique(ls[kill], return_index=True)
+        kw = ws[kill][first]
+        stop[kl] = kw
+        T0[ids[kl]] = (s0 + kw) * dt + 0.5 * dt
+        events["crossing_kills"] += kl.size
+        keep = stop[hl] == hw
+        hl, hw = hl[keep], hw[keep]
+    t = (s0 + hw) * dt
+    x, xn = X[hw, hl], X[hw + 1, hl]
+    bad = ~np.isfinite(xn)
+    T0[ids[hl[bad]]] = t[bad] + 0.5 * dt
+    hit = ~bad
+    frac = (x[hit] - delta) / np.maximum(x[hit] - xn[hit], 1e-300)
+    T0[ids[hl[hit]]] = t[hit] + dt * np.clip(frac, 0.0, 1.0)
+    events["non_finite_steps"] += int(np.count_nonzero(bad))
+    events["landings"] += int(np.count_nonzero(hit))
+    return stop
+
+
+class _Uniforms:
+    """The crossing-test uniforms of a block's paths, a chunk per draw.
+
+    Path i's uniform for step s sits at a fixed place in its stream
+    (seed, first + i, UNIFORM): a chunk is _CHUNK doubles, _CHUNK // 4
+    Philox blocks.  So a lane draws a chunk only when it first comes near
+    the threshold in it, into the next free row of u; a stream that
+    skipped chunks is advanced past them, and every uniform read is the
+    one a chunk-by-chunk draw gives.
+    """
+
+    def __init__(self, seed, first, B):
+        self.seed, self.first = seed, first
+        self.gens = [None] * B
+        self.chunks = [0] * B          # chunks each stream has passed
+        self.u = np.empty((B, _CHUNK))
+
+    def refill(self, chunk, m, n):
+        """Start chunk number chunk, of m steps, for n lanes."""
+        self.chunk, self.m = chunk, m
+        self.row = np.full(n, -1)       # each lane's row of u, once drawn
+        self.rows = 0
+        # past _CROSS_NARROW dt only a uniform of 0.0 can fail the test
+        self.wide = False
+
+    def draw(self, lanes, ids):
+        """Draw the chunk's uniforms for the given lanes into fresh rows."""
+        first = self.rows
+        self.rows += lanes.size
+        self.row[lanes] = np.arange(first, self.rows)
+        for r, lane in enumerate(lanes.tolist(), first):
+            i = ids[lane]
+            g = self.gens[i]
+            if g is None:
+                g = self.gens[i] = rng.stream(self.seed, self.first + i,
+                                              rng.UNIFORM)
+            if self.chunks[i] < self.chunk:
+                g.bit_generator.advance(
+                    (self.chunk - self.chunks[i]) * (_CHUNK // 4))
+            g.random(out=self.u[r, :self.m])
+            self.chunks[i] = self.chunk + 1
+        self.wide = self.wide or bool(
+            np.any(self.u[first:self.rows, :self.m] == 0.0))
 
 
 def simulate_x(d: DriftField, x0, cfg: SimConfig) -> PathBatch:

@@ -328,22 +328,27 @@ def test_warnings_reach_the_report(tmp_path, capsys):
 
 
 def test_reruns_are_byte_identical(tmp_path):
-    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-    assert main(["spectrum", _cfg("logistic"), "--output-dir", out1,
-                 "--quick"]) == 0
-    assert main(["spectrum", _cfg("logistic"), "--output-dir", out2,
-                 "--quick"]) == 0
-    # the lattice paths are sampled: their reruns must agree too
-    for out in (out1, out2):
-        assert main(["bd", _cfg("logistic"), "--output-dir", out,
-                     "--quick"]) == 0
-    for name in ("spectrum.csv", "eigenfunctions.csv", "yaglom.csv",
-                 "scaling_ks.csv", "bd_paths.csv", "s_criterion.csv"):
-        with open(os.path.join(out1, name), "rb") as fh:
-            b1 = fh.read()
-        with open(os.path.join(out2, name), "rb") as fh:
-            b2 = fh.read()
-        assert b1 == b2, name
+    # the lattice and diffusion paths are sampled: their reruns must agree
+    # too
+    runs = (("spectrum", "logistic"), ("bd", "logistic"),
+            ("simulate", "ou"), ("compare", "logistic"))
+    for rerun in ("a", "b"):
+        for command, model in runs:
+            assert main([command, _cfg(model), "--output-dir",
+                         str(tmp_path / rerun / command), "--quick"]) == 0
+    names = set()
+    for command, _ in runs:
+        first, second = tmp_path / "a" / command, tmp_path / "b" / command
+        csvs = sorted(p.name for p in first.glob("*.csv"))
+        assert csvs == sorted(p.name for p in second.glob("*.csv"))
+        for name in csvs:
+            same = (first / name).read_bytes() == (second / name).read_bytes()
+            assert same, (command, name)
+        names.update(csvs)
+    assert {"spectrum.csv", "eigenfunctions.csv", "yaglom.csv",
+            "scaling_ks.csv", "bd_paths.csv", "s_criterion.csv",
+            "paths_summary.csv", "survival.csv", "conditional_hist.csv",
+            "compare.csv"} <= names
 
 
 def test_thread_cap_does_not_change_output(tmp_path):

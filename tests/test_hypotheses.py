@@ -173,7 +173,10 @@ def test_root_decline_checks_finish_and_agree():
     h1 = rep.checks["h1"]
     assert h1.verdict == "holds", h1.detail
     assert abs(h1.trail["origin"][-1][1] - 0.17018416096) < 1e-9
-    assert rep.checks["h3"].verdict == "holds", rep.checks["h3"].detail
+    h3 = rep.checks["h3"]
+    assert h3.verdict == "holds", h3.detail
+    # quad on the closed form: 0.58203994941
+    assert abs(h3.trail[-1][1] - 0.58203994941) < 1e-9
     assert rep.checks["h5"].verdict == "fails"
     assert "agreement=yes" in rep.checks["h5"].detail
 

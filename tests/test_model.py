@@ -129,3 +129,15 @@ def test_numeric_potential_near_the_origin():
                             {"expression": "1/(2*x) + x"}).drift
     with pytest.raises(DomainError):
         singular.Q(np.array([0.0, 1.0]))
+
+
+def test_root_growth_potential_matches_closed_form():
+    # h(z) = -sqrt(z), gamma = 1: q = 1/(2x) + 1 and Q = ln x + 2(x - 1);
+    # h(z)/z is singular at the origin, the integrand in x is not
+    d = preset_model("custom", "growth",
+                     {"expression": "0 - sqrt(z)", "gamma": "1"}).drift
+    xs = np.geomspace(1e-3, 2.0, 200)
+    closed = np.log(xs) + 2.0 * (xs - 1.0)
+    np.testing.assert_allclose(d.Q(xs), closed, rtol=0.0, atol=1e-8)
+    np.testing.assert_allclose([d.Q(x) for x in xs], closed,
+                               rtol=0.0, atol=1e-8)

@@ -8,9 +8,10 @@ from scipy.special import erf
 from qsdlab import (DomainError, DriftField, PreconditionError, SimConfig,
                     condition_on_extinction, conditional_histogram,
                     drift_field, estimate_lambda1, ks_distance,
-                    linear_growth, ou_drift, rng, simulate_qprocess,
-                    simulate_x, simulate_z)
-from qsdlab.montecarlo import PATH_EVENTS, _CHUNK, _located, _record_steps
+                    linear_growth, montecarlo, ou_drift, rng,
+                    simulate_qprocess, simulate_x, simulate_z)
+from qsdlab.montecarlo import (PATH_EVENTS, _CHUNK, _CROSS_NARROW,
+                               _CROSS_SKIP, _located, _record_steps)
 
 
 def _free_drift():
@@ -18,12 +19,12 @@ def _free_drift():
     return drift_field(zero, zero, origin_exponent=0.0, name="free")
 
 
-def _wall_drift():
-    # OU inside, q = inf past x = 10: a step from beyond the wall is not
-    # finite
+def _wall_drift(push=np.inf):
+    # OU inside, q = push past x = 10: a step from beyond the wall is not
+    # finite (-inf for push = inf, +inf for push = -inf)
     def q(x):
         x = np.asarray(x, dtype=float)
-        return np.where(x > 10.0, np.inf, x)
+        return np.where(x > 10.0, push, x)
     return DriftField(q=q, q_prime=None, Q=None, C=0.0, origin_exponent=None,
                       name="wall")
 
@@ -128,6 +129,30 @@ def _pchip_drift(sd):
     return PchipInterpolator(sd.grid, logeta).derivative()
 
 
+# (_WIN, _CHUNK) pairs the absorbed engine must agree under: the
+# defaults, windows that do not divide the chunk, one-step windows in
+# four-step chunks, and windows longer than the chunk
+_LAYOUTS = ((32, 512), (7, 64), (1, 4), (64, 32))
+
+
+def _layout_runs(monkeypatch, v, x0, cfg, layouts=_LAYOUTS):
+    """The engine's (states, T0, events) under each window and chunk size."""
+    for win, chunk in layouts:
+        monkeypatch.setattr(montecarlo, "_WIN", win)
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        _, states, T0, events = montecarlo._euler_paths(v, x0, cfg)
+        yield (win, chunk), states, T0, events
+
+
+def _minus_q(drift):
+    return lambda x: -np.asarray(drift.q(x), dtype=float)
+
+
+def _step_products(states, delta):
+    """(x - d)(x' - d) of every recorded step, for a record every step."""
+    return (states[:, :-1] - delta) * (states[:, 1:] - delta)
+
+
 # OU from x0 = 0.05: paths land and fail the crossing test mid-chunk, and
 # t_max = 1.2 at dt = 1e-3 takes two refills
 _NEAR = dict(dt=1e-3, t_max=1.2, n_paths=60, seed=3)
@@ -141,20 +166,118 @@ _NEAR = dict(dt=1e-3, t_max=1.2, n_paths=60, seed=3)
     pytest.param(ou_drift(1.0), 0.05, {"crn_substeps": 2}, id="crn2"),
     pytest.param(ou_drift(1.0), 0.05, {"bridge_correction": False},
                  id="no-bridge"),
+    pytest.param(ou_drift(1.0), 0.05, {"record_dt": 5e-3}, id="record-5"),
     pytest.param(_wall_drift(), np.r_[10.5, 9.99, np.full(58, 1.5)], {},
                  id="wall"),
+    pytest.param(_wall_drift(-np.inf), np.r_[10.5, 9.99, np.full(58, 1.5)],
+                 {}, id="wall-up"),
 ])
-def test_engine_matches_reference_stepper(drift, x0, extra):
+def test_engine_matches_reference_stepper(drift, x0, extra, monkeypatch):
     cfg = SimConfig(**{**_NEAR, **extra})
     assert _record_steps(cfg)[-1] > 2 * _CHUNK
     b = simulate_x(drift, x0, cfg)
-    states, T0, _ = _reference_paths(
-        lambda x: -np.asarray(drift.q(x), dtype=float), x0, cfg)
+    states, T0, _ = _reference_paths(_minus_q(drift), x0, cfg)
     assert np.array_equal(b.T0, T0)
     assert np.array_equal(b.states, states)
     # paths die after a refill, and some outlive t_max
     assert np.any(np.isfinite(T0) & (T0 > _CHUNK * cfg.dt))
     assert np.any(np.isinf(T0))
+    layouts = _LAYOUTS if cfg.n_paths <= 60 else _LAYOUTS[:2]
+    for layout, s, t, events in _layout_runs(monkeypatch, _minus_q(drift),
+                                             x0, cfg, layouts):
+        assert np.array_equal(t, T0), layout
+        assert np.array_equal(s, states), layout
+        assert events == b.events, layout
+
+
+def test_deaths_at_window_and_chunk_edges(monkeypatch):
+    # a pull of one unit per step against noise of 1e-3 per step lands
+    # the path started at k + 0.5 at step k, whatever the draws
+    dt = 1e-6
+    cfg = SimConfig(dt=dt, t_max=1200 * dt, n_paths=12, seed=4,
+                    record_dt=3 * dt)
+
+    def v(x):
+        return np.full_like(x, -1.0 / dt)
+    for win, chunk in _LAYOUTS:
+        # the first and last step of windows, the steps either side of
+        # refills, and a path that lives into the last chunk
+        k = np.array([0, 1, win - 1, win, 2 * win - 1, 2 * win, chunk - 1,
+                      chunk, chunk + win - 1, 2 * chunk - 1, 2 * chunk,
+                      1150])
+        states, T0, _ = _reference_paths(v, k + 0.5, cfg)
+        assert np.array_equal(np.floor(T0 / dt + 1e-9), k)
+        monkeypatch.setattr(montecarlo, "_WIN", win)
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        _, s, t, events = montecarlo._euler_paths(v, k + 0.5, cfg)
+        assert np.array_equal(t, T0), (win, chunk)
+        assert np.array_equal(s, states), (win, chunk)
+        assert events["landings"] == k.size
+
+
+@pytest.mark.parametrize("win, chunk", [(32, 512), (7, 64)])
+def test_crossing_after_skipped_uniform_chunks(win, chunk, monkeypatch):
+    # a steady pull from x0 = 3 keeps paths out of the crossing band for
+    # two chunks and more; their first uniforms are read at an advanced
+    # stream position
+    dt = 1e-4
+    n_steps = 2 * chunk + 300
+    cfg = SimConfig(dt=dt, t_max=n_steps * dt, n_paths=40, seed=8,
+                    record_dt=dt)
+
+    def v(x):
+        return np.full_like(x, -2.8 / (2 * chunk * dt))
+    states, T0, _ = _reference_paths(v, 3.0, cfg)
+    monkeypatch.setattr(montecarlo, "_WIN", win)
+    monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+    _, s, t, events = montecarlo._euler_paths(v, 3.0, cfg)
+    assert np.array_equal(t, T0)
+    assert np.array_equal(s, states)
+    # some path stayed out of the band through two chunks, then failed the
+    # crossing test: such a death is dated at mid-step
+    p = _step_products(states, cfg.absorb_threshold)
+    far = np.all(p[:, :2 * chunk] >= _CROSS_SKIP * dt, axis=1)
+    u = np.where(np.isfinite(T0), T0 / dt, 0.0)
+    mid = np.abs(u - np.floor(u) - 0.5) < 1e-6
+    assert np.any(far & mid & (T0 > 2 * chunk * dt))
+    assert events["crossing_kills"] == np.count_nonzero(mid)
+
+
+class _ZeroUniforms:
+    """A path's crossing-test stream whose every uniform reads 0.0."""
+
+    def __init__(self, gen):
+        self.gen = gen
+        self.bit_generator = gen.bit_generator
+
+    def random(self, out):
+        self.gen.random(out=out)
+        out[:] = 0.0
+
+
+def test_zero_uniform_widens_the_crossing_band(monkeypatch):
+    # a uniform of 0.0 fails the test wherever the crossing probability is
+    # positive, so path 0 dies on its first step within 373 dt, which is
+    # outside the 19 dt band the other paths are tested in
+    cfg = SimConfig(dt=1e-3, t_max=1.2, n_paths=30, seed=3, record_dt=1e-3)
+    drift = _minus_q(ou_drift(1.0))
+    plain, _, _ = _reference_paths(drift, 1.0, cfg)
+    real = rng.stream
+
+    def stream(seed, index, region=0):
+        gen = real(seed, index, region)
+        return (_ZeroUniforms(gen) if region == rng.UNIFORM and index == 0
+                else gen)
+    monkeypatch.setattr(rng, "stream", stream)
+    states, T0, _ = _reference_paths(drift, 1.0, cfg)
+    # the same normals without the zeros: path 0 lived on past that step
+    step = int(T0[0] / cfg.dt)
+    p = _step_products(plain, cfg.absorb_threshold)[0]
+    assert np.all(p[:step] >= _CROSS_SKIP * cfg.dt)
+    assert _CROSS_NARROW * cfg.dt <= p[step] < _CROSS_SKIP * cfg.dt
+    for layout, s, t, _ in _layout_runs(monkeypatch, drift, 1.0, cfg):
+        assert np.array_equal(t, T0), layout
+        assert np.array_equal(s, states), layout
 
 
 def test_qprocess_matches_reference_stepper(logistic_sd):
