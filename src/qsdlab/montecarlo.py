@@ -183,17 +183,40 @@ def _euler_paths(v, x0, cfg, edges=None):
     states = np.zeros((cfg.n_paths, len(rec_steps)))
     T0 = np.full(cfg.n_paths, np.inf)
     events = dict.fromkeys(PATH_EVENTS, 0)
+    buf = _Buffers(min(cfg.block_size, cfg.n_paths), cfg, edges is None)
     for lo in range(0, cfg.n_paths, cfg.block_size):
         hi = min(lo + cfg.block_size, cfg.n_paths)
         _march_block(v, x0[lo:hi], lo, cfg, edges, rec_steps,
-                     states[lo:hi], T0[lo:hi], events)
+                     states[lo:hi], T0[lo:hi], events, buf)
     for arr in (times, states, T0):
         arr.setflags(write=False)
     return times, states, T0, events
 
 
+class _Buffers:
+    """The arrays blocks are marched in, made once per ensemble.
+
+    Every block of the ensemble reuses them.  Those a block fills only in
+    part (the uniform rows and _settle's rows) are written through when
+    made.  Otherwise how much of them is resident would depend on whether
+    the allocator hands out fresh pages or ones touched before, and a
+    run's peak resident size on what ran before it.
+    """
+
+    def __init__(self, B, cfg, absorbed):
+        self.raw = np.empty((B, _CHUNK * cfg.crn_substeps))
+        self.slab = self.diffs = self.prods = self.u = None
+        if absorbed:
+            self.slab = np.empty((_WIN + 1, B))
+            self.diffs = np.full((_WIN + 1) * B, 0.0)
+            self.prods = np.full(_WIN * B, 0.0)
+            if cfg.bridge_correction:
+                self.u = np.full((B, _CHUNK), 0.0)
+
+
 @np.errstate(all="ignore")
-def _march_block(v, x0, first, cfg, edges, rec_steps, states, T0, events):
+def _march_block(v, x0, first, cfg, edges, rec_steps, states, T0, events,
+                 buf):
     """Step paths first, first + 1, ... into their rows of states and T0.
 
     Each refill draws the next chunk of Gaussian steps for the live paths
@@ -207,15 +230,14 @@ def _march_block(v, x0, first, cfg, edges, rec_steps, states, T0, events):
     the next refill the lane is held at its state at the window's start.
     Floating-point warnings are off: a step that overflows is a
     non-finite step.  Adds the block's step events to the events counts.
+    buf holds the arrays the block is marched in (_Buffers).
     """
     dt, k = cfg.dt, cfg.crn_substeps
     sqdt, sqk = np.sqrt(dt), np.sqrt(float(k))
     B = len(x0)
     gens = [rng.stream(cfg.seed, first + i) for i in range(B)]
-    raw = np.empty((B, _CHUNK * k))
-    unif = (_Uniforms(cfg.seed, first, B)
-            if edges is None and cfg.bridge_correction else None)
-    slab = np.empty((_WIN + 1, B)) if edges is None else None
+    raw, slab = buf.raw, buf.slab
+    unif = _Uniforms(cfg.seed, first, B, buf.u) if buf.u is not None else None
 
     ids = np.arange(B)
     x = np.array(x0, dtype=float)
@@ -266,7 +288,8 @@ def _march_block(v, x0, first, cfg, edges, rec_steps, states, T0, events):
                 step = v(X[w]) * dt
                 step += X[w]
                 X[w + 1] += step
-            stop = _settle(X, dead, ids, start + j0, cfg, unif, T0, events)
+            stop = _settle(X, dead, ids, start + j0, cfg, unif, T0, events,
+                           buf)
             while rp < len(rec_steps) and rec_steps[rp] <= start + j0 + W:
                 w = rec_steps[rp] - (start + j0)
                 alive = stop >= w
@@ -279,9 +302,10 @@ def _march_block(v, x0, first, cfg, edges, rec_steps, states, T0, events):
         x = slab[0, :n]
 
 
-def _settle(X, dead, ids, s0, cfg, unif, T0, events):
+def _settle(X, dead, ids, s0, cfg, unif, T0, events, buf):
     """Date each lane's first event in the window X, where X[w] holds the
     states after step s0 + w - 1 and dead marks lanes that died earlier.
+    The differences to the threshold and their products go to buf.
 
     Returns stop: the window step at which each lane died, len(X) - 1 for
     a lane alive at the window's end and -1 for a dead one.  A step ends
@@ -303,8 +327,12 @@ def _settle(X, dead, ids, s0, cfg, unif, T0, events):
     sub = np.flatnonzero(~(far | dead))
     if not sub.size:
         return stop
-    D = X[:, sub] - delta
-    P = D[:-1] * D[1:]
+    # mode "clip" writes straight to out; every index is in range
+    D = np.take(X, sub, axis=1, mode="clip",
+                out=buf.diffs[:(W + 1) * sub.size].reshape(W + 1, sub.size))
+    D -= delta
+    P = np.multiply(D[:-1], D[1:],
+                    out=buf.prods[:W * sub.size].reshape(W, sub.size))
     if unif is None:
         cand = ~(P > 0.0)
     else:
@@ -365,11 +393,11 @@ class _Uniforms:
     one a chunk-by-chunk draw gives.
     """
 
-    def __init__(self, seed, first, B):
+    def __init__(self, seed, first, B, u):
         self.seed, self.first = seed, first
         self.gens = [None] * B
         self.chunks = [0] * B          # chunks each stream has passed
-        self.u = np.empty((B, _CHUNK))
+        self.u = u                     # at least B rows of _CHUNK
 
     def refill(self, chunk, m, n):
         """Start chunk number chunk, of m steps, for n lanes."""
