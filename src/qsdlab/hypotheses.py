@@ -21,7 +21,9 @@ as integrals of exp(Q(y) - Q(z)), never as products of huge and tiny
 factors.  The inner integrals of h1 and h5 at all of an outer rule's nodes
 come from one sweep over the sorted nodes: each node's gap to its
 neighbour is integrated on Gauss-Legendre panels, with the exponent built
-from q alone, and the gaps are summed from the far end inward.
+from q alone, and the gaps are summed from the far end inward.  A heavy
+far tail, such as the critical Feller diffusion's y/z, is marched in
+ln(1 + z), and it is infinite if still open past z = 1e48.
 """
 
 from __future__ import annotations
@@ -74,6 +76,11 @@ _GL_INT = (np.polynomial.legendre.legval(
     @ np.linalg.inv(np.polynomial.legendre.legvander(_GL_X, 19)))
 _FADE = 50.0            # a gap stops once its integrand is e^-50 below it
 _MAX_PANELS = 160       # a gap still open after this many panels is inf
+_FAR = 64.0             # the open tail's log panels start past this z
+_LOG_REACH = 8.0        # widest log panel, in ln(1 + z): where R grows like
+                        # ln z, R moves by just under 8 on it, and a wider
+                        # try would be rejected on every other panel
+_FAR_END = 1e48         # a heavy open tail still open past this z is inf
 
 
 def inner_tail(d: DriftField, y, hi: float = np.inf):
@@ -99,8 +106,12 @@ def _sweep(d, y, end, sign):
     singular like 1/z at the origin stays resolved; a panel over which R
     moves by more than 8 is halved.  A gap stops once exp(-R), times the
     distance covered, is e^-50 below its integral G; a gap not stopped
-    after _MAX_PANELS panels is a heavy tail, and inf.  The gaps are then
-    summed from end outward, I_i = G_i + exp(-R_i(u_i+1)) I_i+1.
+    after _MAX_PANELS panels is a heavy tail, and inf.  The open gap to
+    +inf, once past _FAR where the reach 1 + z binds rather than 2/|q|,
+    is marched in s = ln(1 + z) instead, dz = (1 + z) ds, on panels at
+    most _LOG_REACH wide under the same rules; still open past _FAR_END,
+    where 160 doubling panels end, it is inf.  The gaps are then summed
+    from end outward, I_i = G_i + exp(-R_i(u_i+1)) I_i+1.
     """
     y = np.asarray(y, dtype=float)
     u, back = np.unique(sign * y.reshape(-1), return_inverse=True)
@@ -108,8 +119,10 @@ def _sweep(d, y, end, sign):
     b = np.append(a[1:], sign * end)
     z, R, G = a.copy(), np.zeros(a.size), np.zeros(a.size)
     step = np.zeros(a.size)         # exp(-R) at b; 0 for a gap stopped short
-    cap = np.full(a.size, np.inf)   # panel width cap
+    cap = np.full(a.size, np.inf)   # panel width cap, in s on a log panel
     todo = np.arange(a.size)
+    last = a.size - 1 if sign > 0 and end == np.inf else -1   # the open gap
+    in_s = False                    # the open gap's cap is in s
     with np.errstate(all="ignore"):
         for _ in range(_MAX_PANELS):
             if not todo.size:
@@ -117,21 +130,44 @@ def _sweep(d, y, end, sign):
             zt, left = z[todo], b[todo] - z[todo]
             reach = 1.0 + zt if sign > 0 else -0.8 * zt
             qt = np.abs(np.asarray(d.q(sign * zt), dtype=float))
+            far = (todo[-1] == last and zt[-1] >= _FAR
+                   and 2.0 / qt[-1] >= reach[-1])
+            if far != in_s:         # a log panel starts as wide as a doubling
+                cap[last] = (np.log(2.0) if far
+                             else reach[-1] * np.expm1(cap[last]))
+                in_s = far
             w = np.minimum(np.fmin(reach, 2.0 / qt),
                            np.minimum(cap[todo], left))
+            if far:
+                w[-1] = min(cap[last], _LOG_REACH)
             half = 0.5 * w
-            p = 2.0 * np.asarray(d.q(sign * (zt[:, None] + half[:, None]
-                                               * (_GL_X + 1.0))), dtype=float)
+            t = half[:, None] * (_GL_X + 1.0)
+            nodes = zt[:, None] + t
+            if far:
+                jac = reach[-1] * np.exp(t[-1])     # 1 + z at the s nodes
+                nodes[-1] = jac - 1.0
+            p = 2.0 * np.asarray(d.q(sign * nodes), dtype=float)
+            if far:
+                p[-1] *= jac
             dR = half[:, None] * (p @ _GL_INT.T)
             keep = np.abs(dR).max(axis=1) > 8.0       # rejected: too wide
             cap[todo] = np.where(keep, 0.5, 2.0) * w
             ok, i = ~keep, todo[~keep]
-            G[i] += half[ok] * (np.exp(-(R[i, None] + dR[ok])) @ _GL_W)
+            f = np.exp(-(R[i, None] + dR[ok]))
+            far = far and ok[-1]                      # a log panel taken
+            if far:
+                f[-1] *= jac
+            G[i] += half[ok] * (f @ _GL_W)
             R[i] += half[ok] * (p[ok] @ _GL_W)
             reached = w[ok] >= left[ok]
             z[i] = np.where(reached, b[i], zt[ok] + w[ok])
+            if far:
+                z[last] = reach[-1] * np.exp(w[-1]) - 1.0
             step[i[reached]] = np.exp(-R[i[reached]])
             faded = np.exp(-R[i]) * (z[i] - a[i]) <= np.exp(-_FADE) * G[i]
+            if far and not faded[-1] and z[last] > _FAR_END:
+                G[last] = np.inf
+                faded[-1] = True
             keep[ok] = ~(reached | faded)
             todo = todo[keep]
     G[todo] = np.inf

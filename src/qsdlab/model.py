@@ -124,6 +124,7 @@ def curvature_floor(q, q_prime):
 
 
 _GL10_NODES, _GL10_WEIGHTS = np.polynomial.legendre.leggauss(10)
+_PANELS_PER_DECADE = 8  # below 0.5, near a singular origin
 
 
 def panel_gl10(f, a, b):
@@ -168,13 +169,16 @@ def make_potential_integral(q, singular_origin=False):
         xs = flat[order]
         chain = np.unique(np.concatenate((xs, [1.0])))
         if singular_origin and chain[0] < 0.5:
-            # refine each sub-unit gap geometrically to tame 1/x growth
-            extra = []
-            for aa, bb in zip(chain[:-1], chain[1:]):
-                if bb <= 0.5 and bb / aa > 1.02:
-                    extra.append(np.geomspace(aa, bb, 8)[1:-1])
-            if extra:
-                chain = np.unique(np.concatenate([chain] + extra))
+            # split each gap that starts below 0.5 into geometric panels,
+            # _PANELS_PER_DECADE to a decade, to tame 1/x growth
+            lo, ratio = chain[:-1], chain[1:] / chain[:-1]
+            n = np.where(lo < 0.5, np.ceil(
+                _PANELS_PER_DECADE * np.log10(ratio)), 1.0).astype(int)
+            k = n - 1                   # the points inside each gap
+            gap = np.repeat(np.arange(lo.size), k)
+            j = np.arange(gap.size) - np.repeat(np.cumsum(k) - k, k) + 1
+            chain = np.unique(np.concatenate(
+                (chain, lo[gap] * ratio[gap] ** (j / n[gap]))))
         cum = _gauss_legendre_panels(f, chain)
         anchor = cum[np.searchsorted(chain, 1.0)]
         out = np.interp(xs, chain, cum) - anchor

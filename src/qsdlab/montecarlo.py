@@ -237,7 +237,7 @@ def _march_block(v, x0, first, cfg, edges, rec_steps, states, T0, events,
     B = len(x0)
     gens = [rng.stream(cfg.seed, first + i) for i in range(B)]
     raw, slab = buf.raw, buf.slab
-    unif = _Uniforms(cfg.seed, first, B, buf.u) if buf.u is not None else None
+    unif = _Uniforms(cfg.seed, first, buf.u) if buf.u is not None else None
 
     ids = np.arange(B)
     x = np.array(x0, dtype=float)
@@ -388,16 +388,15 @@ class _Uniforms:
     Path i's uniform for step s sits at a fixed place in its stream
     (seed, first + i, UNIFORM): a chunk is _CHUNK doubles, _CHUNK // 4
     Philox blocks.  So a lane draws a chunk only when it first comes near
-    the threshold in it, into the next free row of u; a stream that
-    skipped chunks is advanced past them, and every uniform read is the
-    one a chunk-by-chunk draw gives.
+    the threshold in it, into the next free row of u, from one generator
+    re-keyed to the lane's stream at the chunk's counter; every uniform
+    read is the one a chunk-by-chunk draw gives.
     """
 
-    def __init__(self, seed, first, B, u):
-        self.seed, self.first = seed, first
-        self.gens = [None] * B
-        self.chunks = [0] * B          # chunks each stream has passed
-        self.u = u                     # at least B rows of _CHUNK
+    def __init__(self, seed, first, u):
+        self.seek = rng.Seek(seed, rng.UNIFORM)
+        self.first = first
+        self.u = u                     # at least a block's rows of _CHUNK
 
     def refill(self, chunk, m, n):
         """Start chunk number chunk, of m steps, for n lanes."""
@@ -412,17 +411,9 @@ class _Uniforms:
         first = self.rows
         self.rows += lanes.size
         self.row[lanes] = np.arange(first, self.rows)
-        for r, lane in enumerate(lanes.tolist(), first):
-            i = ids[lane]
-            g = self.gens[i]
-            if g is None:
-                g = self.gens[i] = rng.stream(self.seed, self.first + i,
-                                              rng.UNIFORM)
-            if self.chunks[i] < self.chunk:
-                g.bit_generator.advance(
-                    (self.chunk - self.chunks[i]) * (_CHUNK // 4))
-            g.random(out=self.u[r, :self.m])
-            self.chunks[i] = self.chunk + 1
+        block = self.chunk * (_CHUNK // 4)
+        for r, i in enumerate(ids[lanes].tolist(), first):
+            self.seek.at(self.first + i, block).random(out=self.u[r, :self.m])
         self.wide = self.wide or bool(
             np.any(self.u[first:self.rows, :self.m] == 0.0))
 

@@ -4,7 +4,8 @@ Every path, replica and draw set owns the stream keyed by (seed, index),
 so results never depend on how the work is blocked or ordered (Salmon
 et al., SC'11).  The top bits of the counter split each key into
 disjoint regions: region 0 carries the Gaussian increments and the
-jump-chain uniforms, UNIFORM the crossing-test uniforms.
+jump-chain uniforms, UNIFORM the crossing-test uniforms.  A Seek reads
+any key's stream from a known counter without building a generator.
 """
 
 import numpy as np
@@ -39,3 +40,26 @@ def stream(seed, index, region=0):
     counter = np.zeros(4, dtype=np.uint64)
     counter[3] = region
     return np.random.Generator(np.random.Philox(_KEY, counter=counter))
+
+
+class Seek:
+    """One generator re-keyed in place: at(index, block) returns it set to
+    the draws of stream(seed, index, region) after advance(block), where
+    a block is four 64-bit words.  Re-keying costs a fraction of building
+    a stream and advancing it."""
+
+    def __init__(self, seed, region=0):
+        self.region = region
+        self.gen = np.random.Generator(np.random.Philox(_KEY))  # any key
+        self._counter = [0, 0, 0, region]
+        self._key = [0, int(seed) & _MASK64]
+        self._state = {"bit_generator": "Philox",
+                       "state": {"counter": self._counter, "key": self._key},
+                       "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                       "has_uint32": 0, "uinteger": 0}
+
+    def at(self, index, block):
+        self._counter[0] = int(block)
+        self._key[0] = int(index) & _MASK64
+        self.gen.bit_generator.state = self._state
+        return self.gen

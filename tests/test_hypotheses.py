@@ -161,6 +161,58 @@ def test_inner_integrals_match_split_quad(preset, kind, params):
     assert inner_tail(sweep, 1.0, hi=1.0) == 0.0
 
 
+@pytest.mark.parametrize("expression, Q", [
+    ("1/(2*x) + x^3/1e12", lambda x: np.log(x) + (x ** 4 - 1.0) / 2e12),
+    ("1/(2*x) + x^3/1e15", lambda x: np.log(x) + (x ** 4 - 1.0) / 2e15),
+    ("1/(2*x) + x/1e10", lambda x: np.log(x) + (x ** 2 - 1.0) / 1e10),
+])
+def test_slowly_fading_tails_stay_finite(expression, Q):
+    # like the pure Feller tail y/z out to z ~ 1e3-1e5, then cut off: a
+    # tail whose increments do not shrink for a while is not yet infinite
+    d = preset_model("custom", "drift", {"expression": expression}).drift
+    for y in (1.0, 5.0, 30.0):
+        np.testing.assert_allclose(
+            inner_tail(d, y),
+            _split_quad(lambda z: np.exp(Q(y) - Q(z)), y, np.inf),
+            rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("p", [0.75, 1.0, 2.0, 3.0])
+def test_power_tails_match_closed_form(p):
+    # q = p/x: the far tail, marched in ln(1 + z), is int (y/z)^2p = y/(2p - 1)
+    d = preset_model("custom", "drift", {"expression": f"{p}/x"}).drift
+    ys = np.array([1.0, 5.0, 30.0, 100.0])
+    np.testing.assert_allclose(inner_tail(d, ys), ys / (2.0 * p - 1.0),
+                               rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("preset, params", [
+    ("custom", {"expression": "0*z", "gamma": 1.0}),
+    ("linear", {"r": 0.0, "gamma": 1.0}),
+])
+def test_critical_feller_tail_is_infinite(preset, params):
+    # q = 1/(2x): the tail int_y^inf y/z dz diverges like a logarithm
+    d = preset_model(preset, "growth", params).drift
+    assert np.all(np.isposinf(inner_tail(d, np.array([1.0, 5.0, 30.0]))))
+    assert np.isposinf(inner_tail(d, 1.0))
+
+
+def test_flat_growth_check_stays_within_its_drift_budget():
+    # the heavy tail ends at z = 1e48 after a few dozen log panels, not
+    # 160 doublings: 1157 calls of q, against 7599 with doublings only
+    model = preset_model("custom", "growth",
+                         {"expression": "0*z", "gamma": 1.0})
+    calls = []
+
+    def q(x):
+        calls.append(1)
+        return model.drift.q(x)
+    counted = dataclasses.replace(
+        model, drift=dataclasses.replace(model.drift, q=q))
+    assert check_all(counted).verdicts == check_all(model).verdicts
+    assert len(calls) <= 2000
+
+
 def test_root_decline_checks_finish_and_agree():
     # h(z) = -sqrt(z) gives q = 1/(2x) + 1, Q = ln x + 2(x - 1): the exit
     # integral is 0.17018416096 (dblquad on the closed form), and the
@@ -217,6 +269,8 @@ def test_verdict_matrix_runs_the_designed_rule(monkeypatch):
                   "h1 h2 h3 h4 h5 hh", ""),
         "flat": ("custom", "growth", {"expression": "0*z", "gamma": 1.0},
                  "h1 h3", "h2 h4 h5 hh"),
+        "critical": ("linear", "growth", {"r": 0.0, "gamma": 1.0},
+                     "h1 h3", "h2 h4 h5 hh"),
     }
     for name, (preset, kind, params, holds, fails) in expected.items():
         verdicts = check_all(preset_model(preset, kind, params)).verdicts

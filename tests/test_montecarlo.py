@@ -262,13 +262,20 @@ def test_zero_uniform_widens_the_crossing_band(monkeypatch):
     cfg = SimConfig(dt=1e-3, t_max=1.2, n_paths=30, seed=3, record_dt=1e-3)
     drift = _minus_q(ou_drift(1.0))
     plain, _, _ = _reference_paths(drift, 1.0, cfg)
-    real = rng.stream
+    real, real_at = rng.stream, rng.Seek.at
 
     def stream(seed, index, region=0):
         gen = real(seed, index, region)
         return (_ZeroUniforms(gen) if region == rng.UNIFORM and index == 0
                 else gen)
+
+    def at(seek, index, block):
+        gen = real_at(seek, index, block)
+        return (_ZeroUniforms(gen) if seek.region == rng.UNIFORM
+                and index == 0 else gen)
+    # the reference reads path 0's stream, the engine re-keys one generator
     monkeypatch.setattr(rng, "stream", stream)
+    monkeypatch.setattr(rng.Seek, "at", at)
     states, T0, _ = _reference_paths(drift, 1.0, cfg)
     # the same normals without the zeros: path 0 lived on past that step
     step = int(T0[0] / cfg.dt)

@@ -32,3 +32,15 @@ def test_stream_draws_no_os_entropy(monkeypatch):
     first = rng.stream(3, 7).standard_normal(5)
     rng.stream(4, 8)               # another key in between changes nothing
     assert np.array_equal(rng.stream(3, 7).standard_normal(5), first)
+
+
+@pytest.mark.parametrize("region", [0, rng.UNIFORM])
+def test_seek_reads_each_stream_at_its_counter(region):
+    seek = rng.Seek(-1, region)
+    for index, block, n in [(5, 384, 512), (0, 0, 3), (2**63 + 1, 7, 6),
+                            (5, 384, 9)]:
+        ref = rng.stream(-1, index, region)
+        ref.bit_generator.advance(block)
+        # a read that stopped inside a block leaves nothing behind
+        assert np.array_equal(seek.at(index, block).random(n),
+                              ref.random(n))
