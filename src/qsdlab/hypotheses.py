@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .model import DriftField, GrowthModel, Model
-from .quadrature import IntegralVerdict, QuadratureSpec, integrate, positive_integrand
+from .quadrature import IntegralVerdict, integrate, positive_integrand
 
 _H2_PROBE_DECADES = range(0, 7)
 _HH_PROBE_DECADES = range(2, 9)
@@ -184,18 +184,17 @@ def _sweep(d, y, end, sign):
 # ---------------------------------------------------------------------------
 # individual checks
 
-def check_h1(d: DriftField, spec: Optional[QuadratureSpec] = None) -> HypothesisCheck:
+def check_h1(d: DriftField) -> HypothesisCheck:
     """Certain absorption: scale integral diverges, origin exit integral finite."""
-    spec = spec or QuadratureSpec()
 
     @positive_integrand
     def eQ(y):
         return np.exp(np.asarray(d.Q(y), dtype=float))
 
-    scale = integrate(eQ, 1.0, np.inf, spec)
+    scale = integrate(eQ, 1.0, np.inf)
 
     origin = integrate(positive_integrand(
-        lambda ys: inner_tail(d, ys, hi=1.0)), 0.0, 1.0, spec)
+        lambda ys: inner_tail(d, ys, hi=1.0)), 0.0, 1.0)
 
     if scale.status == "diverges" and origin.status == "converges":
         verdict = "holds"
@@ -239,9 +238,8 @@ def check_h2(d: DriftField) -> HypothesisCheck:
     return HypothesisCheck("h2", verdict, "q^2 - q' probes", detail, trail)
 
 
-def check_h3(d: DriftField, spec: Optional[QuadratureSpec] = None) -> HypothesisCheck:
+def check_h3(d: DriftField) -> HypothesisCheck:
     """Weighted speed measure finite near the origin."""
-    spec = spec or QuadratureSpec()
     C = d.C
 
     @positive_integrand
@@ -250,7 +248,7 @@ def check_h3(d: DriftField, spec: Optional[QuadratureSpec] = None) -> Hypothesis
         den = np.asarray(d.q(y), dtype=float) ** 2 - np.asarray(d.q_prime(y), dtype=float) + C + 2.0
         return np.exp(-np.asarray(d.Q(y), dtype=float)) / den
 
-    v = integrate(f, 0.0, 1.0, spec)
+    v = integrate(f, 0.0, 1.0)
     verdict = {"converges": "holds", "diverges": "fails"}.get(v.status, "inconclusive")
     detail = (f"value={v.value:.6g}" if v.status == "converges"
               else f"{v.status}({v.growth_model})")
@@ -258,9 +256,8 @@ def check_h3(d: DriftField, spec: Optional[QuadratureSpec] = None) -> Hypothesis
                            detail, list(v.trail))
 
 
-def check_h4(d: DriftField, spec: Optional[QuadratureSpec] = None) -> HypothesisCheck:
+def check_h4(d: DriftField) -> HypothesisCheck:
     """Finite speed tail and finite root-moment at the origin."""
-    spec = spec or QuadratureSpec()
 
     @positive_integrand
     def emQ(y):
@@ -272,8 +269,8 @@ def check_h4(d: DriftField, spec: Optional[QuadratureSpec] = None) -> Hypothesis
         y = np.asarray(y, dtype=float)
         return y * np.exp(-0.5 * np.asarray(d.Q(y), dtype=float))
 
-    tail = integrate(emQ, 1.0, np.inf, spec)
-    origin = integrate(root_moment, 0.0, 1.0, spec)
+    tail = integrate(emQ, 1.0, np.inf)
+    origin = integrate(root_moment, 0.0, 1.0)
     if tail.status == "converges" and origin.status == "converges":
         verdict = "holds"
     elif tail.status == "diverges" or origin.status == "diverges":
@@ -285,14 +282,13 @@ def check_h4(d: DriftField, spec: Optional[QuadratureSpec] = None) -> Hypothesis
                            {"tail": list(tail.trail), "origin": list(origin.trail)})
 
 
-def check_h5(d: DriftField, spec: Optional[QuadratureSpec] = None) -> HypothesisCheck:
+def check_h5(d: DriftField) -> HypothesisCheck:
     """Finite return-time integral, in both equivalent double-integral forms."""
-    spec = spec or QuadratureSpec()
 
     va = integrate(positive_integrand(
-        lambda ys: inner_tail(d, ys)), 1.0, np.inf, spec)
+        lambda ys: inner_tail(d, ys)), 1.0, np.inf)
     vb = integrate(positive_integrand(
-        lambda ys: inner_head(d, ys, lo=1.0)), 1.0, np.inf, spec)
+        lambda ys: inner_head(d, ys, lo=1.0)), 1.0, np.inf)
     agree = va.status == vb.status
     if va.status == "converges" and vb.status == "converges":
         verdict = "holds"
@@ -343,15 +339,13 @@ class InvQReport:
     first_violation: Optional[float]
 
 
-def inv_q_criterion(d: DriftField, spec: Optional[QuadratureSpec] = None,
-                    window: int = 64) -> InvQReport:
+def inv_q_criterion(d: DriftField, window: int = 64) -> InvQReport:
     """For eventually positive drifts: finiteness of int dx / q.
 
     x0 is the first probe node from which q stays positive on `window`
     consecutive log-spaced nodes; the integral verdict then matches the
     return-time check for eventually monotone drifts.
     """
-    spec = spec or QuadratureSpec()
     nodes = np.geomspace(1.0, 1e8, 513)
     with np.errstate(all="ignore"):
         qv = np.asarray(d.q(nodes), dtype=float)
@@ -377,7 +371,7 @@ def inv_q_criterion(d: DriftField, spec: Optional[QuadratureSpec] = None,
         x = np.asarray(x, dtype=float)
         return 1.0 / np.asarray(d.q(x), dtype=float)
 
-    v = integrate(inv_q, x0, np.inf, spec)
+    v = integrate(inv_q, x0, np.inf)
     return InvQReport(x0=x0, verdict=v, eventually_monotone=bool(monotone),
                       first_violation=first_violation)
 
@@ -385,9 +379,8 @@ def inv_q_criterion(d: DriftField, spec: Optional[QuadratureSpec] = None,
 # ---------------------------------------------------------------------------
 # assembly
 
-def check_all(model, spec: Optional[QuadratureSpec] = None) -> HypothesisReport:
+def check_all(model) -> HypothesisReport:
     """Run every check on a Model (or bare DriftField)."""
-    spec = spec or QuadratureSpec()
     if isinstance(model, Model):
         d = model.drift
         g = model.growth
@@ -397,11 +390,11 @@ def check_all(model, spec: Optional[QuadratureSpec] = None) -> HypothesisReport:
     else:
         raise TypeError("expected a Model or DriftField")
     checks = {
-        "h1": check_h1(d, spec),
+        "h1": check_h1(d),
         "h2": check_h2(d),
-        "h3": check_h3(d, spec),
-        "h4": check_h4(d, spec),
-        "h5": check_h5(d, spec),
+        "h3": check_h3(d),
+        "h4": check_h4(d),
+        "h5": check_h5(d),
     }
     if g is not None:
         checks["hh"] = check_hh(g)

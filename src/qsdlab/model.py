@@ -124,7 +124,7 @@ def curvature_floor(q, q_prime):
 
 
 _GL10_NODES, _GL10_WEIGHTS = np.polynomial.legendre.leggauss(10)
-_PANELS_PER_DECADE = 8  # below 0.5, near a singular origin
+_PANELS_PER_DECADE = 8
 
 
 def panel_gl10(f, a, b):
@@ -151,9 +151,10 @@ def make_potential_integral(q, singular_origin=False):
     """Build Q(x) = int_1^x 2 q(u) du by cumulative panel quadrature.
 
     Array calls (of any shape) integrate once along the sorted request;
-    scalar calls pay one small quadrature.  Panels near a singular origin
-    are subdivided in log space so 1/x-type drifts integrate accurately.
-    Q is defined on x > 0 when the origin is singular, on x >= 0 otherwise.
+    scalar calls pay one small quadrature.  Gaps wider than an eighth of
+    a decade are subdivided in log space so 1/x-type drifts integrate
+    accurately.  Q is defined on x > 0 when the origin is singular, on
+    x >= 0 otherwise.
     """
 
     def f(u):
@@ -168,17 +169,20 @@ def make_potential_integral(q, singular_origin=False):
         order = np.argsort(flat)
         xs = flat[order]
         chain = np.unique(np.concatenate((xs, [1.0])))
-        if singular_origin and chain[0] < 0.5:
-            # split each gap that starts below 0.5 into geometric panels,
-            # _PANELS_PER_DECADE to a decade, to tame 1/x growth
-            lo, ratio = chain[:-1], chain[1:] / chain[:-1]
-            n = np.where(lo < 0.5, np.ceil(
-                _PANELS_PER_DECADE * np.log10(ratio)), 1.0).astype(int)
-            k = n - 1                   # the points inside each gap
-            gap = np.repeat(np.arange(lo.size), k)
-            j = np.arange(gap.size) - np.repeat(np.cumsum(k) - k, k) + 1
-            chain = np.unique(np.concatenate(
-                (chain, lo[gap] * ratio[gap] ** (j / n[gap]))))
+        # split each gap into geometric panels, _PANELS_PER_DECADE to a
+        # decade, so a 1/x term integrates as well far out as near 0
+        lo = chain[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = chain[1:] / lo
+        # a gap from 0, or to an infinite or NaN request, stays one panel
+        ratio = np.where(np.isfinite(ratio), ratio, 1.0)
+        n = np.maximum(np.ceil(_PANELS_PER_DECADE * np.log10(ratio)),
+                       1.0).astype(int)
+        k = n - 1                       # the points inside each gap
+        gap = np.repeat(np.arange(lo.size), k)
+        j = np.arange(gap.size) - np.repeat(np.cumsum(k) - k, k) + 1
+        chain = np.unique(np.concatenate(
+            (chain, lo[gap] * ratio[gap] ** (j / n[gap]))))
         cum = _gauss_legendre_panels(f, chain)
         anchor = cum[np.searchsorted(chain, 1.0)]
         out = np.interp(xs, chain, cum) - anchor

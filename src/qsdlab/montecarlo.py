@@ -31,6 +31,8 @@ _LANES = 512              # lanes per piece of a window's transposed copy
 _CROSS_SKIP = 373.0
 # and it is below 2**-53, the smallest nonzero uniform, once y > 18.4 dt
 _CROSS_NARROW = 19.0
+# the extinction profile's cumulated ratio, integrated tighter than verdicts
+_EXTINCTION_QUAD = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15)
 # the step events _euler_paths counts, one int each
 PATH_EVENTS = ("landings", "non_finite_steps", "crossing_kills",
                "reflections")
@@ -627,9 +629,7 @@ class ConditionedGrowth(GrowthModel):
     u: Optional[Callable] = None
 
 
-def condition_on_extinction(g: GrowthModel,
-                            quad: Optional[QuadratureSpec] = None
-                            ) -> ConditionedGrowth:
+def condition_on_extinction(g: GrowthModel) -> ConditionedGrowth:
     """Drift of the population model conditioned to die out.
 
     Requires growth strong enough that survival has positive probability
@@ -637,7 +637,6 @@ def condition_on_extinction(g: GrowthModel,
     drift is h(y) + gamma y u'(y)/u(y) with u the extinction probability,
     computed from the cumulated growth-to-fluctuation ratio.
     """
-    quad = quad or QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15)
     gamma = g.gamma
     h = g.h
 
@@ -661,7 +660,7 @@ def condition_on_extinction(g: GrowthModel,
 
     # locate the scale beyond which exp(-J) is dead (J > 750)
     z_hi = 8.0 / gamma
-    head = integrate(f, 0.0, z_hi, spec=quad)
+    head = integrate(f, 0.0, z_hi, spec=_EXTINCTION_QUAD)
     if not head:
         raise PreconditionError("cumulated growth ratio did not integrate "
                                 "over the head interval")
@@ -669,7 +668,7 @@ def condition_on_extinction(g: GrowthModel,
     for _ in range(60):
         if J_hi > 750.0:
             break
-        step = integrate(f, z_hi, 2.0 * z_hi, spec=quad)
+        step = integrate(f, z_hi, 2.0 * z_hi, spec=_EXTINCTION_QUAD)
         if not step or not np.isfinite(step.value) or step.value <= 0:
             raise PreconditionError(
                 "cumulated growth ratio stopped increasing; the "

@@ -6,14 +6,14 @@ integrals are classified as converging or as growing like a constant, a
 logarithm, a power, or an exponential.  A divergence verdict requires two
 consecutive consistent classifications.
 
-Finite panels use the double-exponential rule (scipy tanhsinh).  A panel
-on which that rule does not converge is handed to adaptive panels (scipy
-quad); an integrand that fails, or returns the wrong shape, raises.
+Finite panels use the double-exponential rule (scipy tanhsinh) and
+nothing else: a panel it does not resolve is reported as not converged,
+not solved again another way.  An integrand that fails, or returns the
+wrong shape, raises.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,8 +27,6 @@ DEFAULT_CUTOFFS = tuple(float(10.0 ** k) for k in range(1, 9))
 class QuadratureSpec:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
-    max_depth: int = 40
-    cutoffs: tuple = DEFAULT_CUTOFFS
 
 
 @dataclass(frozen=True)
@@ -47,32 +45,18 @@ def _finite_panel(f, a, b, spec):
     """Integrate f on a finite panel. Returns (value, error_estimate, ok)."""
     if b <= a:
         return 0.0, 0.0, True
-    maxlevel = int(min(14, max(9, spec.max_depth // 3)))
     with np.errstate(all="ignore"):
         # at the default minlevel of 2 a smooth panel can stop after 67
         # nodes with an error estimate far below its true error
         res = _si.tanhsinh(f, a, b, rtol=spec.rel_tol, atol=spec.abs_tol,
-                           minlevel=3, maxlevel=maxlevel)
-    val, err, ok = float(res.integral), float(res.error), bool(res.success)
-    if ok and np.isfinite(val):
-        return val, err, True
-    if not np.isfinite(val) and not np.isnan(val):
-        return val, np.inf, False  # genuine overflow: keep the sign of infinity
-    # the double-exponential rule did not converge: fall back to adaptive panels
-    def scalar(x):
-        out = f(np.array([x], dtype=float))
-        return float(np.asarray(out, dtype=float).reshape(-1)[0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        val2, err2 = _si.quad(scalar, a, b, epsabs=spec.abs_tol,
-                              epsrel=spec.rel_tol,
-                              limit=max(50, spec.max_depth * 5))
-    ok2 = np.isfinite(val2) and err2 <= 10.0 * max(spec.abs_tol, spec.rel_tol * abs(val2))
-    if ok2 and np.isfinite(val) and abs(val) > 1e3 * max(1.0, abs(val2)):
-        # the double-exponential rule saw an endpoint blowup that the
-        # adaptive-panel rule never samples; distrust the panel answer
-        ok2 = False
-    return float(val2), float(err2), bool(ok2)
+                           minlevel=3, maxlevel=13)
+    val = float(res.integral)
+    if not np.isfinite(val):
+        # NaN: the integrand was not finite at nodes that tanhsinh had no
+        # finite neighbour to stand in for (status -3), read as +inf like
+        # positive_integrand reads it; an overflow keeps its sign
+        return (np.inf if np.isnan(val) else val), np.inf, False
+    return val, float(res.error), bool(res.success)
 
 
 def classify_growth(cuts, partials, rel_tol=1e-9, abs_tol=1e-12):
@@ -156,13 +140,13 @@ def _ladder(f, anchor, spec, direction):
     blowup at the origin still reads as power growth.
     """
     if direction == "up":
-        cuts = [c for c in spec.cutoffs if c > anchor * (1 + 1e-9)]
+        cuts = [c for c in DEFAULT_CUTOFFS if c > anchor * (1 + 1e-9)]
         if not cuts:
             cuts = [anchor * 10.0 ** k for k in range(1, 9)]
         segments = [(anchor, cuts[0])] + list(zip(cuts[:-1], cuts[1:]))
         fit_cuts = cuts
     else:
-        eps = [1.0 / c for c in spec.cutoffs if 1.0 / c < anchor * (1 - 1e-9)]
+        eps = [1.0 / c for c in DEFAULT_CUTOFFS if 1.0 / c < anchor * (1 - 1e-9)]
         if not eps:
             eps = [anchor / 10.0 ** k for k in range(1, 9)]
         cuts = eps

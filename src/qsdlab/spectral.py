@@ -18,7 +18,7 @@ and their checks probe floating-point noise only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from typing import Optional
@@ -115,8 +115,6 @@ class SpectralDecomposition:
     etas: np.ndarray          # (n, K), eta = exp(Q/2) psi
     Qgrid: np.ndarray         # (n,) potential on the grid
     mu_weights: np.ndarray    # (n,) d_i exp(-Q_i)
-    diag: np.ndarray = field(repr=False, default=None)
-    off: np.ndarray = field(repr=False, default=None)
 
     @property
     def lambda1(self):
@@ -233,7 +231,7 @@ def build_and_solve(d: DriftField, domain: Optional[TruncationDomain] = None,
     return SpectralDecomposition(
         domain=domain, drift=d, K=K, grid=x, cell=dcell,
         lambdas=lam, psis=psi, etas=eta, Qgrid=Qg,
-        mu_weights=dcell * np.exp(-Qg), diag=diag, off=off)
+        mu_weights=dcell * np.exp(-Qg))
 
 
 def _half_weights(sd: SpectralDecomposition, weights, half=-1):

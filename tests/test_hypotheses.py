@@ -234,12 +234,13 @@ def test_root_decline_checks_finish_and_agree():
 
 
 class _CountingIntegrate:
-    """scipy.integrate stand-in that counts tanhsinh calls and raises."""
+    """scipy.integrate stand-in that counts tanhsinh and quad calls."""
 
     def __init__(self, module):
         self.module = module
         self.calls = 0
         self.raised = 0
+        self.quad_calls = 0
 
     def __getattr__(self, name):
         return getattr(self.module, name)
@@ -252,10 +253,14 @@ class _CountingIntegrate:
             self.raised += 1
             raise
 
+    def quad(self, *args, **kwargs):
+        self.quad_calls += 1
+        return self.module.quad(*args, **kwargs)
+
 
 def test_verdict_matrix_runs_the_designed_rule(monkeypatch):
-    # every outer integral goes through tanhsinh without an exception to
-    # fall back from
+    # every outer integral goes through tanhsinh without an exception,
+    # and nothing else
     counter = _CountingIntegrate(quadrature._si)
     monkeypatch.setattr(quadrature, "_si", counter)
     expected = {
@@ -271,6 +276,15 @@ def test_verdict_matrix_runs_the_designed_rule(monkeypatch):
                  "h1 h3", "h2 h4 h5 hh"),
         "critical": ("linear", "growth", {"r": 0.0, "gamma": 1.0},
                      "h1 h3", "h2 h4 h5 hh"),
+        # q = p/x: exp(-Q) = x^(-2p), so h3's integrand is
+        # x^(2-2p)/(p(p+1)) + ..., divergent at 0 for p >= 1.5, and h4's
+        # root moment is int_0^1 y^(1-p), divergent for p >= 2
+        "p=1.5": ("custom", "drift", {"expression": "1.5/x"},
+                  "h1 h4", "h2 h3 h5"),
+        "p=2": ("custom", "drift", {"expression": "2.0/x"},
+                "h1", "h2 h3 h4 h5"),
+        "p=3": ("custom", "drift", {"expression": "3.0/x"},
+                "h1", "h2 h3 h4 h5"),
     }
     for name, (preset, kind, params, holds, fails) in expected.items():
         verdicts = check_all(preset_model(preset, kind, params)).verdicts
@@ -280,3 +294,4 @@ def test_verdict_matrix_runs_the_designed_rule(monkeypatch):
             fails.split(), name
     assert counter.calls > 0
     assert counter.raised == 0
+    assert counter.quad_calls == 0

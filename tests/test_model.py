@@ -145,7 +145,8 @@ def test_root_growth_potential_matches_closed_form():
 
 def test_potential_integral_near_a_singular_origin():
     # Q = ln x + x^2 - 1 for q = 1/(2x) + x; a lone or sparse request
-    # spans decades on one gap, which is split by decade
+    # spans decades on one gap, near the origin or far from it, which is
+    # split by decade
     d = preset_model("custom", "drift", {"expression": "1/(2*x) + x"}).drift
     xs = np.geomspace(1e-3, 2.0, 200)
     exact = np.log(xs) + xs ** 2 - 1.0
@@ -154,3 +155,8 @@ def test_potential_integral_near_a_singular_origin():
                                atol=1e-12)
     np.testing.assert_allclose([d.Q(x) for x in xs], exact, rtol=1e-12,
                                atol=1e-12)
+    far = np.array([10.0, 1000.0])
+    exact = np.log(far) + far ** 2 - 1.0
+    np.testing.assert_allclose(d.Q(far), exact, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose([d.Q(x) for x in far], exact, rtol=1e-12,
+                               atol=0.0)

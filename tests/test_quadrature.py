@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qsdlab import IntegralVerdict, QuadratureSpec, classify_growth, integrate
-from qsdlab.quadrature import positive_integrand
+from qsdlab.quadrature import _finite_panel, positive_integrand
 
 
 def test_convergent_exponential_tail():
@@ -88,6 +88,15 @@ def test_positive_integrand_maps_nan_to_inf():
     f = positive_integrand(lambda x: np.full_like(np.asarray(x, float), np.nan))
     out = f(np.array([1.0, 2.0]))
     assert np.all(np.isposinf(out))
+
+
+def test_panel_with_non_finite_nodes_reads_infinite():
+    # exp(1e3/x) overflows at every node of [0.5, 1], so tanhsinh has no
+    # finite value to stand in and returns NaN; the panel reports +inf,
+    # not converged, and is not solved again another way
+    f = positive_integrand(lambda x: np.exp(1e3 / np.asarray(x, dtype=float)))
+    assert _finite_panel(f, 0.5, 1.0, QuadratureSpec()) == \
+        (np.inf, np.inf, False)
 
 
 def test_spec_tolerances_respected():
