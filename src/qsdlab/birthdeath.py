@@ -17,7 +17,7 @@ from .errors import (DomainError, PreconditionError, TailDominatedError,
                      TruncationError)
 from .model import preset_model, x_from_z, z_from_x
 from .quadrature import classify_growth
-from .spectral import (TruncationDomain, build_and_solve,
+from .spectral import (LEVEL_CUT, TruncationDomain, build_and_solve,
                        conditional_density, tridiagonal_modes)
 
 _CHUNK = 512                      # uniforms per stream refill (2 per event)
@@ -240,9 +240,10 @@ def lattice_law(m: BDModel, z0, t) -> np.ndarray:
 
         p[m] = sqrt(pi_m / pi_n0) sum_k exp(-lambda_k t) phi_k(n0) phi_k(m).
 
-    Levels with lambda t > 42 weigh below 1e-18 and are left out.  Mass
-    left at the last M, an unresolved spectrum, and an entry below -1e-12
-    (cancellation) raise TruncationError; nothing is clipped.
+    Levels with lambda t > LEVEL_CUT = 42 weigh below 1e-18 and are left
+    out.  Mass left at the last M, an unresolved spectrum, and an entry
+    below -1e-12 (cancellation) raise TruncationError; nothing is
+    clipped.
     """
     N = m.N
     n0 = _snap_count(z0, N)
@@ -262,7 +263,7 @@ def lattice_law(m: BDModel, z0, t) -> np.ndarray:
         lam, phi = tridiagonal_modes(
             b + d, -np.sqrt(b[:-1] * d[1:]),
             "this chain's spectrum is not resolved in double precision",
-            select="v", select_range=(-np.inf, 42.0 / t),
+            select="v", select_range=(-np.inf, LEVEL_CUT / t),
             lapack_driver="stemr")
         p = np.zeros(M + 1)
         if n0 > 0:
@@ -289,6 +290,7 @@ def lattice_law(m: BDModel, z0, t) -> np.ndarray:
 @dataclass(frozen=True)
 class ScalingReport:
     rows: tuple                 # (N, ks_distance, M)
+    reference_levels: int       # levels the diffusion reference kept
 
 
 def _diffusion_cdf(kind, params, z0, t, z_max):
@@ -296,11 +298,13 @@ def _diffusion_cdf(kind, params, z0, t, z_max):
 
     The family's jump variance per unit time, (b+d)/N^2, tends to
     2 gamma z: the limit has growth (lam - mu) z - c z^2 at noise scale
-    2 gamma.  One solve (sqrt grid, 4096 nodes, 64 modes) on (1e-3,
-    x(z_max)) gives S(t) and the conditional law; the law at t is the
-    atom 1 - S(t) at 0 plus S(t) times that law, mapped to z.  A t below
-    the solve's t_min raises TailDominatedError; K is fixed here, so the
-    only remedy is a later t.
+    2 gamma.  One solve (sqrt grid, 4096 nodes) on (1e-3, x(z_max))
+    gives S(t) and the conditional law; the law at t is the atom 1 - S(t)
+    at 0 plus S(t) times that law, mapped to z.  The solve keeps the
+    levels that still weigh at t, as lattice_law does, up to 64.  A t
+    below the solve's t_min raises TailDominatedError; K is the cap, so
+    the only remedy is a later t.  Returns the cdf and the number of
+    levels kept.
     """
     p = dict(params)
     noise = 2.0 * float(p.get("gamma", 1.0))
@@ -310,14 +314,15 @@ def _diffusion_cdf(kind, params, z0, t, z_max):
         {"logistic_branching": "logistic", "pure_branching": "linear"}[kind],
         "growth", {"r": float(p.get("lam", 1.0)) - float(p.get("mu", 1.0)),
                    "c": float(p.get("c", 1.0)), "gamma": noise})
-    sd = build_and_solve(model.drift, box, K=_REF_K)
+    sd = build_and_solve(model.drift, box, K=_REF_K, horizon=t)
     try:
         law = conditional_density(sd, t, x_from_z(z0, noise))
     except TailDominatedError as exc:
         raise TailDominatedError(exc.t, exc.t_min, exc.K,
                                  "use t >= t_min") from None
     S, zs = law.survival, z_from_x(law.grid, noise)
-    return lambda z: 1.0 - S + S * np.interp(z, zs, law.cdf, left=0.0)
+    return (lambda z: 1.0 - S + S * np.interp(z, zs, law.cdf, left=0.0),
+            sd.K)
 
 
 def scaling_limit_check(kind, params, N_list, z0, t) -> ScalingReport:
@@ -334,14 +339,15 @@ def scaling_limit_check(kind, params, N_list, z0, t) -> ScalingReport:
         raise PreconditionError("N_list must be strictly increasing")
     laws = [lattice_law(preset_family(kind, params, N), z0, t)
             for N in N_list]
-    G = _diffusion_cdf(kind, params, z0, t,
-                       max((len(law) - 1) / N for N, law in zip(N_list, laws)))
+    G, levels = _diffusion_cdf(
+        kind, params, z0, t,
+        max((len(law) - 1) / N for N, law in zip(N_list, laws)))
     rows = []
     for N, law in zip(N_list, laws):
         F, g = np.cumsum(law), G(np.arange(len(law)) / N)
         ks = np.max(np.abs(np.concatenate([F - g, F[:-1] - g[1:]])))
         rows.append((N, float(ks), len(law) - 1))
-    return ScalingReport(rows=tuple(rows))
+    return ScalingReport(rows=tuple(rows), reference_levels=levels)
 
 
 # ---------------------------------------------------------------------------

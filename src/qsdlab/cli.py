@@ -333,6 +333,7 @@ def _cmd_bd(args, cfg, out_dir, rep, stage):
                  list(zip(*sr.rows)))
     for N, ks, _ in sr.rows:
         rep.scalars[f"ks_N{N}"] = ks
+    rep.scalars["reference_levels"] = sr.reference_levels
 
     biggest = preset_family(bd["kind"], bd["params"], bd["n_list"][-1])
     paths = [gillespie(biggest, bd["z0"], bd["t"], seed=cfg.seed,

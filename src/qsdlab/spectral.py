@@ -35,6 +35,10 @@ from .quadrature import classify_growth
 _PSI_FLOOR = 1e-200          # below this, a mode amplitude is numerical dust
 _TAIL_RATIO = 1e10           # kernel refuses t where the dropped tail could
                              # still be within this factor of the lead mode
+# A level with lambda t above this weighs exp(-42) < 1e-18 at time t, below
+# double precision against any level that still matters: a mode sum at t
+# leaves it out.
+LEVEL_CUT = 42.0
 
 
 @dataclass(frozen=True)
@@ -148,13 +152,18 @@ class SpectralDecomposition:
 
     def t_min(self, K: Optional[int] = None) -> float:
         """Shortest time the K-mode kernel can honestly represent."""
-        k = self.K if K is None else K
-        if k < 2:
-            return np.inf
-        gap = float(self.lambdas[k - 1] - self.lambdas[0])
-        if gap <= 0:
-            return np.inf
-        return float(np.log(_TAIL_RATIO) / gap)
+        return _t_min(self.lambdas[:self.K if K is None else K])
+
+
+def _t_min(lam) -> float:
+    """Shortest time a sum over the increasing levels lam can honestly
+    represent: the first level left out may be as low as the last kept."""
+    if lam.size < 2:
+        return np.inf
+    gap = float(lam[-1] - lam[0])
+    if gap <= 0:
+        return np.inf
+    return float(np.log(_TAIL_RATIO) / gap)
 
 
 def tridiagonal_modes(diag, off, hint, scale=None, **select):
@@ -187,8 +196,17 @@ def tridiagonal_modes(diag, off, hint, scale=None, **select):
 
 
 def build_and_solve(d: DriftField, domain: Optional[TruncationDomain] = None,
-                    K: int = 16) -> SpectralDecomposition:
-    """Assemble the symmetrized operator and extract the lowest K modes."""
+                    K: int = 16, *,
+                    horizon: Optional[float] = None) -> SpectralDecomposition:
+    """Assemble the symmetrized operator and extract its lowest modes.
+
+    Without a horizon these are the lowest K.  With horizon=t they are the
+    levels that still weigh at time t, K being the cap: those with
+    lambda t <= LEVEL_CUT, the cut doubled while their t_min exceeds t,
+    and the lowest K once the cut reaches the K-th level (so a t below
+    t_min(K) is refused exactly as without a horizon).  The result's K is
+    the number of levels kept.
+    """
     if domain is None:
         domain = default_domain(d)
     domain.validate()
@@ -198,6 +216,9 @@ def build_and_solve(d: DriftField, domain: Optional[TruncationDomain] = None,
         raise PreconditionError(
             f"K={K} modes from n={domain.n} nodes: discrete levels above "
             f"n/4 carry no continuum meaning; enlarge n or reduce K")
+    if horizon is not None and not 0.0 < horizon < np.inf:
+        raise PreconditionError(
+            f"horizon must be positive and finite, got {horizon!r}")
 
     xf = domain.full_grid()
     x = xf[1:-1]
@@ -213,10 +234,23 @@ def build_and_solve(d: DriftField, domain: Optional[TruncationDomain] = None,
     diag = (1.0 / h[:-1] + 1.0 / h[1:]) / (2.0 * dcell) + w
     off = -1.0 / (2.0 * h[1:-1] * np.sqrt(dcell[:-1] * dcell[1:]))
 
-    lam, psi = tridiagonal_modes(
-        diag, off, "enlarge the box or n, or check that the drift is "
-        "admissible", scale=np.sqrt(dcell), select="i",
-        select_range=(0, K - 1))
+    def modes(**select):
+        return tridiagonal_modes(
+            diag, off, "enlarge the box or n, or check that the drift is "
+            "admissible", scale=np.sqrt(dcell), **select)
+
+    cut = top = np.inf
+    if horizon is not None:
+        cut = LEVEL_CUT / horizon
+        top = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                               select_range=(K - 1, K - 1))[0]
+    while cut < top:
+        lam, psi = modes(select="v", select_range=(-np.inf, cut))
+        if lam.size < K and _t_min(lam) <= horizon:
+            break
+        cut *= 2.0
+    else:
+        lam, psi = modes(select="i", select_range=(0, K - 1))
 
     Qg = np.asarray(d.Q(x), dtype=float)
     amp = np.abs(psi)
@@ -229,7 +263,7 @@ def build_and_solve(d: DriftField, domain: Optional[TruncationDomain] = None,
                               "the box extends past representable range")
 
     return SpectralDecomposition(
-        domain=domain, drift=d, K=K, grid=x, cell=dcell,
+        domain=domain, drift=d, K=lam.size, grid=x, cell=dcell,
         lambdas=lam, psis=psi, etas=eta, Qgrid=Qg,
         mu_weights=dcell * np.exp(-Qg))
 

@@ -13,6 +13,7 @@ from qsdlab import (BDModel, DomainError, PreconditionError,
                     TailDominatedError, TruncationError, gillespie,
                     lattice_law, preset_chain, preset_family, rng,
                     s_criterion, scaling_limit_check)
+from qsdlab import birthdeath, spectral
 from qsdlab.birthdeath import _CHUNK, _MAX_EVENTS, _diffusion_cdf, _snap_count
 
 
@@ -366,8 +367,8 @@ def test_diffusion_reference_matches_feller_closed_form(lam, mu, gamma):
     k = np.arange(1, int(m + 40.0 * math.sqrt(m)) + 60)[:, None]
     exact = math.exp(-m) + (poisson.pmf(k, m)
                             * gamma_law.cdf(z, a=k, scale=B)).sum(axis=0)
-    G = _diffusion_cdf("pure_branching", {"lam": lam, "mu": mu,
-                                          "gamma": gamma}, z0, t, z_max)
+    G, _ = _diffusion_cdf("pure_branching", {"lam": lam, "mu": mu,
+                                             "gamma": gamma}, z0, t, z_max)
     assert np.max(np.abs(G(z) - exact)) <= 1e-3
 
 
@@ -382,6 +383,57 @@ def test_scaling_check_refuses_an_unresolved_reference(gamma, t, error,
         scaling_limit_check("pure_branching",
                             {"lam": 1.0, "mu": 2.0, "gamma": gamma},
                             [10], z0=1.0, t=t)
+
+
+_REFERENCE_CHAINS = {
+    "c11": ("logistic_branching",
+            {"lam": 1.0, "mu": 1.0, "c": 1.0, "gamma": 1.0}),
+    "lattice": ("logistic_branching",
+                {"lam": 1.0, "mu": 1.0, "c": 1.0, "gamma": 0.1}),
+    "pure": ("pure_branching", {"lam": 1.0, "mu": 2.0, "gamma": 1.0}),
+}
+
+
+@pytest.mark.parametrize("t", [0.001, 0.01, 0.02, 0.03, 0.1, 0.3, 1.0, 5.0,
+                               25.0, 40.0])
+@pytest.mark.parametrize("chain", list(_REFERENCE_CHAINS))
+def test_reference_levels_at_the_horizon_agree_with_64(chain, t,
+                                                       monkeypatch):
+    # the reference solve keeps the levels that weigh at t; it must refuse
+    # exactly where the 64-level solve does, and agree with it elsewhere
+    kind, params = _REFERENCE_CHAINS[chain]
+    z = np.linspace(0.0, 12.0, 2401)
+
+    def reference():
+        try:
+            G, levels = _diffusion_cdf(kind, params, 1.0, t, 12.0)
+        except TailDominatedError as exc:
+            return str(exc), None, None
+        return None, G(z), levels
+
+    refused, G, levels = reference()
+    full = []
+
+    def forced(d, box, K, horizon):
+        full.append(spectral.build_and_solve(d, box, K=K))
+        return full[-1]
+
+    monkeypatch.setattr(birthdeath, "build_and_solve", forced)
+    refused64, G64, levels64 = reference()
+    assert refused == refused64
+    if refused is not None:
+        return
+    assert levels64 == 64 and 1 <= levels <= 64
+    assert np.max(np.abs(G - G64)) <= 1e-6
+    if (chain, t) == ("lattice", 25.0):
+        # the doubling path: the first cut, 42/25, keeps only 0.351 and
+        # 1.241, whose t_min 25.9 exceeds t; one doubling keeps a third
+        assert np.count_nonzero(full[0].lambdas <= spectral.LEVEL_CUT / t) \
+            == 2 and levels == 3
+    if (chain, t) == ("lattice", 0.1):
+        # the cap: 42/0.1 is past the 64th level 258.2, so the solve is
+        # the 64-level one, byte for byte
+        assert levels == 64 and G.tobytes() == G64.tobytes()
 
 
 def test_rate_family_identities_exact():

@@ -138,6 +138,9 @@ def test_bd_quick(tmp_path):
         rep = json.load(fh)
     assert rep["scalars"]["iii_iv_agree"] is True
     assert not any("n_reps" in m for m in rep["messages"])
+    # at t = 1 the diffusion reference keeps the levels with lambda <= 42,
+    # well under its cap of 64
+    assert rep["scalars"]["reference_levels"] == 9 < 64
 
     # the sampling-size key still parses, and the report says it does nothing
     with open(_cfg("logistic"), encoding="utf-8") as fh:

@@ -253,6 +253,9 @@ def test_build_guards():
         build_and_solve(d, dom, K=64)   # more modes than n/4
     with pytest.raises(PreconditionError):
         build_and_solve(d, dom, K=0)
+    for horizon in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(PreconditionError, match="horizon"):
+            build_and_solve(d, dom, K=4, horizon=horizon)
     with pytest.raises(PreconditionError):
         TruncationDomain(2.0, 8.0, 128, "uniform").validate()
     with pytest.raises(PreconditionError):
