@@ -330,6 +330,14 @@ def test_warnings_reach_the_report(tmp_path, capsys):
     assert "note: " + messages[0][0] in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["spectrum", "qprocess"])
+def test_no_cell_falls_back_to_python_formatting(tmp_path, command):
+    out = str(tmp_path / "out")
+    assert main([command, _cfg("ou"), "--output-dir", out, "--quick"]) == 0
+    files = _report(out)["files"]
+    assert files and all(f["fallback_cells"] == 0 for f in files)
+
+
 def test_reruns_are_byte_identical(tmp_path):
     # the lattice and diffusion paths are sampled: their reruns must agree
     # too

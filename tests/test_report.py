@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from qsdlab.report import _BLOCK, RunReport, write_csv
+from qsdlab.report import _BLOCK_CELLS as _BLOCK, RunReport, write_csv
 
 
 # the csv-module writer the row templates replaced, kept verbatim (with
@@ -170,6 +170,89 @@ def test_report_lists_bytes_written(tmp_path):
     digest = rep.add_file(str(tmp_path), "a.csv", ("x", "t"),
                           [np.linspace(0, 1, 5), ["a"] * 5])
     size = os.path.getsize(tmp_path / "a.csv")
+    # a subnormal, a value past the fast range, a rounding tie and an
+    # int beyond 2**53 are formatted by Python, and counted
+    odd = rep.add_file(str(tmp_path), "b.csv", ("x", "i"),
+                       [[5e-324, 1e300, 1 + 3 * 2.0**-17, 0.5],
+                        np.array([2**60, 1, 2, 3], dtype=np.int64)])
     assert json.loads(rep.to_json())["files"] == [
-        {"name": "a.csv", "sha256": digest, "bytes": size}]
+        {"name": "a.csv", "sha256": digest, "bytes": size,
+         "fallback_cells": 0},
+        {"name": "b.csv", "sha256": odd,
+         "bytes": os.path.getsize(tmp_path / "b.csv"), "fallback_cells": 4}]
     assert size == len((tmp_path / "a.csv").read_bytes())
+
+
+def _python_cells(values, fmt):
+    return "".join(fmt % x + "\n" for x in values.tolist()).encode()
+
+
+def test_cells_match_python_formatting(tmp_path):
+    """Every float comes out as '%.17g' and every int as '%d' writes
+    it, on inputs that probe the digit kernel's rounding and range."""
+    path = str(tmp_path / "cells.csv")
+    rng = np.random.default_rng(20071)
+    bits = rng.integers(0, 2**64, size=10**6, dtype=np.uint64)
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    fast_edges = np.array([1e-280, 1e280])
+    floats = {
+        "bit patterns": bits.view(np.float64),      # both signs already
+        "powers of two": 2.0 ** np.arange(-1074, 1024),
+        "powers of ten": np.concatenate(
+            [tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf)]),
+        "ties 1 + j 2**-17": 1 + np.arange(1, 2**17, 2) * 2.0**-17,
+        "specials": np.array(
+            [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324,
+             -5e-324, 2.2250738585072009e-308, 1.5e-310,
+             *fast_edges, *np.nextafter(fast_edges, 0),
+             *np.nextafter(fast_edges, np.inf)]),
+    }
+    for name, x in floats.items():
+        if name != "bit patterns":
+            x = np.concatenate([x, -x])
+        write_csv(path, ("x",), [x])
+        with open(path, "rb") as fh:
+            assert fh.read() == b"x\n" + _python_cells(x, "%.17g"), name
+    near = np.arange(-300, 301)
+    ints = np.concatenate([sign * (base + near) for base in
+                           (2**53, 10**16, 10**17) for sign in (1, -1)])
+    for col in (ints, ints[ints > 0].astype(np.uint64),
+                np.array([0, 1, -1, 2**63 - 1, -2**63], dtype=np.int64),
+                np.array([0, 2**64 - 1], dtype=np.uint64)):
+        write_csv(path, ("i",), [col])
+        with open(path, "rb") as fh:
+            assert fh.read() == b"i\n" + _python_cells(col, "%d")
+
+
+def _cell_rows(ncols):
+    """Row counts that put a table's cells one row short of a block, at
+    a block, one row past it, and three rows past two blocks."""
+    rows = _BLOCK // ncols
+    return [(ncols, n) for n in (rows - 1, rows, rows + 1, 2 * rows + 3)]
+
+
+@pytest.mark.parametrize("ncols,n", _cell_rows(4) + _cell_rows(66))
+def test_cell_blocks_match_the_csv_module(tmp_path, ncols, n):
+    rng = np.random.default_rng(n)
+    cols = [rng.standard_normal(n) * 10.0 ** rng.integers(-9, 20, n)
+            for _ in range(ncols - 1)]
+    cols.append(np.arange(n) - n // 2)
+    data = _assert_as_reference(tmp_path, [f"c{j}" for j in range(ncols)],
+                                cols)
+    assert data.count(b"\n") == n + 1
+
+
+def test_mixed_kinds_across_blocks_match_the_csv_module(tmp_path):
+    n = 2 * (_BLOCK // 7) + 3
+    i = np.arange(n)
+    x = np.where(i % 5 == 0, 0.0, np.where(i % 5 == 1, -0.0, i * 0.1))
+    x[i % 11 == 0] = np.inf
+    x[i % 13 == 0] = np.nan
+    x[i % 17 == 0] = -np.inf
+    text = np.array([f'r"{k}",' if k % 3 else "" for k in range(n)],
+                    dtype=object)
+    _assert_as_reference(tmp_path, ("x", "big", "u", "flag", "t", "y", "k"),
+                         [x, np.where(i % 2 == 0, 2**53 + i, i - 5),
+                          np.where(i % 3 == 0, np.uint64(2**64 - 1),
+                                   np.uint64(7)),
+                          i % 2 == 0, text, -x, i])
