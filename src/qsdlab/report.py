@@ -10,9 +10,10 @@ Python's '%.17g' (floats) and '%d' (integers and flags) write them.
 A float's digits come from Dekker's exact product of |x| with 10**p
 held as two doubles, within 1e-14 of the exact scaled value, so where
 its fraction lies more than 1e-9 from one half the rounding is decided
-and the digits are '%.17g''s; any other cell (a near-tie, a subnormal,
-a magnitude outside [1e-280, 1e280], an integer of 2**53 or more) is
-formatted by Python and counted in the manifest as a fallback cell.
+and the digits are those '%.17g' writes; any other cell (a near-tie, a
+subnormal, a magnitude outside [1e-280, 1e280], an integer of 2**53 or
+more) is formatted by Python and counted in the manifest as a fallback
+cell.
 """
 
 import hashlib
