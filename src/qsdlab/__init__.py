@@ -15,8 +15,7 @@ from .model import (DriftField, GrowthModel, Model, allee_growth,
                     drift_field, drift_from_growth, linear_growth,
                     logistic_growth, ou_drift, potential, preset_model,
                     x_from_z, z_from_x)
-from .quadrature import IntegralVerdict, QuadratureSpec, classify_growth, \
-    integrate
+from .quadrature import IntegralVerdict, classify_growth, integrate
 from .hypotheses import (HypothesisCheck, HypothesisReport, check_all,
                          check_h1, check_h2, check_h3, check_h4, check_h5,
                          check_hh, inv_q_criterion, report_to_rows)

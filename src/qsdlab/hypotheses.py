@@ -16,14 +16,17 @@ spectral machinery applies, plus one growth-side property:
 * hh: on the population scale, growth is eventually strongly negative
   (h(x)/sqrt(x) -> -inf) with vanishing relative curvature (x h'/h^2 -> 0).
 
-All exp(Q) arithmetic is shift-stabilized: double integrals are evaluated
-as integrals of exp(Q(y) - Q(z)), never as products of huge and tiny
-factors.  The inner integrals of h1 and h5 at all of an outer rule's nodes
-come from one sweep over the sorted nodes: each node's gap to its
-neighbour is integrated on Gauss-Legendre panels, with the exponent built
-from q alone, and the gaps are summed from the far end inward.  A heavy
-far tail, such as the critical Feller diffusion's y/z, is marched in
-ln(1 + z), and it is infinite if still open past z = 1e48.
+Every outer integral is one quadrature.integrate march of Gauss-Legendre
+panels in ln z.  All exp(Q) arithmetic is shift-stabilized: double
+integrals are evaluated as integrals of exp(Q(y) - Q(z)), never as
+products of huge and tiny factors.  The inner integrals of h1 and h5 at
+all of a march's nodes come from one sweep over the sorted nodes: each
+node's gap to its neighbour is integrated on the same Gauss-Legendre
+panels, with the exponent built from q alone, and the gaps are summed
+from the far end inward.  A heavy far tail, such as the critical Feller
+diffusion's y/z, is marched in ln(1 + z); still open past z = 1e48, it
+is closed by the march's end rule, and infinite unless it decays there
+like a power.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ import numpy as np
 
 from .errors import PreconditionError
 from .model import DriftField, GrowthModel, Model
-from .quadrature import IntegralVerdict, integrate, positive_integrand
+from .quadrature import (_DELTA, _FADE, _FAR_END, _GL_COEF, _GL_W, _GL_X,
+                         IntegralVerdict, integrate, positive_integrand)
 
 _H2_PROBE_DECADES = range(0, 7)
 _HH_PROBE_DECADES = range(2, 9)
@@ -68,19 +72,15 @@ class HypothesisReport:
 # ---------------------------------------------------------------------------
 # shift-stabilized inner integrals
 
-# 20-point Gauss-Legendre on [-1, 1] and its integration matrix: row i
-# integrates the rule's interpolant from -1 to node i
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
+# the 20-point Gauss-Legendre rule's integration matrix: row i integrates
+# the rule's interpolant from -1 to node i
 _GL_INT = (np.polynomial.legendre.legval(
-    _GL_X, np.polynomial.legendre.legint(np.eye(20), lbnd=-1)).T
-    @ np.linalg.inv(np.polynomial.legendre.legvander(_GL_X, 19)))
-_FADE = 50.0            # a gap stops once its integrand is e^-50 below it
+    _GL_X, np.polynomial.legendre.legint(np.eye(20), lbnd=-1)).T @ _GL_COEF)
 _MAX_PANELS = 160       # a gap still open after this many panels is inf
 _FAR = 64.0             # the open tail's log panels start past this z
 _LOG_REACH = 8.0        # widest log panel, in ln(1 + z): where R grows like
                         # ln z, R moves by just under 8 on it, and a wider
                         # try would be rejected on every other panel
-_FAR_END = 1e48         # a heavy open tail still open past this z is inf
 
 
 def inner_tail(d: DriftField, y, hi: float = np.inf):
@@ -109,9 +109,12 @@ def _sweep(d, y, end, sign):
     after _MAX_PANELS panels is a heavy tail, and inf.  The open gap to
     +inf, once past _FAR where the reach 1 + z binds rather than 2/|q|,
     is marched in s = ln(1 + z) instead, dz = (1 + z) ds, on panels at
-    most _LOG_REACH wide under the same rules; still open past _FAR_END,
-    where 160 doubling panels end, it is inf.  The gaps are then summed
-    from end outward, I_i = G_i + exp(-R_i(u_i+1)) I_i+1.
+    most _LOG_REACH wide under the same rules.  Still open past
+    _FAR_END, it is closed by integrate's end rule, with the slope
+    kappa = 1 - 2 q (1 + z) of ln(exp(-R) (1 + z)) at its last node: the
+    rest is exp(-R) (1 + z) / |kappa| for kappa <= -0.05, and inf
+    otherwise.  The gaps are then summed from end outward,
+    I_i = G_i + exp(-R_i(u_i+1)) I_i+1.
     """
     y = np.asarray(y, dtype=float)
     u, back = np.unique(sign * y.reshape(-1), return_inverse=True)
@@ -166,7 +169,9 @@ def _sweep(d, y, end, sign):
             step[i[reached]] = np.exp(-R[i[reached]])
             faded = np.exp(-R[i]) * (z[i] - a[i]) <= np.exp(-_FADE) * G[i]
             if far and not faded[-1] and z[last] > _FAR_END:
-                G[last] = np.inf
+                kappa = 1.0 - p[-1, -1]     # slope of ln(f (1 + z)) in s
+                G[last] += (np.exp(-R[last]) * (1.0 + z[last]) / -kappa
+                            if kappa <= -_DELTA else np.inf)
                 faded[-1] = True
             keep[ok] = ~(reached | faded)
             todo = todo[keep]
@@ -342,21 +347,24 @@ class InvQReport:
 def inv_q_criterion(d: DriftField, window: int = 64) -> InvQReport:
     """For eventually positive drifts: finiteness of int dx / q.
 
-    x0 is the first probe node from which q stays positive on `window`
-    consecutive log-spaced nodes; the integral verdict then matches the
-    return-time check for eventually monotone drifts.
+    x0 is the last node of the first run of `window` consecutive
+    log-spaced probe nodes on which q is positive; the integral verdict
+    then matches the return-time check for eventually monotone drifts.
+    The integral starts at the end of the run, not at its start, because
+    q may touch zero between probes: the logistic drift (r = c = gamma =
+    1) is positive at every probe but has a double zero at sqrt(2), where
+    1/q is not integrable.
     """
     nodes = np.geomspace(1.0, 1e8, 513)
     with np.errstate(all="ignore"):
         qv = np.asarray(d.q(nodes), dtype=float)
     pos = qv > 0
-    x0 = None
     start = None
     run = 0
     for i, p in enumerate(pos):
         run = run + 1 if p else 0
         if run >= window:
-            start = i - window + 1
+            start = i
             break
     if start is None:
         raise PreconditionError("q has no positivity window on the probe grid")

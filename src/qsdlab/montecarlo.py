@@ -18,7 +18,7 @@ from . import rng
 from .errors import DomainError, PreconditionError
 from .model import (DriftField, GrowthModel, drift_from_growth, panel_gl10,
                     x_from_z, z_from_x)
-from .quadrature import QuadratureSpec, integrate
+from .quadrature import integrate
 from .spectral import SpectralDecomposition, YaglomMeasure
 
 # steps drawn per RNG refill; a multiple of 4, so that a chunk of
@@ -31,8 +31,6 @@ _LANES = 512              # lanes per piece of a window's transposed copy
 _CROSS_SKIP = 373.0
 # and it is below 2**-53, the smallest nonzero uniform, once y > 18.4 dt
 _CROSS_NARROW = 19.0
-# the extinction profile's cumulated ratio, integrated tighter than verdicts
-_EXTINCTION_QUAD = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15)
 # the step events _euler_paths counts, one int each
 PATH_EVENTS = ("landings", "non_finite_steps", "crossing_kills",
                "reflections")
@@ -660,7 +658,7 @@ def condition_on_extinction(g: GrowthModel) -> ConditionedGrowth:
 
     # locate the scale beyond which exp(-J) is dead (J > 750)
     z_hi = 8.0 / gamma
-    head = integrate(f, 0.0, z_hi, spec=_EXTINCTION_QUAD)
+    head = integrate(f, 0.0, z_hi)
     if not head:
         raise PreconditionError("cumulated growth ratio did not integrate "
                                 "over the head interval")
@@ -668,7 +666,7 @@ def condition_on_extinction(g: GrowthModel) -> ConditionedGrowth:
     for _ in range(60):
         if J_hi > 750.0:
             break
-        step = integrate(f, z_hi, 2.0 * z_hi, spec=_EXTINCTION_QUAD)
+        step = integrate(f, z_hi, 2.0 * z_hi)
         if not step or not np.isfinite(step.value) or step.value <= 0:
             raise PreconditionError(
                 "cumulated growth ratio stopped increasing; the "

@@ -1,15 +1,21 @@
 """Verdict-producing quadrature.
 
-integrate() returns an IntegralVerdict instead of a bare number: improper
-integrals are pushed through a ladder of growing cutoffs and the partial
-integrals are classified as converging or as growing like a constant, a
-logarithm, a power, or an exponential.  A divergence verdict requires two
-consecutive consistent classifications.
+integrate() returns an IntegralVerdict instead of a bare number.  It
+marches 20-point Gauss-Legendre panels in s = ln z, one per decade to
+begin with: outward from a to +inf, inward from b to 0, or across a
+finite [a, b]; [0, +inf) is marched inward from 1 and then outward.  A
+panel is halved while ln(f z) moves by more than 8 across its nodes, or
+while the last two Legendre coefficients of its interpolant weigh more
+than 1e-10 of the total, and the march stops once f z has faded e^-50
+below the running total.  A march still
+open at z = 1e48 (or 1e-48) is read from the slope kappa of ln(f z) per
+unit s on its last panel: for kappa <= -0.05 it converges, and the rest
+is closed as f z / |kappa|; otherwise it diverges, like a logarithm for
+|kappa| < 0.05 and like a power above.  A non-finite value at a node the
+march reaches reads as exponential divergence, never as a value.  An
+integrand that fails, or returns the wrong shape, raises.
 
-Finite panels use the double-exponential rule (scipy tanhsinh) and
-nothing else: a panel it does not resolve is reported as not converged,
-not solved again another way.  An integrand that fails, or returns the
-wrong shape, raises.
+classify_growth() reads the partial-sum trails of the series criteria.
 """
 
 from __future__ import annotations
@@ -18,45 +24,30 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate as _si
 
-DEFAULT_CUTOFFS = tuple(float(10.0 ** k) for k in range(1, 9))
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
+# 20-point Gauss-Legendre on [-1, 1], and the map from values at its
+# nodes to the Legendre coefficients of their interpolant
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
+_GL_COEF = np.linalg.inv(np.polynomial.legendre.legvander(_GL_X, 19))
+_FADE = 50.0            # a march stops once its integrand is e^-50 below it
+_FAR_END = 1e48         # a march still open here is closed by its end rule
+_DELTA = 0.05           # the end rule's margin on the slope of ln(f z)
+_ROUGH = 1e-10          # a panel is halved when its last two Legendre
+                        # coefficients weigh this share of the total
+_MAX_ROUNDS = 40        # a march still halving panels after this many
+_MAX_PANELS = 2000      # rounds, or past this many panels, is inconclusive
+_LN10 = np.log(10.0)
 
 
 @dataclass(frozen=True)
 class IntegralVerdict:
     status: str                      # converges | diverges | inconclusive
     value: float                     # value when converges, last partial otherwise
-    trail: tuple                     # ((cutoff, partial), ...)
+    trail: tuple                     # ((z, partial), ...), one per decade
     growth_model: Optional[str]      # bounded | log | power | exp
-    error: float = float("nan")      # estimate for the convergent part
 
     def __bool__(self):
         return self.status == "converges"
-
-
-def _finite_panel(f, a, b, spec):
-    """Integrate f on a finite panel. Returns (value, error_estimate, ok)."""
-    if b <= a:
-        return 0.0, 0.0, True
-    with np.errstate(all="ignore"):
-        # at the default minlevel of 2 a smooth panel can stop after 67
-        # nodes with an error estimate far below its true error
-        res = _si.tanhsinh(f, a, b, rtol=spec.rel_tol, atol=spec.abs_tol,
-                           minlevel=3, maxlevel=13)
-    val = float(res.integral)
-    if not np.isfinite(val):
-        # NaN: the integrand was not finite at nodes that tanhsinh had no
-        # finite neighbour to stand in for (status -3), read as +inf like
-        # positive_integrand reads it; an overflow keeps its sign
-        return (np.inf if np.isnan(val) else val), np.inf, False
-    return val, float(res.error), bool(res.success)
 
 
 def classify_growth(cuts, partials, rel_tol=1e-9, abs_tol=1e-12):
@@ -98,118 +89,103 @@ def classify_growth(cuts, partials, rel_tol=1e-9, abs_tol=1e-12):
     return "inconclusive", None
 
 
-def integrate(f, a, b, spec=None) -> IntegralVerdict:
-    """Integrate f over (a, b) with a and/or b possibly singular or infinite.
+def integrate(f, a, b) -> IntegralVerdict:
+    """Integrate f over (a, b), 0 <= a < b <= inf, by the march above.
 
     f must be vectorized: it maps an array of any shape to an array of the
     same shape.
     """
-    spec = spec or QuadratureSpec()
     a = float(a)
     b = float(b)
-    if not b > a:
-        raise ValueError("need b > a")
-
-    lower_singular = a == 0.0
-    upper_infinite = np.isinf(b)
-
-    if lower_singular and upper_infinite:
-        split = 1.0
-        low = integrate(f, a, split, spec)
-        up = integrate(f, split, b, spec)
-        return _combine(low, up)
-
-    if upper_infinite:
-        return _ladder(f, a, spec, direction="up")
-
-    if lower_singular:
-        val, err, ok = _finite_panel(f, a, b, spec)
-        if ok:
-            return IntegralVerdict("converges", val, ((b, val),), "bounded", err)
-        return _ladder(f, b, spec, direction="down")
-
-    val, err, ok = _finite_panel(f, a, b, spec)
-    status = "converges" if ok else "inconclusive"
-    return IntegralVerdict(status, val, ((b, val),), "bounded" if ok else None, err)
+    if not 0.0 <= a < b:
+        raise ValueError("need 0 <= a < b")
+    if a > 0.0:
+        return _march(f, a, b)
+    if b < np.inf:
+        return _march(f, b, 0.0)
+    head = _march(f, 1.0, 0.0)
+    if head.status != "converges":
+        return head
+    return _march(f, 1.0, b, head.value, head.trail)
 
 
-def _ladder(f, anchor, spec, direction):
-    """Cutoff ladder toward +inf (direction up) or toward 0 (down).
+def _march(f, start, end, total=0.0, trail=()):
+    """The march from start toward end, adding to total and trail.
 
-    Toward 0 the growth fit runs in the coordinate 1/epsilon, so a power
-    blowup at the origin still reads as power growth.
+    Every panel up to where the march stops is evaluated in one call of f
+    per round of halving.  Panels start at decade marks, and the trail
+    gets the running total at each mark the march crosses, then
+    (where it stopped, the returned value).
     """
-    if direction == "up":
-        cuts = [c for c in DEFAULT_CUTOFFS if c > anchor * (1 + 1e-9)]
-        if not cuts:
-            cuts = [anchor * 10.0 ** k for k in range(1, 9)]
-        segments = [(anchor, cuts[0])] + list(zip(cuts[:-1], cuts[1:]))
-        fit_cuts = cuts
-    else:
-        eps = [1.0 / c for c in DEFAULT_CUTOFFS if 1.0 / c < anchor * (1 - 1e-9)]
-        if not eps:
-            eps = [anchor / 10.0 ** k for k in range(1, 9)]
-        cuts = eps
-        segments = [(cuts[0], anchor)] + [(e2, e1) for e1, e2 in zip(cuts[:-1], cuts[1:])]
-        fit_cuts = [1.0 / e for e in eps]
-
-    total = 0.0
-    err_sum = 0.0
-    trail = []
-    fits = []
-    for (lo, hi), cut, fcut in zip(segments, cuts, fit_cuts):
-        val, err, ok = _finite_panel(f, lo, hi, spec)
-        total += val
-        err_sum += err if np.isfinite(err) else 0.0
-        trail.append((cut, total))
-        fits.append((fcut, total))
-        if not np.isfinite(total):
-            return IntegralVerdict("diverges", total, tuple(trail), "exp")
-        status, growth = classify_growth([t[0] for t in fits],
-                                         [t[1] for t in fits],
-                                         spec.rel_tol, spec.abs_tol)
-        if status == "converges":
-            vals = [t[1] for t in fits]
-            total, tail_err = _geometric_tail(vals, total)
-            return IntegralVerdict("converges", total, tuple(trail), "bounded",
-                                   err_sum + tail_err)
-        if status == "diverges":
-            return IntegralVerdict("diverges", total, tuple(trail), growth)
-    return IntegralVerdict("inconclusive", total, tuple(trail), growth, err_sum)
-
-
-def _geometric_tail(vals, total):
-    """Extrapolate the remaining tail when increments decay geometrically."""
-    if len(vals) < 3:
-        return total, 0.0
-    inc = np.diff(vals)
-    if inc[-1] <= 0 or inc[-2] <= 0:
-        return total, 0.0
-    r = inc[-1] / inc[-2]
-    if not 0.0 < r < 0.9:
-        return total, 0.0
-    tail = float(inc[-1] * r / (1.0 - r))
-    return total + tail, tail
+    lo, hi = sorted((np.log(start), np.log(np.clip(end, 1 / _FAR_END,
+                                                   _FAR_END))))
+    marks = np.arange(np.floor(lo / _LN10 + 1e-9) + 1,
+                      np.ceil(hi / _LN10 - 1e-9)) * _LN10
+    edges = np.concatenate([[lo], marks, [hi]])
+    if end < start:
+        edges = edges[::-1]
+    a, b = edges[:-1], edges[1:]
+    decade = np.ones(a.size, dtype=bool)      # the panel ends on a mark
+    g = _values(f, a, b)
+    for rounds in range(_MAX_ROUNDS + 1):
+        half = 0.5 * np.abs(b - a)
+        run = total + np.cumsum(half * (g @ _GL_W))
+        with np.errstate(all="ignore"):
+            lg = np.log(np.abs(g))
+            finite = np.isfinite(g).all(axis=1)
+            stop = ~finite | (np.abs(g[:, -1]) <= np.exp(-_FADE) * np.abs(run))
+        n = int(np.argmax(stop)) if stop.any() else a.size - 1
+        m = n + finite[n]       # a non-finite panel is a verdict, not halved
+        with np.errstate(invalid="ignore"):
+            rough = (half[:m] * np.abs(g[:m] @ _GL_COEF[-2:].T).sum(axis=1)
+                     > _ROUGH * np.abs(run[n]))
+            i = np.flatnonzero(rough | (np.ptp(lg[:m], axis=1) > 8.0))
+        if (not i.size or rounds == _MAX_ROUNDS
+                or a.size + i.size > _MAX_PANELS):
+            break
+        mid = 0.5 * (a[i] + b[i])
+        a, b = np.insert(a, i + 1, mid), np.insert(b, i, mid)
+        decade = np.insert(decade, i, False)
+        g = np.insert(g, i, 0.0, axis=0)
+        new = np.concatenate([i, i + 1]) + np.tile(np.arange(i.size), 2)
+        g[new] = _values(f, a[new], b[new])
+    status, growth, value = "converges", "bounded", float(run[n])
+    if i.size:
+        status, growth = "inconclusive", None
+    elif not finite[n]:
+        status, growth, value = "diverges", "exp", np.inf
+    elif not stop[n] and end in (0.0, np.inf):
+        kappa = (lg[n, -1] - lg[n, 0]) / (half[n] * (_GL_X[-1] - _GL_X[0]))
+        if kappa <= -_DELTA:
+            value += g[n, -1] * np.exp(kappa * half[n] * (1 - _GL_X[-1])) \
+                / -kappa
+        else:
+            status, growth = "diverges", "log" if kappa < _DELTA else "power"
+    ends = np.exp(b[:n])
+    trail = (*trail, *((float(ends[j]), float(run[j]))
+                       for j in np.flatnonzero(decade[:n])),
+             (float(np.exp(b[n])), float(value)))
+    return IntegralVerdict(status, float(value), trail, growth)
 
 
-def _combine(low: IntegralVerdict, up: IntegralVerdict) -> IntegralVerdict:
-    trail = low.trail + up.trail
-    for part in (low, up):
-        if part.status == "diverges":
-            return IntegralVerdict("diverges", part.value, trail, part.growth_model)
-    if low.status == "converges" and up.status == "converges":
-        return IntegralVerdict("converges", low.value + up.value, trail, "bounded",
-                               low.error + up.error)
-    growth = up.growth_model or low.growth_model
-    return IntegralVerdict("inconclusive", low.value + up.value, trail, growth)
+def _values(f, a, b):
+    """f z at the Gauss-Legendre nodes of the panels (a, b) in s = ln z,
+    one row per panel, in the direction of the march."""
+    z = np.exp(a[:, None] + 0.5 * (b - a)[:, None] * (_GL_X + 1.0))
+    with np.errstate(all="ignore"):
+        fz = np.asarray(f(z), dtype=float)
+        if fz.shape != z.shape:
+            raise ValueError(f"integrand returned shape {fz.shape} "
+                             f"for nodes of shape {z.shape}")
+        return fz * z
 
 
 def positive_integrand(f):
     """Wrap a nonnegative integrand: never emit NaN, map blowups to +inf.
 
     NaN arises only from inf/inf races deep inside endpoint zones; for
-    nonnegative integrands +inf is the conservative reading and the
-    cutoff ladder makes the actual divergence call.
+    nonnegative integrands +inf is the conservative reading, and the
+    march reads a non-finite node as divergence.
     """
     def g(x):
         with np.errstate(all="ignore"):

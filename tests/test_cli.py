@@ -417,3 +417,15 @@ def test_run_report_records_thread_cap(monkeypatch, tmp_path):
         with open(os.path.join(out, "run_report.json"),
                   encoding="utf-8") as fh:
             assert json.load(fh)["thread_cap"] == cap
+
+
+def test_package_import_leaves_scipy_integrate_unloaded():
+    # every integral is marched on the package's own Gauss-Legendre
+    # panels, so start-up does not pay for scipy.integrate
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    r = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qsdlab.cli; "
+         "sys.exit('scipy.integrate' in sys.modules)"],
+        env=env, capture_output=True, text=True, cwd=ROOT)
+    assert r.returncode == 0, r.stderr
