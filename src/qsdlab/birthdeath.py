@@ -368,9 +368,6 @@ class SCriterionReport:
     pi: np.ndarray
     S_partial: tuple
     A_partial: tuple
-    E1T0_partial: tuple
-    En_partial: tuple
-    S_value: float
     E1T0_value: float
     sure_absorption: str          # A diverges <=> absorption is certain
     verdict: dict                 # keys i..iv -> holds | fails | inconclusive
@@ -430,7 +427,7 @@ def s_criterion(c: BDChainSpec, n_max) -> SCriterionReport:
     # inverse weights 1/(lambda_n pi_n) in log form
     log_inv = -(log_lam + log_pi)
 
-    S_trail, A_trail, E1_trail, En_trail = [], [], [], []
+    S_trail, A_trail, En_trail = [], [], []
     # suffix mass over the full range, for the mean-absorption formula
     suffix_full = np.full(n_max + 1, -np.inf)
     suffix_full[n_max - 1:0:-1] = np.logaddexp.accumulate(log_pi[:0:-1])
@@ -441,7 +438,6 @@ def s_criterion(c: BDChainSpec, n_max) -> SCriterionReport:
 
     for cut in cutoffs:
         lp = log_pi[:cut]
-        E1_trail.append((cut, safe_exp_sum(lp)))
         A_trail.append((cut, safe_exp_sum(log_inv[:cut])))
         # suffix sums inside the prefix for the doubly truncated series
         suf = np.full(cut + 1, -np.inf)
@@ -481,6 +477,5 @@ def s_criterion(c: BDChainSpec, n_max) -> SCriterionReport:
     return SCriterionReport(
         n_max=n_max, cutoffs=tuple(cutoffs), log_pi=log_pi, pi=pi,
         S_partial=tuple(S_trail), A_partial=tuple(A_trail),
-        E1T0_partial=tuple(E1_trail), En_partial=tuple(En_trail),
-        S_value=S_trail[-1][1], E1T0_value=E1_trail[-1][1],
+        E1T0_value=E1_total,
         sure_absorption=sure, verdict=verdict, agreement_iii_iv=agreement)

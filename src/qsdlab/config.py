@@ -28,7 +28,7 @@ def _parser(convert, what, ok=None, rule=None):
     def parse(raw):
         try:
             value = convert(raw)
-        except (ValueError, KeyError):
+        except ValueError:
             raise ValueError(f"not {what} ({raw!r})") from None
         if ok is not None and not ok(value):
             raise ValueError(f"{rule}, got {value!r}")
@@ -73,8 +73,6 @@ _NONNEGATIVE = _parser(float, "a number", lambda v: 0 <= v < math.inf,
                        "must be nonnegative and finite")
 _POSITIVE = _parser(float, "a number", lambda v: 0 < v < math.inf,
                     "must be positive and finite")
-_BOOL = _parser(lambda raw: configparser.ConfigParser.BOOLEAN_STATES[
-    raw.lower()], "a boolean")
 
 # section -> key -> (parser, default).  Model parameters stay text:
 # preset_model parses the ones its preset uses.
@@ -90,8 +88,7 @@ _SCHEMA = {
         "x0": (_FLOAT, 1.0), "z0": (_FLOAT, 1.0), "dt": (_FLOAT, 1e-3),
         "t_max": (_FLOAT, 6.0), "n_paths": (_INT, 100000),
         "seed": (_INT, None), "record_dt": (_FLOAT, None),
-        "absorb_threshold": (_FLOAT, 1e-4), "bridge_correction": (_BOOL, True),
-        "block_size": (_INT, 4096), "crn_substeps": (_INT, 1),
+        "absorb_threshold": (_FLOAT, 1e-4),
         "bins": (_at_least(1), 60), "hist_max": (_POSITIVE, None),
         "lambda_window": (_window, None)},
     "bd": {

@@ -24,8 +24,9 @@ from .spectral import SpectralDecomposition, YaglomMeasure
 # steps drawn per RNG refill; a multiple of 4, so that a chunk of
 # crossing-test uniforms fills whole Philox blocks of four doubles
 _CHUNK = 512
-_WIN = 32                 # absorbed steps marched between settlements
+_WIN = 32                 # steps marched between settlements
 _LANES = 512              # lanes per piece of a window's transposed copy
+_BLOCK = 4096             # paths marched together
 # exp(-2 y / dt) underflows to exactly 0.0 once y >= 373 dt (the bound is
 # 372.57 dt), so no crossing test is needed past it
 _CROSS_SKIP = 373.0
@@ -48,15 +49,7 @@ class SimConfig:
     n_paths: int
     seed: int
     absorb_threshold: float = 1e-4
-    bridge_correction: bool = True
     record_dt: Optional[float] = None   # None: about 128 snapshots
-    block_size: int = 4096
-    crn_substeps: int = 1
-
-    # crn_substeps pools that many Gaussian draws into each step's
-    # increment, so runs at (dt, 2k) and (dt/2, k) consume the per-path
-    # streams identically and ride the same Brownian path - the standard
-    # common-random-numbers setup for step-size sensitivity audits.
 
     def problems(self):
         """(field, complaint) for every field outside its range."""
@@ -67,10 +60,7 @@ class SimConfig:
                  (self.absorb_threshold > 0, "absorb_threshold",
                   "must be positive"),
                  (self.record_dt is None or 0 < self.record_dt < np.inf,
-                  "record_dt", "must be positive and finite when given"),
-                 (self.block_size >= 1, "block_size", "must be at least 1"),
-                 (self.crn_substeps >= 1, "crn_substeps",
-                  "must be at least 1"))
+                  "record_dt", "must be positive and finite when given"))
         return [(name, f"{rule}, got {getattr(self, name)!r}")
                 for ok, name, rule in rules if not ok]
 
@@ -92,7 +82,6 @@ class PathBatch:
     kills) and the reflections, by the names in PATH_EVENTS.
     """
 
-    scheme: str
     times: np.ndarray
     states: np.ndarray
     T0: np.ndarray
@@ -156,12 +145,12 @@ def _euler_paths(v, x0, cfg, edges=None):
 
     Without edges the paths are absorbed: when a step lands at or below
     cfg.absorb_threshold (dated by linear interpolation), when a step is
-    not finite (dated at mid-step), and, with cfg.bridge_correction, with
-    the pinned-path crossing probability exp(-2 (x - d)(x' - d)/dt) for
-    steps that stay above it.  With edges (lo, hi) the paths live forever
-    and excursions past an edge are mirrored back inside.  Returns the
-    read-only (times, states, T0) and the step events counted by name
-    (PATH_EVENTS).
+    not finite (dated at mid-step), and with the pinned-path crossing
+    probability exp(-2 (x - d)(x' - d)/dt) for steps that stay above it.
+    With edges (lo, hi) the paths live forever and excursions past an
+    edge are mirrored back inside.  Paths are marched _BLOCK at a time.
+    Returns the read-only (times, states, T0) and the step events counted
+    by name (PATH_EVENTS).
     """
     cfg.validate()
     try:
@@ -183,9 +172,9 @@ def _euler_paths(v, x0, cfg, edges=None):
     states = np.zeros((cfg.n_paths, len(rec_steps)))
     T0 = np.full(cfg.n_paths, np.inf)
     events = dict.fromkeys(PATH_EVENTS, 0)
-    buf = _Buffers(min(cfg.block_size, cfg.n_paths), cfg, edges is None)
-    for lo in range(0, cfg.n_paths, cfg.block_size):
-        hi = min(lo + cfg.block_size, cfg.n_paths)
+    buf = _Buffers(min(_BLOCK, cfg.n_paths), edges is None)
+    for lo in range(0, cfg.n_paths, _BLOCK):
+        hi = min(lo + _BLOCK, cfg.n_paths)
         _march_block(v, x0[lo:hi], lo, cfg, edges, rec_steps,
                      states[lo:hi], T0[lo:hi], events, buf)
     for arr in (times, states, T0):
@@ -203,15 +192,14 @@ class _Buffers:
     run's peak resident size on what ran before it.
     """
 
-    def __init__(self, B, cfg, absorbed):
-        self.raw = np.empty((B, _CHUNK * cfg.crn_substeps))
-        self.slab = self.diffs = self.prods = self.u = None
+    def __init__(self, B, absorbed):
+        self.raw = np.empty((B, _CHUNK))
+        self.slab = np.empty((_WIN + 1, B))
+        self.diffs = self.prods = self.u = None
         if absorbed:
-            self.slab = np.empty((_WIN + 1, B))
             self.diffs = np.full((_WIN + 1) * B, 0.0)
             self.prods = np.full(_WIN * B, 0.0)
-            if cfg.bridge_correction:
-                self.u = np.full((B, _CHUNK), 0.0)
+            self.u = np.full((B, _CHUNK), 0.0)
 
 
 @np.errstate(all="ignore")
@@ -222,22 +210,23 @@ def _march_block(v, x0, first, cfg, edges, rec_steps, states, T0, events,
     Each refill draws the next chunk of Gaussian steps for the live paths
     only: ids lists them (row in the block), one lane each.  A dead path's
     stream is never read again, so dropping it at the refill leaves every
-    other path's draws unchanged.  Reflected paths take the chunk one step
-    at a time.  Absorbed paths take it in windows of _WIN steps on a
-    time-major slab, one row per step; after each window _settle dates
-    every lane's first event in it.  A lane that died inside a window was
-    stepped on to the window's end: those states are discarded, and until
-    the next refill the lane is held at its state at the window's start.
-    Floating-point warnings are off: a step that overflows is a
-    non-finite step.  Adds the block's step events to the events counts.
-    buf holds the arrays the block is marched in (_Buffers).
+    other path's draws unchanged.  The chunk is taken in windows of _WIN
+    steps on a time-major slab, one row per step.  With edges each row is
+    reflected (_reflect) right after its step.  Without, after each window
+    _settle dates every lane's first event in it; a lane that died inside
+    a window was stepped on to the window's end: those states are
+    discarded, and until the next refill the lane is held at its state at
+    the window's start.  Floating-point warnings are off: a step that
+    overflows is a non-finite step.  Adds the block's step events to the
+    events counts.  buf holds the arrays the block is marched in
+    (_Buffers).
     """
-    dt, k = cfg.dt, cfg.crn_substeps
-    sqdt, sqk = np.sqrt(dt), np.sqrt(float(k))
+    dt = cfg.dt
+    sqdt = np.sqrt(dt)
     B = len(x0)
     gens = [rng.stream(cfg.seed, first + i) for i in range(B)]
     raw, slab = buf.raw, buf.slab
-    unif = _Uniforms(cfg.seed, first, buf.u) if buf.u is not None else None
+    unif = _Uniforms(cfg.seed, first, buf.u)
 
     ids = np.arange(B)
     x = np.array(x0, dtype=float)
@@ -252,29 +241,9 @@ def _march_block(v, x0, first, cfg, edges, rec_steps, states, T0, events,
         m = min(_CHUNK, n_steps - start)
         n = len(ids)
         for r, i in enumerate(ids):
-            gens[i].standard_normal(out=raw[r, :m * k])
-        noise = (raw[:n, :m * k].reshape(n, m, k).sum(axis=2) / sqk
-                 if k > 1 else raw[:n, :m])
-        if edges is not None:
-            noise *= sqdt
-            for j in range(m):
-                xn = x + v(x) * dt + noise[:, j]
-                out_lo = xn < edges[0]
-                out_hi = xn > edges[1]
-                if np.any(out_lo) or np.any(out_hi):
-                    events["reflections"] += int(np.count_nonzero(out_lo)
-                                                 + np.count_nonzero(out_hi))
-                    xn[out_lo] = 2.0 * edges[0] - xn[out_lo]
-                    xn[out_hi] = 2.0 * edges[1] - xn[out_hi]
-                    np.clip(xn, edges[0], edges[1], out=xn)
-                x = xn
-                if rec_steps[rp] == start + j + 1:
-                    states[ids, rp] = x
-                    rp += 1
-            continue
-
-        if unif is not None:
-            unif.refill(start // _CHUNK, m, n)
+            gens[i].standard_normal(out=raw[r, :m])
+        noise = raw[:n, :m]
+        unif.refill(start // _CHUNK, m, n)
         slab[0, :n] = x
         for j0 in range(0, m, _WIN):
             W = min(_WIN, m - j0)
@@ -288,8 +257,11 @@ def _march_block(v, x0, first, cfg, edges, rec_steps, states, T0, events,
                 step = v(X[w]) * dt
                 step += X[w]
                 X[w + 1] += step
-            stop = _settle(X, dead, ids, start + j0, cfg, unif, T0, events,
-                           buf)
+                if edges is not None:
+                    _reflect(X[w + 1], edges, events)
+            stop = (np.full(n, W) if edges is not None else
+                    _settle(X, dead, ids, start + j0, cfg, unif, T0, events,
+                            buf))
             while rp < len(rec_steps) and rec_steps[rp] <= start + j0 + W:
                 w = rec_steps[rp] - (start + j0)
                 alive = stop >= w
@@ -302,6 +274,19 @@ def _march_block(v, x0, first, cfg, edges, rec_steps, states, T0, events,
         x = slab[0, :n]
 
 
+def _reflect(x, edges, events):
+    """Mirror the states in x that left [lo, hi] = edges back inside, in
+    place, and count them as reflections."""
+    out_lo = x < edges[0]
+    out_hi = x > edges[1]
+    if np.any(out_lo) or np.any(out_hi):
+        events["reflections"] += int(np.count_nonzero(out_lo)
+                                     + np.count_nonzero(out_hi))
+        x[out_lo] = 2.0 * edges[0] - x[out_lo]
+        x[out_hi] = 2.0 * edges[1] - x[out_hi]
+        np.clip(x, edges[0], edges[1], out=x)
+
+
 def _settle(X, dead, ids, s0, cfg, unif, T0, events, buf):
     """Date each lane's first event in the window X, where X[w] holds the
     states after step s0 + w - 1 and dead marks lanes that died earlier.
@@ -310,14 +295,15 @@ def _settle(X, dead, ids, s0, cfg, unif, T0, events, buf):
     Returns stop: the window step at which each lane died, len(X) - 1 for
     a lane alive at the window's end and -1 for a dead one.  A step ends
     a path when its end is not finite (dated at mid-step), when it lands
-    at or below the threshold (dated by linear interpolation) or, with
-    unif, when it fails the pinned-path crossing test; each lane's first
-    such step in step order counts, by the rules the per-step test used.
+    at or below the threshold (dated by linear interpolation) or when it
+    fails the pinned-path crossing test, read with unif's uniforms; each
+    lane's first such step in step order counts, by the rules the
+    per-step test used.
     """
     dt, delta = cfg.dt, cfg.absorb_threshold
     W = len(X) - 1
     stop = np.where(dead, -1, W)
-    near = _CROSS_SKIP * dt if unif is not None else 0.0
+    near = _CROSS_SKIP * dt
     # every step of a lane whose lowest state is delta + lo, lo > 0, has
     # (x - delta)(x' - delta) >= lo^2; if that clears the band and the last
     # state is finite (one that is not stays so to the window's end), the
@@ -333,15 +319,12 @@ def _settle(X, dead, ids, s0, cfg, unif, T0, events, buf):
     D -= delta
     P = np.multiply(D[:-1], D[1:],
                     out=buf.prods[:W * sub.size].reshape(W, sub.size))
-    if unif is None:
-        cand = ~(P > 0.0)
-    else:
-        # a lane draws the chunk's uniforms the first time it comes near
-        lanes = sub[(P < near).any(axis=0)]
-        lanes = lanes[unif.row[lanes] < 0]
-        if lanes.size:
-            unif.draw(lanes, ids)
-        cand = ~(P >= (_CROSS_SKIP if unif.wide else _CROSS_NARROW) * dt)
+    # a lane draws the chunk's uniforms the first time it comes near
+    lanes = sub[(P < near).any(axis=0)]
+    lanes = lanes[unif.row[lanes] < 0]
+    if lanes.size:
+        unif.draw(lanes, ids)
+    cand = ~(P >= (_CROSS_SKIP if unif.wide else _CROSS_NARROW) * dt)
     # a step can end its path only when it lands (P <= 0), its end is not
     # finite or it is in the crossing-test band; P misses an end at +inf
     if not np.isfinite(X[W, sub]).all():
@@ -355,21 +338,19 @@ def _settle(X, dead, ids, s0, cfg, unif, T0, events, buf):
     hl, first = np.unique(ls[hard], return_index=True)
     hw = ws[hard][first]
     stop[hl] = hw
-    if unif is not None:
-        soft = ~hard
-        soft &= ws < stop[ls]
-        ws, ls = ws[soft], ls[soft]
-        # crossing probability for a pinned Brownian path
-        pcross = np.exp(-2.0 * (X[ws, ls] - delta) * (X[ws + 1, ls] - delta)
-                        / dt)
-        kill = unif.u[unif.row[ls], s0 % _CHUNK + ws] < pcross
-        kl, first = np.unique(ls[kill], return_index=True)
-        kw = ws[kill][first]
-        stop[kl] = kw
-        T0[ids[kl]] = (s0 + kw) * dt + 0.5 * dt
-        events["crossing_kills"] += kl.size
-        keep = stop[hl] == hw
-        hl, hw = hl[keep], hw[keep]
+    soft = ~hard
+    soft &= ws < stop[ls]
+    ws, ls = ws[soft], ls[soft]
+    # crossing probability for a pinned Brownian path
+    pcross = np.exp(-2.0 * (X[ws, ls] - delta) * (X[ws + 1, ls] - delta) / dt)
+    kill = unif.u[unif.row[ls], s0 % _CHUNK + ws] < pcross
+    kl, first = np.unique(ls[kill], return_index=True)
+    kw = ws[kill][first]
+    stop[kl] = kw
+    T0[ids[kl]] = (s0 + kw) * dt + 0.5 * dt
+    events["crossing_kills"] += kl.size
+    keep = stop[hl] == hw
+    hl, hw = hl[keep], hw[keep]
     t = (s0 + hw) * dt
     x, xn = X[hw, hl], X[hw + 1, hl]
     bad = ~np.isfinite(xn)
@@ -423,10 +404,10 @@ def simulate_x(d: DriftField, x0, cfg: SimConfig) -> PathBatch:
 
     x0 may be a scalar or one value per path.  Absorption is declared
     when a step lands at or below the threshold or is not finite, and
-    additionally (when bridge_correction is on) with the pinned-path
-    crossing probability exp(-2 (X_t - d)(X_{t+dt} - d)/dt) for steps
-    that stay above it.  Identical (seed, n_paths, dt) reproduce the
-    ensemble bit for bit regardless of blocking: every path owns
+    with the pinned-path crossing probability
+    exp(-2 (X_t - d)(X_{t+dt} - d)/dt) for steps that stay above it.
+    Identical (seed, n_paths, dt) reproduce the ensemble bit for bit
+    regardless of blocking or window layout: every path owns
     counter-based substreams keyed by (seed, path index).
     """
     times, states, T0, events = _euler_paths(
@@ -437,8 +418,7 @@ def simulate_x(d: DriftField, x0, cfg: SimConfig) -> PathBatch:
             f"{100 * censored:.0f}% of paths were still alive at t_max; "
             "absorption statistics will be censoring-dominated",
             stacklevel=2)
-    return PathBatch(scheme="em-x", times=times, states=states, T0=T0,
-                     events=events)
+    return PathBatch(times=times, states=states, T0=T0, events=events)
 
 
 def simulate_z(g: GrowthModel, z0, cfg: SimConfig) -> PathBatch:
@@ -462,15 +442,15 @@ def simulate_z(g: GrowthModel, z0, cfg: SimConfig) -> PathBatch:
         T0 = np.zeros(cfg.n_paths)
         for arr in (states, T0, times):
             arr.setflags(write=False)
-        return PathBatch(scheme="em-z", times=times, states=states, T0=T0,
+        return PathBatch(times=times, states=states, T0=T0,
                          events=dict.fromkeys(PATH_EVENTS, 0))
 
     d = drift_from_growth(g)
     batch = simulate_x(d, x_from_z(z0, g.gamma), cfg)
     zstates = z_from_x(batch.states, g.gamma)
     zstates.setflags(write=False)
-    return PathBatch(scheme="em-z", times=batch.times, states=zstates,
-                     T0=batch.T0, events=batch.events)
+    return PathBatch(times=batch.times, states=zstates, T0=batch.T0,
+                     events=batch.events)
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +563,7 @@ def simulate_qprocess(d: DriftField, s: SpectralDecomposition, x0,
     if events["reflections"]:
         warnings.warn(f"{events['reflections']} excursions were reflected "
                       "at the spectral-grid edges", stacklevel=2)
-    return PathBatch(scheme="qprocess", times=times, states=states, T0=T0,
-                     events=events)
+    return PathBatch(times=times, states=states, T0=T0, events=events)
 
 
 def _located(pp, domain):

@@ -12,8 +12,10 @@ open at z = 1e48 (or 1e-48) is read from the slope kappa of ln(f z) per
 unit s on its last panel: for kappa <= -0.05 it converges, and the rest
 is closed as f z / |kappa|; otherwise it diverges, like a logarithm for
 |kappa| < 0.05 and like a power above.  A non-finite value at a node the
-march reaches reads as exponential divergence, never as a value.  An
-integrand that fails, or returns the wrong shape, raises.
+march reaches reads as divergence, never as a value: like a power when
+the slope of ln(f z) held level across the last two finite panels, and
+exponential when it grew.  An integrand that fails, or returns the wrong
+shape, raises.
 
 classify_growth() reads the partial-sum trails of the series criteria.
 """
@@ -32,6 +34,10 @@ _GL_COEF = np.linalg.inv(np.polynomial.legendre.legvander(_GL_X, 19))
 _FADE = 50.0            # a march stops once its integrand is e^-50 below it
 _FAR_END = 1e48         # a march still open here is closed by its end rule
 _DELTA = 0.05           # the end rule's margin on the slope of ln(f z)
+_LEVEL = 0.01           # a slope that grows by less than this share of
+                        # itself per unit s is a power's; exp(z^a), whose
+                        # slope grows by a share a, overflows by 1e48 only
+                        # for a > 0.058
 _ROUGH = 1e-10          # a panel is halved when its last two Legendre
                         # coefficients weigh this share of the total
 _MAX_ROUNDS = 40        # a march still halving panels after this many
@@ -149,13 +155,21 @@ def _march(f, start, end, total=0.0, trail=()):
         g = np.insert(g, i, 0.0, axis=0)
         new = np.concatenate([i, i + 1]) + np.tile(np.arange(i.size), 2)
         g[new] = _values(f, a[new], b[new])
+
+    def slope(j):          # of ln(f z) per unit s across panel j
+        return (lg[j, -1] - lg[j, 0]) / (half[j] * (_GL_X[-1] - _GL_X[0]))
     status, growth, value = "converges", "bounded", float(run[n])
     if i.size:
         status, growth = "inconclusive", None
     elif not finite[n]:
         status, growth, value = "diverges", "exp", np.inf
+        # a power's slope is level, an exponential's grows
+        if n >= 2:
+            k1, k2 = slope(n - 2), slope(n - 1)
+            if k2 - k1 <= _LEVEL * abs(k2) * (half[n - 2] + half[n - 1]):
+                growth = "power"
     elif not stop[n] and end in (0.0, np.inf):
-        kappa = (lg[n, -1] - lg[n, 0]) / (half[n] * (_GL_X[-1] - _GL_X[0]))
+        kappa = slope(n)
         if kappa <= -_DELTA:
             value += g[n, -1] * np.exp(kappa * half[n] * (1 - _GL_X[-1])) \
                 / -kappa

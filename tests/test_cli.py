@@ -370,14 +370,17 @@ def test_thread_cap_does_not_change_output(tmp_path):
         env = dict(os.environ, QSD_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.path.join(ROOT, "src")
         for args in (("spectrum", _cfg("logistic"), "--quick"),
-                     ("check", _cfg("logistic"))):
+                     ("check", _cfg("logistic")),
+                     ("qprocess", _cfg("ou"), "--quick")):
             r = subprocess.run(
                 [sys.executable, "-m", "qsdlab.cli", *args,
                  "--output-dir", out],
                 env=env, capture_output=True, text=True, cwd=ROOT)
             assert r.returncode == 0, r.stderr
         outs.append(out)
-    for name in ("spectrum.csv", "eigenfunctions.csv", "hypotheses.csv"):
+    for name in ("spectrum.csv", "eigenfunctions.csv", "hypotheses.csv",
+                 "paths_summary.csv", "survival.csv",
+                 "conditional_hist.csv"):
         with open(os.path.join(outs[0], name), "rb") as fh:
             b1 = fh.read()
         with open(os.path.join(outs[1], name), "rb") as fh:

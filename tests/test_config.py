@@ -220,6 +220,23 @@ def test_out_of_range_step_control_exits_two_before_any_work(tmp_path, key,
     assert not out.exists()
 
 
+# step controls that are no longer settable: a config that still sets one
+# is refused, not run with the setting ignored
+REMOVED = [("crn_substeps", "2"), ("block_size", "7"),
+           ("bridge_correction", "false")]
+
+
+@pytest.mark.parametrize("key, value", REMOVED)
+def test_removed_step_control_is_refused(tmp_path, key, value):
+    path = _montecarlo(tmp_path, key, value)
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert exc.value.problems == [f"montecarlo.{key}: unknown key"]
+    out = tmp_path / "out"
+    assert main(["simulate", path, "--output-dir", str(out), "--quick"]) == 2
+    assert not out.exists()
+
+
 # lattice settings that used to stop the run only after work and artifacts
 BD_OUT_OF_RANGE = [(key, "-1") for key in ("lam", "mu", "c", "chain_lam",
                                            "chain_mu", "chain_c")] + [

@@ -39,14 +39,14 @@ def _reference_march(v, x0, first, cfg, edges, rec_steps, states, T0):
     again, so dropping it leaves every other path's draws unchanged.
     Returns the number of reflections.
     """
-    dt, delta, k = cfg.dt, cfg.absorb_threshold, cfg.crn_substeps
-    sqdt, sqk = np.sqrt(dt), np.sqrt(float(k))
-    bridge = edges is None and cfg.bridge_correction
+    dt, delta = cfg.dt, cfg.absorb_threshold
+    sqdt = np.sqrt(dt)
+    bridge = edges is None
     B = len(x0)
     gens = [rng.stream(cfg.seed, first + i) for i in range(B)]
     ugens = ([rng.stream(cfg.seed, first + i, rng.UNIFORM) for i in range(B)]
              if bridge else None)
-    raw = np.empty((B, _CHUNK * k))
+    raw = np.empty((B, _CHUNK))
     unif = np.empty((B, _CHUNK)) if bridge else None
 
     ids = np.arange(B)
@@ -59,16 +59,14 @@ def _reference_march(v, x0, first, cfg, edges, rec_steps, states, T0):
         m = min(_CHUNK, n_steps - start)
         n = len(ids)
         for r, i in enumerate(ids):
-            gens[i].standard_normal(out=raw[r, :m * k])
+            gens[i].standard_normal(out=raw[r, :m])
             if bridge:
                 ugens[i].random(out=unif[r, :m])
-        noise = (raw[:n, :m * k].reshape(n, m, k).sum(axis=2) / sqk
-                 if k > 1 else raw)
         row = np.arange(n)                 # each live path's buffer row
         for j in range(m):
             s = start + j
             with np.errstate(all="ignore"):
-                xn = x + v(x) * dt + sqdt * noise[row, j]
+                xn = x + v(x) * dt + sqdt * raw[row, j]
             if edges is None:
                 t = s * dt
                 bad = ~np.isfinite(xn)
@@ -116,8 +114,8 @@ def _reference_paths(v, x0, cfg, edges=None):
     states = np.zeros((cfg.n_paths, len(rec_steps)))
     T0 = np.full(cfg.n_paths, np.inf)
     reflections = 0
-    for lo in range(0, cfg.n_paths, cfg.block_size):
-        hi = min(lo + cfg.block_size, cfg.n_paths)
+    for lo in range(0, cfg.n_paths, montecarlo._BLOCK):
+        hi = min(lo + montecarlo._BLOCK, cfg.n_paths)
         reflections += _reference_march(v, x0[lo:hi], lo, cfg, edges,
                                         rec_steps, states[lo:hi], T0[lo:hi])
     return states, T0, reflections
@@ -129,18 +127,18 @@ def _pchip_drift(sd):
     return PchipInterpolator(sd.grid, logeta).derivative()
 
 
-# (_WIN, _CHUNK) pairs the absorbed engine must agree under: the
-# defaults, windows that do not divide the chunk, one-step windows in
-# four-step chunks, and windows longer than the chunk
+# (_WIN, _CHUNK) pairs the engine must agree under: the defaults,
+# windows that do not divide the chunk, one-step windows in four-step
+# chunks, and windows longer than the chunk
 _LAYOUTS = ((32, 512), (7, 64), (1, 4), (64, 32))
 
 
-def _layout_runs(monkeypatch, v, x0, cfg, layouts=_LAYOUTS):
+def _layout_runs(monkeypatch, v, x0, cfg, layouts=_LAYOUTS, edges=None):
     """The engine's (states, T0, events) under each window and chunk size."""
     for win, chunk in layouts:
         monkeypatch.setattr(montecarlo, "_WIN", win)
         monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
-        _, states, T0, events = montecarlo._euler_paths(v, x0, cfg)
+        _, states, T0, events = montecarlo._euler_paths(v, x0, cfg, edges)
         yield (win, chunk), states, T0, events
 
 
@@ -158,21 +156,22 @@ def _step_products(states, delta):
 _NEAR = dict(dt=1e-3, t_max=1.2, n_paths=60, seed=3)
 
 
-@pytest.mark.parametrize("drift, x0, extra", [
-    pytest.param(ou_drift(1.0), 0.05, {}, id="ou-near"),
-    pytest.param(ou_drift(1.0), 0.05, {"block_size": 1}, id="block-1"),
-    pytest.param(ou_drift(1.0), 0.05, {"block_size": 7}, id="block-7"),
-    pytest.param(ou_drift(1.0), 0.05, {"n_paths": 5000}, id="block-4096"),
-    pytest.param(ou_drift(1.0), 0.05, {"crn_substeps": 2}, id="crn2"),
-    pytest.param(ou_drift(1.0), 0.05, {"bridge_correction": False},
-                 id="no-bridge"),
-    pytest.param(ou_drift(1.0), 0.05, {"record_dt": 5e-3}, id="record-5"),
+@pytest.mark.parametrize("drift, x0, extra, block", [
+    pytest.param(ou_drift(1.0), 0.05, {}, 4096, id="ou-near"),
+    pytest.param(ou_drift(1.0), 0.05, {}, 1, id="block-1"),
+    pytest.param(ou_drift(1.0), 0.05, {}, 7, id="block-7"),
+    pytest.param(ou_drift(1.0), 0.05, {"n_paths": 5000}, 4096,
+                 id="block-4096"),
+    pytest.param(ou_drift(1.0), 0.05, {"record_dt": 5e-3}, 4096,
+                 id="record-5"),
     pytest.param(_wall_drift(), np.r_[10.5, 9.99, np.full(58, 1.5)], {},
-                 id="wall"),
+                 4096, id="wall"),
     pytest.param(_wall_drift(-np.inf), np.r_[10.5, 9.99, np.full(58, 1.5)],
-                 {}, id="wall-up"),
+                 {}, 4096, id="wall-up"),
 ])
-def test_engine_matches_reference_stepper(drift, x0, extra, monkeypatch):
+def test_engine_matches_reference_stepper(drift, x0, extra, block,
+                                          monkeypatch):
+    monkeypatch.setattr(montecarlo, "_BLOCK", block)
     cfg = SimConfig(**{**_NEAR, **extra})
     assert _record_steps(cfg)[-1] > 2 * _CHUNK
     b = simulate_x(drift, x0, cfg)
@@ -287,19 +286,52 @@ def test_zero_uniform_widens_the_crossing_band(monkeypatch):
         assert np.array_equal(s, states), layout
 
 
-def test_qprocess_matches_reference_stepper(logistic_sd):
+def test_qprocess_matches_reference_stepper(logistic_sd, monkeypatch):
     cfg = SimConfig(dt=1e-2, t_max=12.0, n_paths=400, seed=5)
     sd = logistic_sd
     with pytest.warns(UserWarning, match="reflected"):
         b = simulate_qprocess(sd.drift, sd, 0.05, cfg)
     dlog = _pchip_drift(sd)
-    states, T0, reflections = _reference_paths(
-        lambda x: -np.asarray(sd.drift.q(x), dtype=float) + dlog(x), 0.05,
-        cfg, edges=(float(sd.grid[0]), float(sd.grid[-1])))
+    v = lambda x: -np.asarray(sd.drift.q(x), dtype=float) + dlog(x)
+    edges = (float(sd.grid[0]), float(sd.grid[-1]))
+    states, T0, reflections = _reference_paths(v, 0.05, cfg, edges)
     assert reflections > 0
     assert b.events["reflections"] == reflections
     assert np.array_equal(b.T0, T0)
     assert np.array_equal(b.states, states)
+    for layout, s, t, events in _layout_runs(monkeypatch, v, 0.05, cfg,
+                                             edges=edges):
+        assert np.array_equal(t, T0), layout
+        assert np.array_equal(s, states), layout
+        assert events == b.events, layout
+
+
+def test_reflections_at_window_and_chunk_edges(monkeypatch):
+    # a push of one unit per step against noise of 1e-3 per step carries
+    # the path started k + 0.5 inside an edge across it at step k, and
+    # across it again at every later step, whatever the draws: lanes
+    # reflect at the first and last step of windows, either side of
+    # refills, and at every step of a window
+    dt = 1e-6
+    cfg = SimConfig(dt=dt, t_max=1200 * dt, n_paths=12, seed=4,
+                    record_dt=dt)
+    n_steps = int(_record_steps(cfg)[-1])
+    edges = (0.0, float(n_steps))
+    for win, chunk in _LAYOUTS:
+        k = np.array([0, 1, win - 1, win, 2 * win - 1, 2 * win, chunk - 1,
+                      chunk, chunk + win - 1, 2 * chunk - 1, 2 * chunk,
+                      1150])
+        for push, x0 in ((-1.0, k + 0.5), (1.0, n_steps - k - 0.5)):
+            def v(x):
+                return np.full_like(x, push / dt)
+            states, T0, reflections = _reference_paths(v, x0, cfg, edges)
+            assert reflections == np.sum(n_steps - k)
+            monkeypatch.setattr(montecarlo, "_WIN", win)
+            monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+            _, s, t, events = montecarlo._euler_paths(v, x0, cfg, edges)
+            assert np.array_equal(t, T0), (win, chunk, push)
+            assert np.array_equal(s, states), (win, chunk, push)
+            assert events["reflections"] == reflections
 
 
 @pytest.mark.parametrize("sd_name", ["logistic_sd", "ou_sd"])
@@ -320,19 +352,11 @@ def test_path_event_counts():
     absorbed = [b.events[name] for name in PATH_EVENTS[:3]]
     assert sum(absorbed) == np.count_nonzero(np.isfinite(b.T0))
     assert min(absorbed) > 0 and b.events["reflections"] == 0
-    plain = simulate_x(ou_drift(1.0), 0.05,
-                       SimConfig(bridge_correction=False, **_NEAR))
-    assert plain.events["crossing_kills"] == 0
-    assert plain.events["landings"] == np.count_nonzero(np.isfinite(plain.T0))
 
 
-@pytest.mark.parametrize("engine, crn_substeps", [
-    pytest.param("simulate_x", 1, id="simulate_x"),
-    pytest.param("simulate_x", 2, id="simulate_x-crn2"),
-    pytest.param("simulate_qprocess", 1, id="simulate_qprocess"),
-])
-def test_bitwise_determinism_and_block_independence(engine, crn_substeps,
-                                                    request):
+@pytest.mark.parametrize("engine", ["simulate_x", "simulate_qprocess"])
+def test_bitwise_determinism_and_block_independence(engine, request,
+                                                    monkeypatch):
     if engine == "simulate_x":
         def run(cfg):
             return simulate_x(ou_drift(1.0), 1.0, cfg)
@@ -341,14 +365,15 @@ def test_bitwise_determinism_and_block_independence(engine, crn_substeps,
 
         def run(cfg):
             return simulate_qprocess(sd.drift, sd, 1.0, cfg)
-    base = dict(dt=1e-3, t_max=0.5, n_paths=600, seed=3, record_dt=0.25,
-                crn_substeps=crn_substeps)
+    base = dict(dt=1e-3, t_max=0.5, n_paths=600, seed=3, record_dt=0.25)
     a = run(SimConfig(**base))
     b = run(SimConfig(**base))
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.T0, b.T0, equal_nan=True)
     # the per-path streams make the block partition irrelevant
-    c = run(SimConfig(block_size=7, **base))
+    monkeypatch.setattr(montecarlo, "_BLOCK", 7)
+    c = run(SimConfig(**base))
+    monkeypatch.undo()
     assert np.array_equal(a.states, c.states)
     assert np.array_equal(a.T0, c.T0, equal_nan=True)
     # and the seed is load-bearing
@@ -357,14 +382,18 @@ def test_bitwise_determinism_and_block_independence(engine, crn_substeps,
 
 
 @pytest.mark.parametrize("wall_path, n_paths", [(0, 201), (2, 13)])
-def test_non_finite_steps_do_not_depend_on_block_size(wall_path, n_paths):
+def test_non_finite_steps_do_not_depend_on_block_size(wall_path, n_paths,
+                                                      monkeypatch):
     # one path starts beyond the wall, so its first step is not finite;
     # the steps and refills of the other paths must not notice
     x0 = np.full(n_paths, 1.5)
     x0[wall_path] = 10.5
-    runs = [simulate_x(_wall_drift(), x0,
-                       SimConfig(dt=1e-3, t_max=1.5, n_paths=n_paths, seed=3,
-                                 block_size=bs)) for bs in (1, 4096)]
+    runs = []
+    for block in (1, 4096):
+        monkeypatch.setattr(montecarlo, "_BLOCK", block)
+        runs.append(simulate_x(_wall_drift(), x0,
+                               SimConfig(dt=1e-3, t_max=1.5, n_paths=n_paths,
+                                         seed=3)))
     assert np.array_equal(runs[0].T0, runs[1].T0)
     assert np.array_equal(runs[0].states, runs[1].states)
     assert runs[1].T0[wall_path] == 0.5e-3
@@ -386,19 +415,6 @@ def test_driftless_survival_matches_reflection_law():
     target = float(erf(1.0 / np.sqrt(2.0)))
     se = np.sqrt(target * (1.0 - target) / cfg.n_paths)
     assert abs(b.survival(1.0) - target) < 3.0 * se
-
-
-def test_crossing_correction_only_adds_absorptions():
-    cfg = SimConfig(dt=1e-3, t_max=1.0, n_paths=20000, seed=5, record_dt=0.5)
-    with_fix = simulate_x(_free_drift(), 1.0, cfg)
-    without = simulate_x(_free_drift(), 1.0,
-                         SimConfig(dt=1e-3, t_max=1.0, n_paths=20000, seed=5,
-                                   record_dt=0.5, bridge_correction=False))
-    n_with = int(np.sum(np.isfinite(with_fix.T0)))
-    n_without = int(np.sum(np.isfinite(without.T0)))
-    assert n_with > n_without
-    # between-step crossings the end-point test cannot see: sizable share
-    assert (n_with - n_without) > 0.01 * n_without
 
 
 def test_critical_population_extinction_law():
@@ -427,19 +443,6 @@ def test_decay_rate_estimator_with_honest_errors():
     # a window past extinction is refused rather than extrapolated
     with pytest.raises(PreconditionError):
         estimate_lambda1(b, (3.9, 4.0) if b.n_alive(3.9) < 100 else (9, 10))
-
-
-def test_common_randomness_across_step_sizes():
-    # halving dt while halving the pooled draws rides the same Brownian
-    # path: the survival difference is pure discretization, not noise
-    base = dict(t_max=2.0, n_paths=4000, seed=13, record_dt=1.0)
-    coarse = simulate_x(ou_drift(1.0), 1.0,
-                        SimConfig(dt=2e-3, crn_substeps=2, **base))
-    fine = simulate_x(ou_drift(1.0), 1.0,
-                      SimConfig(dt=1e-3, crn_substeps=1, **base))
-    s_c, s_f = coarse.survival(2.0), fine.survival(2.0)
-    one_run_se = np.sqrt(s_c * (1.0 - s_c) / 4000)
-    assert abs(s_c - s_f) < one_run_se
 
 
 def test_conditional_histogram_and_ks():

@@ -93,6 +93,19 @@ def test_positive_integrand_maps_nan_to_inf():
     assert np.all(np.isposinf(out))
 
 
+@pytest.mark.parametrize("f, growth", [
+    pytest.param(lambda x: x ** 6.0, "power", id="x^6"),
+    pytest.param(np.exp, "exp", id="exp(x)"),
+    pytest.param(lambda x: np.exp(x * x), "exp", id="exp(x^2)"),
+])
+def test_overflow_reads_growth_from_the_slope(f, growth):
+    # each overflows before 1e48; the slope of ln(f z) on the last two
+    # finite panels is level for the power and grows for the exponentials
+    v = integrate(f, 1.0, np.inf)
+    assert v.status == "diverges" and v.growth_model == growth
+    assert v.trail[-1][0] < 1e48
+
+
 def test_non_finite_nodes_read_divergent():
     # a value the march reaches that is not finite is never stood in for:
     # +inf on (0.5, 1] is divergence, not the 1.0 of the finite nodes
