@@ -20,13 +20,8 @@ Every outer integral is one quadrature.integrate march of Gauss-Legendre
 panels in ln z.  All exp(Q) arithmetic is shift-stabilized: double
 integrals are evaluated as integrals of exp(Q(y) - Q(z)), never as
 products of huge and tiny factors.  The inner integrals of h1 and h5 at
-all of a march's nodes come from one sweep over the sorted nodes: each
-node's gap to its neighbour is integrated on the same Gauss-Legendre
-panels, with the exponent built from q alone, and the gaps are summed
-from the far end inward.  A heavy far tail, such as the critical Feller
-diffusion's y/z, is marched in ln(1 + z); still open past z = 1e48, it
-is closed by the march's end rule, and infinite unless it decays there
-like a power.
+all of a march's nodes come from one quadrature.sweep over the sorted
+nodes, with the exponent's rate 2 q.
 """
 
 from __future__ import annotations
@@ -39,8 +34,8 @@ import numpy as np
 
 from .errors import PreconditionError
 from .model import DriftField, GrowthModel, Model
-from .quadrature import (_DELTA, _FADE, _FAR_END, _GL_COEF, _GL_W, _GL_X,
-                         IntegralVerdict, integrate, positive_integrand)
+from .quadrature import (IntegralVerdict, integrate, positive_integrand,
+                         sweep)
 
 _H2_PROBE_DECADES = range(0, 7)
 _HH_PROBE_DECADES = range(2, 9)
@@ -72,118 +67,21 @@ class HypothesisReport:
 # ---------------------------------------------------------------------------
 # shift-stabilized inner integrals
 
-# the 20-point Gauss-Legendre rule's integration matrix: row i integrates
-# the rule's interpolant from -1 to node i
-_GL_INT = (np.polynomial.legendre.legval(
-    _GL_X, np.polynomial.legendre.legint(np.eye(20), lbnd=-1)).T @ _GL_COEF)
-_MAX_PANELS = 160       # a gap still open after this many panels is inf
-_FAR = 64.0             # the open tail's log panels start past this z
-_LOG_REACH = 8.0        # widest log panel, in ln(1 + z): where R grows like
-                        # ln z, R moves by just under 8 on it, and a wider
-                        # try would be rejected on every other panel
-
-
 def inner_tail(d: DriftField, y, hi: float = np.inf):
     """int_y^hi exp(Q(y) - Q(z)) dz at every point of y (a float for a
     scalar y, else an array of y's shape)."""
-    return _sweep(d, y, hi, +1)
+    return sweep(_rate(d), y, hi, +1)
 
 
 def inner_head(d: DriftField, y, lo: float = 1.0):
     """int_lo^y exp(Q(z) - Q(y)) dz at every point of y (a float for a
     scalar y, else an array of y's shape)."""
-    return _sweep(d, y, lo, -1)
+    return sweep(_rate(d), y, lo, -1)
 
 
-def _sweep(d, y, end, sign):
-    """int of exp(-R(z)) from each y toward end, R(z) = sign int_y^z 2 q.
-
-    In u = sign z the unique nodes are sorted toward end.  Each node's gap
-    to the next (the last node's to end) is covered by Gauss-Legendre
-    panels, and R at the panel nodes comes from q alone by the rule's
-    integration matrix.  A panel is at most four decay lengths
-    min((1 + z)/4, 1/(2|q|)) wide, and going down at most 0.8 z, so a q
-    singular like 1/z at the origin stays resolved; a panel over which R
-    moves by more than 8 is halved.  A gap stops once exp(-R), times the
-    distance covered, is e^-50 below its integral G; a gap not stopped
-    after _MAX_PANELS panels is a heavy tail, and inf.  The open gap to
-    +inf, once past _FAR where the reach 1 + z binds rather than 2/|q|,
-    is marched in s = ln(1 + z) instead, dz = (1 + z) ds, on panels at
-    most _LOG_REACH wide under the same rules.  Still open past
-    _FAR_END, it is closed by integrate's end rule, with the slope
-    kappa = 1 - 2 q (1 + z) of ln(exp(-R) (1 + z)) at its last node: the
-    rest is exp(-R) (1 + z) / |kappa| for kappa <= -0.05, and inf
-    otherwise.  The gaps are then summed from end outward,
-    I_i = G_i + exp(-R_i(u_i+1)) I_i+1.
-    """
-    y = np.asarray(y, dtype=float)
-    u, back = np.unique(sign * y.reshape(-1), return_inverse=True)
-    a = u[u < sign * end]
-    b = np.append(a[1:], sign * end)
-    z, R, G = a.copy(), np.zeros(a.size), np.zeros(a.size)
-    step = np.zeros(a.size)         # exp(-R) at b; 0 for a gap stopped short
-    cap = np.full(a.size, np.inf)   # panel width cap, in s on a log panel
-    todo = np.arange(a.size)
-    last = a.size - 1 if sign > 0 and end == np.inf else -1   # the open gap
-    in_s = False                    # the open gap's cap is in s
-    with np.errstate(all="ignore"):
-        for _ in range(_MAX_PANELS):
-            if not todo.size:
-                break
-            zt, left = z[todo], b[todo] - z[todo]
-            reach = 1.0 + zt if sign > 0 else -0.8 * zt
-            qt = np.abs(np.asarray(d.q(sign * zt), dtype=float))
-            far = (todo[-1] == last and zt[-1] >= _FAR
-                   and 2.0 / qt[-1] >= reach[-1])
-            if far != in_s:         # a log panel starts as wide as a doubling
-                cap[last] = (np.log(2.0) if far
-                             else reach[-1] * np.expm1(cap[last]))
-                in_s = far
-            w = np.minimum(np.fmin(reach, 2.0 / qt),
-                           np.minimum(cap[todo], left))
-            if far:
-                w[-1] = min(cap[last], _LOG_REACH)
-            half = 0.5 * w
-            t = half[:, None] * (_GL_X + 1.0)
-            nodes = zt[:, None] + t
-            if far:
-                jac = reach[-1] * np.exp(t[-1])     # 1 + z at the s nodes
-                nodes[-1] = jac - 1.0
-            p = 2.0 * np.asarray(d.q(sign * nodes), dtype=float)
-            if far:
-                p[-1] *= jac
-            dR = half[:, None] * (p @ _GL_INT.T)
-            keep = np.abs(dR).max(axis=1) > 8.0       # rejected: too wide
-            cap[todo] = np.where(keep, 0.5, 2.0) * w
-            ok, i = ~keep, todo[~keep]
-            f = np.exp(-(R[i, None] + dR[ok]))
-            far = far and ok[-1]                      # a log panel taken
-            if far:
-                f[-1] *= jac
-            G[i] += half[ok] * (f @ _GL_W)
-            R[i] += half[ok] * (p[ok] @ _GL_W)
-            reached = w[ok] >= left[ok]
-            z[i] = np.where(reached, b[i], zt[ok] + w[ok])
-            if far:
-                z[last] = reach[-1] * np.exp(w[-1]) - 1.0
-            step[i[reached]] = np.exp(-R[i[reached]])
-            faded = np.exp(-R[i]) * (z[i] - a[i]) <= np.exp(-_FADE) * G[i]
-            if far and not faded[-1] and z[last] > _FAR_END:
-                kappa = 1.0 - p[-1, -1]     # slope of ln(f (1 + z)) in s
-                G[last] += (np.exp(-R[last]) * (1.0 + z[last]) / -kappa
-                            if kappa <= -_DELTA else np.inf)
-                faded[-1] = True
-            keep[ok] = ~(reached | faded)
-            todo = todo[keep]
-    G[todo] = np.inf
-    out = np.zeros(u.size)
-    acc = 0.0
-    for k in range(a.size - 1, -1, -1):
-        acc = G[k] + (step[k] * acc if step[k] > 0.0 else 0.0)
-        out[k] = acc
-    out[np.isnan(out)] = np.inf
-    out = out[back]
-    return float(out[0]) if y.ndim == 0 else out.reshape(y.shape)
+def _rate(d):
+    """Q' = 2 q, the rate of the inner integrals' exponent."""
+    return lambda z: 2.0 * np.asarray(d.q(z), dtype=float)
 
 
 # ---------------------------------------------------------------------------
