@@ -239,8 +239,10 @@ def sweep(r, y, end, sign):
 
     r must be vectorized.  In u = sign z the unique nodes are sorted
     toward end.  Each node's gap to the next (the last node's to end) is
-    covered by Gauss-Legendre panels, and R at the panel nodes comes from
-    r alone by the rule's integration matrix.  A panel is at most four
+    covered by Gauss-Legendre panels, marched in offsets t = u - u_i from
+    the gap's start, so that panels narrower than the spacing of doubles
+    at z still add up; R at the panel nodes comes from r alone by the
+    rule's integration matrix.  A panel is at most four
     decay lengths min((1 + z)/4, 1/|r|) wide, and going down at most
     0.8 z, so an r singular like 1/z at the origin stays resolved; a
     panel over which R moves by more than 8 is halved.  A gap stops once
@@ -258,9 +260,9 @@ def sweep(r, y, end, sign):
     y = np.asarray(y, dtype=float)
     u, back = np.unique(sign * y.reshape(-1), return_inverse=True)
     a = u[u < sign * end]
-    b = np.append(a[1:], sign * end)
-    z, R, G = a.copy(), np.zeros(a.size), np.zeros(a.size)
-    step = np.zeros(a.size)         # exp(-R) at b; 0 for a gap stopped short
+    span = np.append(a[1:], sign * end) - a
+    t, R, G = np.zeros(a.size), np.zeros(a.size), np.zeros(a.size)
+    step = np.zeros(a.size)         # exp(-R) at a gap's end; 0 if stopped short
     cap = np.full(a.size, np.inf)   # panel width cap, in s on a log panel
     todo = np.arange(a.size)
     last = a.size - 1 if sign > 0 and end == np.inf else -1   # the open gap
@@ -269,7 +271,8 @@ def sweep(r, y, end, sign):
         for _ in range(_GAP_PANELS):
             if not todo.size:
                 break
-            zt, left = z[todo], b[todo] - z[todo]
+            at, tt = a[todo], t[todo]
+            zt, left = at + tt, span[todo] - tt
             reach = 1.0 + zt if sign > 0 else -0.8 * zt
             rt = np.abs(np.asarray(r(sign * zt), dtype=float))
             far = (todo[-1] == last and zt[-1] >= _FAR
@@ -283,10 +286,10 @@ def sweep(r, y, end, sign):
             if far:
                 w[-1] = min(cap[last], _LOG_REACH)
             half = 0.5 * w
-            t = half[:, None] * (_GL_X + 1.0)
-            nodes = zt[:, None] + t
+            loc = half[:, None] * (_GL_X + 1.0)
+            nodes = at[:, None] + (tt[:, None] + loc)
             if far:
-                jac = reach[-1] * np.exp(t[-1])     # 1 + z at the s nodes
+                jac = reach[-1] * np.exp(loc[-1])   # 1 + z at the s nodes
                 nodes[-1] = jac - 1.0
             p = np.asarray(r(sign * nodes), dtype=float)
             if far:
@@ -302,14 +305,15 @@ def sweep(r, y, end, sign):
             G[i] += half[ok] * (f @ _GL_W)
             R[i] += half[ok] * (p[ok] @ _GL_W)
             reached = w[ok] >= left[ok]
-            z[i] = np.where(reached, b[i], zt[ok] + w[ok])
+            t[i] = np.where(reached, span[i], tt[ok] + w[ok])
             if far:
-                z[last] = reach[-1] * np.exp(w[-1]) - 1.0
+                z1 = reach[-1] * np.exp(w[-1])      # 1 + z at the panel's end
+                t[last] = z1 - 1.0 - a[last]
             step[i[reached]] = np.exp(-R[i[reached]])
-            faded = np.exp(-R[i]) * (z[i] - a[i]) <= np.exp(-_FADE) * G[i]
-            if far and not faded[-1] and z[last] > _FAR_END:
+            faded = np.exp(-R[i]) * t[i] <= np.exp(-_FADE) * G[i]
+            if far and not faded[-1] and z1 > _FAR_END:
                 kappa = 1.0 - p[-1, -1]     # slope of ln(f (1 + z)) in s
-                G[last] += (np.exp(-R[last]) * (1.0 + z[last]) / -kappa
+                G[last] += (np.exp(-R[last]) * z1 / -kappa
                             if kappa <= -_DELTA else np.inf)
                 faded[-1] = True
             keep[ok] = ~(reached | faded)

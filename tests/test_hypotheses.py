@@ -161,6 +161,22 @@ def test_inner_integrals_match_split_quad(preset, kind, params):
     assert inner_tail(sweep, 1.0, hi=1.0) == 0.0
 
 
+def test_inner_integrals_hold_past_the_spacing_of_doubles():
+    # on logistic, 2q(y) grows like y^3: past y ~ 2e4 a panel 4/|2q| wide
+    # is narrower than the spacing of doubles at y, and both inner
+    # integrals are 1/(2q(y)) to leading order
+    d = preset_model("logistic", "growth",
+                     {"r": 1.0, "c": 1.0, "gamma": 1.0}).drift
+    ys = np.array([2.5e4, 1e5, 1e6])
+    rate = 2.0 * d.q(ys)
+    np.testing.assert_allclose(inner_tail(d, ys) * rate, 1.0,
+                               rtol=0.0, atol=1e-6)
+    np.testing.assert_allclose(inner_head(d, ys, lo=1.0) * rate, 1.0,
+                               rtol=0.0, atol=1e-6)
+    for y in ys:
+        assert abs(inner_tail(d, y) * 2.0 * d.q(y) - 1.0) <= 1e-6
+
+
 @pytest.mark.parametrize("expression, Q", [
     ("1/(2*x) + x^3/1e12", lambda x: np.log(x) + (x ** 4 - 1.0) / 2e12),
     ("1/(2*x) + x^3/1e15", lambda x: np.log(x) + (x ** 4 - 1.0) / 2e15),
