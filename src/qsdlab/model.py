@@ -127,23 +127,13 @@ _GL10_NODES, _GL10_WEIGHTS = np.polynomial.legendre.leggauss(10)
 _PANELS_PER_DECADE = 8
 
 
-def panel_gl10(f, a, b):
-    """Fixed 10-point Gauss-Legendre on each panel [a, b]; a, b may be arrays.
-
-    f is called once, on the flat array of all panel nodes.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    pts = mid[..., None] + half[..., None] * _GL10_NODES
-    vals = f(pts.ravel()).reshape(pts.shape)
-    return half * (vals @ _GL10_WEIGHTS)
-
-
 def _gauss_legendre_panels(f, nodes):
-    """Cumulative integral of f along sorted nodes, one panel per gap."""
-    panels = panel_gl10(f, nodes[:-1], nodes[1:])
+    """Cumulative integral of f along sorted nodes, one 10-point
+    Gauss-Legendre panel per gap; f is called once, on all panel nodes."""
+    mid = 0.5 * (nodes[:-1] + nodes[1:])
+    half = 0.5 * (nodes[1:] - nodes[:-1])
+    pts = mid[:, None] + half[:, None] * _GL10_NODES
+    panels = half * (f(pts.ravel()).reshape(pts.shape) @ _GL10_WEIGHTS)
     return np.concatenate(([0.0], np.cumsum(panels)))
 
 

@@ -4,7 +4,9 @@ Simulates the unit-diffusion process dX = dB - q(X) dt with absorption
 below a small threshold, estimates survivor-conditioned laws and decay
 rates from path ensembles, runs the never-absorbed companion process by
 an eigenfunction change of drift, and builds the drift of a
-supercritical population model conditioned on eventual extinction.
+supercritical population model conditioned on eventual extinction,
+h(y) - gamma y/I(y) with I(y) = int_y^inf exp(J(y) - J(z)) dz and
+J' = 2 h/(gamma z).
 """
 
 import warnings
@@ -12,13 +14,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
+from scipy.interpolate import PchipInterpolator
 
 from . import rng
 from .errors import DomainError, PreconditionError
-from .model import (DriftField, GrowthModel, drift_from_growth, panel_gl10,
-                    x_from_z, z_from_x)
-from .quadrature import integrate
+from .model import (DriftField, GrowthModel, drift_from_growth,
+                    make_potential_integral, x_from_z, z_from_x)
+from .quadrature import sweep
 from .spectral import SpectralDecomposition, YaglomMeasure
 
 # steps drawn per RNG refill; a multiple of 4, so that a chunk of
@@ -610,9 +612,11 @@ def condition_on_extinction(g: GrowthModel) -> ConditionedGrowth:
     """Drift of the population model conditioned to die out.
 
     Requires growth strong enough that survival has positive probability
-    (probed as h(z)/sqrt(z) increasing without bound); the conditioned
-    drift is h(y) + gamma y u'(y)/u(y) with u the extinction probability,
-    computed from the cumulated growth-to-fluctuation ratio.
+    (probed as h(z)/sqrt(z) increasing without bound).  With
+    J' = 2 h/(gamma z), the extinction probability is
+    u(y) = exp(-J(y)) I(y)/I(0), I(y) = int_y^inf exp(J(y) - J(z)) dz, so
+    u'/u = -1/I and the conditioned drift is h(y) - gamma y/I(y).  I at
+    every requested point is one quadrature.sweep of J'.
     """
     gamma = g.gamma
     h = g.h
@@ -627,113 +631,48 @@ def condition_on_extinction(g: GrowthModel) -> ConditionedGrowth:
             "growth is too weak for certain survival: h(z)/sqrt(z) must "
             f"increase without bound, probed values {ratio}")
 
-    def f(z):
-        # integrand of the cumulated ratio J; finite at 0 since h(0)=0
+    def half_rate(z):
+        # J'/2 = h/(gamma z), finite at 0 since h(0) = 0
         z = np.asarray(z, dtype=float)
         with np.errstate(all="ignore"):
-            out = 2.0 * np.asarray(h(z), dtype=float) / (gamma * z)
-        return np.where(z == 0.0, 2.0 * np.asarray(g.h_prime(0.0)) / gamma,
-                        out)
+            out = np.asarray(h(z), dtype=float) / (gamma * z)
+        return np.where(z == 0.0, np.asarray(g.h_prime(0.0)) / gamma, out)
 
-    # locate the scale beyond which exp(-J) is dead (J > 750)
-    z_hi = 8.0 / gamma
-    head = integrate(f, 0.0, z_hi)
-    if not head:
-        raise PreconditionError("cumulated growth ratio did not integrate "
-                                "over the head interval")
-    J_hi = head.value
-    for _ in range(60):
-        if J_hi > 750.0:
-            break
-        step = integrate(f, z_hi, 2.0 * z_hi)
-        if not step or not np.isfinite(step.value) or step.value <= 0:
-            raise PreconditionError(
-                "cumulated growth ratio stopped increasing; the "
-                "extinction profile is not integrable")
-        J_hi += step.value
-        z_hi *= 2.0
-    else:
-        raise PreconditionError(
-            "exp(-J) shows no decay out to huge states; the extinction "
-            "profile is not integrable")
+    def rate(z):
+        return 2.0 * half_rate(z)
 
-    # cumulative J on a dense log grid, then its decreasing tail integral
-    z_lo = min(1e-8, z_hi * 1e-12)
-    nodes = np.concatenate([[0.0],
-                            np.geomspace(z_lo, z_hi, 4000)])
-    J_panels = panel_gl10(f, nodes[:-1], nodes[1:])
-    J_nodes = np.concatenate([[0.0], np.cumsum(J_panels)])
-    J_spline = CubicSpline(nodes, J_nodes)
+    def tail(y):
+        return sweep(rate, y, np.inf, +1)
 
-    def emj(z):
-        return np.exp(-J_spline(z))
-
-    I_panels = panel_gl10(emj, nodes[:-1], nodes[1:])
-    # suffix sums: I_nodes[i] = integral of exp(-J) from nodes[i] to z_hi
-    I_nodes = np.concatenate([np.cumsum(I_panels[::-1])[::-1], [0.0]])
-    u_total = float(I_nodes[0])
+    u_total = tail(0.0)
     if not (np.isfinite(u_total) and u_total > 0):
         raise PreconditionError("extinction profile integral is not a "
                                 "positive finite number")
-
-    def tail_integral(y):
-        y = float(y)
-        if y >= z_hi:
-            return 0.0
-        i = int(np.searchsorted(nodes, y, side="right"))
-        i = min(i, len(nodes) - 1)
-        return float(panel_gl10(emj, y, nodes[i])) + float(I_nodes[i])
-
-    def log_slope(y):
-        # u'(y)/u(y); Laplace asymptotics past the dead zone
-        y = float(y)
-        if y >= z_hi:
-            return -float(f(y))
-        I = tail_integral(y)
-        if I <= 0.0:
-            return -float(f(y))
-        return -float(np.exp(-J_spline(y))) / I
+    J = make_potential_integral(half_rate)      # J(y) - J(1)
+    J0 = J(0.0)
 
     def u(y):
         y = np.asarray(y, dtype=float)
-        out = np.array([tail_integral(v) / u_total
-                        for v in np.atleast_1d(y)])
-        return float(out[0]) if y.ndim == 0 else out
+        return (np.exp(J0 - J(y)) * tail(y) / u_total)[()]
 
     def h_cond(y):
         y = np.asarray(y, dtype=float)
-        flat = np.atleast_1d(y).astype(float)
-        out = np.empty_like(flat)
-        for i, v in enumerate(flat):
-            if v == 0.0:
-                out[i] = 0.0
-            else:
-                out[i] = float(np.asarray(h(v))) + gamma * v * log_slope(v)
-        return float(out[0]) if y.ndim == 0 else out.reshape(y.shape)
+        return (np.asarray(h(y), dtype=float) - gamma * y / tail(y))[()]
 
     def h_cond_prime(y):
+        # phi = u'/u = -1/I, and I' = J' I - 1 gives phi' = -phi J' - phi^2
         y = np.asarray(y, dtype=float)
-        flat = np.atleast_1d(y).astype(float)
-        out = np.empty_like(flat)
-        for i, v in enumerate(flat):
-            if v == 0.0:
-                out[i] = float(np.asarray(g.h_prime(0.0)))
-                continue
-            phi = log_slope(v)
-            Jp = float(f(v))
-            phi_p = -phi * Jp - phi * phi if v < z_hi else -float(
-                (f(v * (1 + 1e-6)) - f(v * (1 - 1e-6))) / (2e-6 * v))
-            out[i] = (float(np.asarray(g.h_prime(v))) + gamma * phi
-                      + gamma * v * phi_p)
-        return float(out[0]) if y.ndim == 0 else out.reshape(y.shape)
+        phi = -1.0 / tail(y)
+        phi_p = -phi * rate(y) - phi * phi
+        return (np.asarray(g.h_prime(y), dtype=float) + gamma * phi
+                + gamma * y * phi_p)[()]
 
     probes = tuple(10.0 ** k for k in range(-1, 5))
-    ratios = []
-    for p in probes:
-        hv = float(np.asarray(h(p)))
-        ratios.append(h_cond(p) / (-hv) if hv != 0 else np.nan)
+    hv = np.asarray(h(np.array(probes)), dtype=float)
+    with np.errstate(all="ignore"):
+        ratios = np.where(hv != 0, h_cond(np.array(probes)) / -hv, np.nan)
 
     return ConditionedGrowth(h=h_cond, h_prime=h_cond_prime, gamma=gamma,
                              name=f"conditioned({g.name})",
-                             probe_points=probes, drift_ratio=tuple(ratios),
-                             u=u)
+                             probe_points=probes,
+                             drift_ratio=tuple(ratios.tolist()), u=u)

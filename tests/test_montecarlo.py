@@ -2,14 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.interpolate import PchipInterpolator
 from scipy.special import erf
 
 from qsdlab import (DomainError, DriftField, PreconditionError, SimConfig,
                     condition_on_extinction, conditional_histogram,
                     drift_field, estimate_lambda1, ks_distance,
-                    linear_growth, montecarlo, ou_drift, rng,
-                    simulate_qprocess, simulate_x, simulate_z)
+                    linear_growth, montecarlo, ou_drift, preset_model,
+                    rng, simulate_qprocess, simulate_x, simulate_z)
 from qsdlab.montecarlo import (PATH_EVENTS, _CHUNK, _CROSS_NARROW,
                                _CROSS_SKIP, _located, _record_steps)
 
@@ -479,6 +480,67 @@ def test_extinction_conditioning_flips_linear_growth():
     # a dying model has nothing to condition on
     with pytest.raises(PreconditionError):
         condition_on_extinction(linear_growth(-1.0, 1.0))
+
+
+def test_extinction_conditioned_derivative_at_the_origin():
+    # the conditioned drift of h = z is exactly -z, so h_cond' = -1
+    # everywhere, the origin included
+    cg = condition_on_extinction(linear_growth(1.0, 1.0))
+    for z in (0.0, 1e-6, 1.0):
+        assert cg.h_prime(z) == pytest.approx(-1.0, rel=1e-12, abs=0.0), z
+
+
+@pytest.mark.parametrize("gamma", [1.0, 2.0])
+def test_extinction_probability_of_linear_growth(gamma):
+    # h = r z dies out with probability u(z) = exp(-2 r z/gamma)
+    cg = condition_on_extinction(linear_growth(1.0, gamma))
+    assert cg.u(0.0) == 1.0
+    zs = np.array([1e-3, 0.1, 1.0, 5.0, 20.0])
+    np.testing.assert_allclose(cg.u(zs), np.exp(-2.0 * zs / gamma),
+                               rtol=1e-10, atol=0.0)
+    for z in zs:
+        assert cg.u(z) == pytest.approx(np.exp(-2.0 * z / gamma),
+                                        rel=1e-10, abs=0.0)
+
+
+def _quad(f, a, b):
+    return integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+def _conditioned_reference(h, gamma, y):
+    """h(y) - gamma y / I(y), I(y) = int_y^inf exp(J(y) - J(z)) dz with
+    J' = 2h/(gamma z), by nested quad in offsets t = z - y."""
+    def rate(z):
+        return 2.0 * h(z) / (gamma * z)
+
+    def integrand(t):
+        return np.exp(-_quad(lambda s: rate(y + s), 0.0, t))
+
+    scale = 1.0 / rate(y)
+    cuts = [0.0, scale, 4.0 * scale, 16.0 * scale]
+    tail = sum(_quad(integrand, lo, hi) for lo, hi in zip(cuts, cuts[1:]))
+    tail += _quad(integrand, cuts[-1], np.inf)
+    return h(y) - gamma * y / tail
+
+
+@pytest.mark.parametrize("expression, h, gamma", [
+    ("z + 0.1*z^1.5", lambda z: z + 0.1 * z ** 1.5, 1.0),
+    ("0.5*z + z*log(1 + z)", lambda z: 0.5 * z + z * np.log1p(z), 2.0),
+])
+def test_extinction_conditioning_matches_nested_quad(expression, h, gamma):
+    g = preset_model("custom", "growth",
+                     {"expression": expression, "gamma": gamma}).growth
+    cg = condition_on_extinction(g)
+    ys = np.array(cg.probe_points)
+    assert ys[0] == 0.1 and ys[-1] == 1e4
+    reference = np.array([_conditioned_reference(h, gamma, y) for y in ys])
+    np.testing.assert_allclose(cg.h(ys), reference, rtol=1e-10, atol=0.0)
+    np.testing.assert_allclose(cg.drift_ratio, reference / -h(ys),
+                               rtol=1e-10, atol=0.0)
+    # h_cond' against a central difference of h_cond
+    step = 1e-4 * ys
+    central = (cg.h(ys + step) - cg.h(ys - step)) / (2.0 * step)
+    np.testing.assert_allclose(cg.h_prime(ys), central, rtol=1e-6, atol=0.0)
 
 
 def test_sim_config_validation():
