@@ -242,10 +242,10 @@ def sweep(r, y, end, sign):
     covered by Gauss-Legendre panels, marched in offsets t = u - u_i from
     the gap's start, so that panels narrower than the spacing of doubles
     at z still add up; R at the panel nodes comes from r alone by the
-    rule's integration matrix.  A panel is at most four
-    decay lengths min((1 + z)/4, 1/|r|) wide, and going down at most
-    0.8 z, so an r singular like 1/z at the origin stays resolved; a
-    panel over which R moves by more than 8 is halved.  A gap stops once
+    rule's integration matrix.  A panel is at most four decay lengths
+    min((1 + z)/4, 1/|r|) wide, and going down at most 0.8 z, so an r
+    singular like 1/z at the origin stays resolved; a panel over which
+    R moves by more than 8 is halved.  A gap stops once
     exp(-R), times the distance covered, is e^-50 below its integral G;
     a gap not stopped after _GAP_PANELS panels is a heavy tail, and inf.
     The open gap to +inf, once past _FAR where the reach 1 + z binds
@@ -318,6 +318,9 @@ def sweep(r, y, end, sign):
                 faded[-1] = True
             keep[ok] = ~(reached | faded)
             todo = todo[keep]
+            # a gap runs several panels: free this panel's node arrays
+            # before the next one's are made
+            del loc, nodes, p, dR, f
     G[todo] = np.inf
     out = np.zeros(u.size)
     acc = 0.0
