@@ -152,10 +152,20 @@ def _run(args, cfg, out_dir, rep, stage):
 # ---------------------------------------------------------------------------
 # shared pipeline pieces
 
-def _decomposition(cfg, stage):
-    from .spectral import build_and_solve
+def _decomposition(args, cfg, stage):
+    """The levels the command reads, with [spectral] k as the cap: all k
+    for spectrum, those that weigh at --t for kernel, and the ground pair
+    for yaglom, compare and qprocess.  A cap the grid cannot carry is
+    refused by every command."""
+    from .spectral import build_and_solve, require_levels
     stage.append("spectral solve")
-    sd = build_and_solve(cfg.model.drift, cfg.domain, K=cfg.K)
+    require_levels(cfg.domain, cfg.K)
+    K, horizon = cfg.K, None
+    if args.command == "kernel":
+        horizon = args.t
+    elif args.command != "spectrum":
+        K = 1
+    sd = build_and_solve(cfg.model.drift, cfg.domain, K=K, horizon=horizon)
     stage.pop()
     return sd
 
@@ -224,7 +234,7 @@ def _cmd_check(args, cfg, out_dir, rep, stage):
 def _cmd_spectrum(args, cfg, out_dir, rep, stage):
     import numpy as np
     from .spectral import yaglom_measure
-    sd = _decomposition(cfg, stage)
+    sd = _decomposition(args, cfg, stage)
     rep.add_file(out_dir, "spectrum.csv", ("k", "lambda_k"),
                  [np.arange(1, sd.K + 1), sd.lambdas])
     header = (["x"] + [f"eta_{k + 1}" for k in range(sd.K)]
@@ -243,7 +253,7 @@ def _cmd_spectrum(args, cfg, out_dir, rep, stage):
 
 def _cmd_yaglom(args, cfg, out_dir, rep, stage):
     from .spectral import yaglom_measure
-    sd = _decomposition(cfg, stage)
+    sd = _decomposition(args, cfg, stage)
     ym = yaglom_measure(sd)
     rep.add_file(out_dir, "yaglom.csv", ("x", "density", "cdf"),
                  [ym.grid, ym.density, ym.cdf])
@@ -257,7 +267,7 @@ def _cmd_yaglom(args, cfg, out_dir, rep, stage):
 def _cmd_kernel(args, cfg, out_dir, rep, stage):
     import numpy as np
     from .spectral import kernel_r
-    sd = _decomposition(cfg, stage)
+    sd = _decomposition(args, cfg, stage)
     stage.append("kernel slice")
     row = kernel_r(sd, args.t, [args.x], sd.grid)[0]
     stage.pop()
@@ -267,7 +277,8 @@ def _cmd_kernel(args, cfg, out_dir, rep, stage):
                  [sd.grid, row, density])
     rep.scalars["t"] = float(args.t)
     rep.scalars["x"] = float(args.x)
-    rep.scalars["t_min_K"] = sd.t_min()
+    rep.scalars["t_min_K"] = sd.t_min_cap()
+    rep.scalars["levels"] = sd.K
     rep.scalars["survival_from_x"] = float(row @ sd.mu_weights)
 
 
@@ -296,7 +307,7 @@ def _cmd_qprocess(args, cfg, out_dir, rep, stage):
     from .montecarlo import conditional_histogram, ks_distance, \
         simulate_qprocess
     from .spectral import qprocess_stationary
-    sd = _decomposition(cfg, stage)
+    sd = _decomposition(args, cfg, stage)
     stage.append("conditioned-path simulation")
     batch = simulate_qprocess(cfg.model.drift, sd, cfg.mc["x0"], cfg.sim)
     stage.pop()
@@ -365,7 +376,7 @@ def _cmd_compare(args, cfg, out_dir, rep, stage):
     from .montecarlo import (conditional_histogram, estimate_lambda1,
                              ks_distance, yaglom_cdf)
     from .spectral import yaglom_measure, yaglom_to_z
-    sd = _decomposition(cfg, stage)
+    sd = _decomposition(args, cfg, stage)
     ym = yaglom_measure(sd)
     if cfg.model.kind == "growth":
         ym = yaglom_to_z(ym, cfg.model.growth.gamma)

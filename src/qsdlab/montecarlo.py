@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import rng
 from .errors import DomainError, PreconditionError
@@ -554,6 +553,7 @@ def simulate_qprocess(d: DriftField, s: SpectralDecomposition, x0,
     smooth and the profile's positivity is never violated.  Paths are
     never absorbed; excursions past the spectral grid are reflected.
     """
+    from scipy.interpolate import PchipInterpolator   # loaded at first use
     logeta = 0.5 * s.Qgrid + np.log(np.maximum(np.abs(s.psis[:, 0]), 1e-280))
     dlog = _located(PchipInterpolator(s.grid, logeta).derivative(), s.domain)
 

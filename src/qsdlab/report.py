@@ -10,10 +10,12 @@ Python's '%.17g' (floats) and '%d' (integers and flags) write them.
 A float's digits come from Dekker's exact product of |x| with 10**p
 held as two doubles, within 1e-14 of the exact scaled value, so where
 its fraction lies more than 1e-9 from one half the rounding is decided
-and the digits are those '%.17g' writes; any other cell (a near-tie, a
-subnormal, a magnitude outside [1e-280, 1e280], an integer of 2**53 or
-more) is formatted by Python and counted in the manifest as a fallback
-cell.
+and the digits are those '%.17g' writes.  Where 10**p is itself a
+double the product is exact, and a fraction of exactly one half is a
+true tie, rounded half to even as '%.17g' rounds it.  Any other cell (a
+near-tie, a subnormal, a magnitude outside [1e-280, 1e280], an integer
+of 2**53 or more) is formatted by Python and counted in the manifest as
+a fallback cell.
 """
 
 import hashlib
@@ -120,10 +122,13 @@ def _decimal17(a):
 
     D = a * 10**(16 - e) is formed as Dekker's exact product a * H
     plus a * L, within 1e-14 of its exact value, so n = round(D) is
-    sure wherever D's fraction is not within 1e-9 of one half; a guess
-    e that is one off puts floor(D) or n outside [1e16, 1e17)."""
+    sure wherever D's fraction is not within 1e-9 of one half.  Where
+    L is 0 (0 <= 16 - e <= 22) D is exact, and a fraction of exactly
+    one half is a tie, settled to the even n.  A guess e that is one
+    off puts floor(D) or n outside [1e16, 1e17)."""
     e = np.floor(np.log10(a)).astype(np.int64)
     h = _TEN_HI[_P0 + 16 - e]
+    lo = _TEN_LO[_P0 + 16 - e]
     hi = a * h
     t = a * _SPLIT
     ah = t - (t - a)
@@ -131,13 +136,13 @@ def _decimal17(a):
     t = h * _SPLIT
     hh = t - (t - h)
     hl = h - hh
-    s = ((ah * hh - hi) + ah * hl + al * hh) + al * hl \
-        + a * _TEN_LO[_P0 + 16 - e]
+    s = ((ah * hh - hi) + ah * hl + al * hh) + al * hl + a * lo
     whole = np.floor(s)
     frac = s - whole
     n = hi.astype(np.int64) + whole.astype(np.int64)
-    sure = (n >= 10**16) & (np.abs(frac - 0.5) > 1e-9)
-    n += frac > 0.5
+    tie = (frac == 0.5) & (lo == 0.0)
+    sure = (n >= 10**16) & ((np.abs(frac - 0.5) > 1e-9) | tie)
+    n += (frac > 0.5) | (tie & (n % 2 == 1))
     return n, e, sure & (n < 10**17)
 
 

@@ -119,6 +119,8 @@ class SpectralDecomposition:
     etas: np.ndarray          # (n, K), eta = exp(Q/2) psi
     Qgrid: np.ndarray         # (n,) potential on the grid
     mu_weights: np.ndarray    # (n,) d_i exp(-Q_i)
+    lambda_cap: float         # the cap's top level: lambdas[-1], or the
+                              # level a horizon solve stopped short of
 
     @property
     def lambda1(self):
@@ -154,6 +156,11 @@ class SpectralDecomposition:
         """Shortest time the K-mode kernel can honestly represent."""
         return _t_min(self.lambdas[:self.K if K is None else K])
 
+    def t_min_cap(self) -> float:
+        """t_min of the level cap the solve was asked for: below it a
+        horizon solve keeps the whole cap and refuses."""
+        return _t_min(np.array([self.lambdas[0], self.lambda_cap]))
+
 
 def _t_min(lam) -> float:
     """Shortest time a sum over the increasing levels lam can honestly
@@ -176,6 +183,11 @@ def tridiagonal_modes(diag, off, hint, scale=None, **select):
     so that its largest-amplitude entry is positive.  A ground level that
     is not positive, or two levels within 1e-10 of each other, is not
     resolved: both raise TruncationError, with ``hint`` appended.
+
+    Bisection stops each level within eps * ||T||_1 absolute (scipy's
+    default tolerance), and where it stops depends on which levels are
+    selected: two solves of the same matrix for different level sets
+    agree to that tolerance, not bit for bit.
     """
     lam, phi = eigh_tridiagonal(diag, off, **select)
     if lam.size and lam[0] <= 0:
@@ -195,6 +207,17 @@ def tridiagonal_modes(diag, off, hint, scale=None, **select):
     return lam, phi
 
 
+def require_levels(domain: TruncationDomain, K: int):
+    """Refuse a cap of K levels that the domain's grid cannot carry."""
+    domain.validate()
+    if K < 1:
+        raise PreconditionError(f"need K >= 1 modes, got {K}")
+    if K > domain.n // 4:
+        raise PreconditionError(
+            f"K={K} modes from n={domain.n} nodes: discrete levels above "
+            f"n/4 carry no continuum meaning; enlarge n or reduce K")
+
+
 def build_and_solve(d: DriftField, domain: Optional[TruncationDomain] = None,
                     K: int = 16, *,
                     horizon: Optional[float] = None) -> SpectralDecomposition:
@@ -205,17 +228,11 @@ def build_and_solve(d: DriftField, domain: Optional[TruncationDomain] = None,
     lambda t <= LEVEL_CUT, the cut doubled while their t_min exceeds t,
     and the lowest K once the cut reaches the K-th level (so a t below
     t_min(K) is refused exactly as without a horizon).  The result's K is
-    the number of levels kept.
+    the number of levels kept, and its lambda_cap the K-th level.
     """
     if domain is None:
         domain = default_domain(d)
-    domain.validate()
-    if K < 1:
-        raise PreconditionError(f"need K >= 1 modes, got {K}")
-    if K > domain.n // 4:
-        raise PreconditionError(
-            f"K={K} modes from n={domain.n} nodes: discrete levels above "
-            f"n/4 carry no continuum meaning; enlarge n or reduce K")
+    require_levels(domain, K)
     if horizon is not None and not 0.0 < horizon < np.inf:
         raise PreconditionError(
             f"horizon must be positive and finite, got {horizon!r}")
@@ -251,6 +268,8 @@ def build_and_solve(d: DriftField, domain: Optional[TruncationDomain] = None,
         cut *= 2.0
     else:
         lam, psi = modes(select="i", select_range=(0, K - 1))
+        if horizon is None:
+            top = lam[-1]
 
     Qg = np.asarray(d.Q(x), dtype=float)
     amp = np.abs(psi)
@@ -265,7 +284,7 @@ def build_and_solve(d: DriftField, domain: Optional[TruncationDomain] = None,
     return SpectralDecomposition(
         domain=domain, drift=d, K=lam.size, grid=x, cell=dcell,
         lambdas=lam, psis=psi, etas=eta, Qgrid=Qg,
-        mu_weights=dcell * np.exp(-Qg))
+        mu_weights=dcell * np.exp(-Qg), lambda_cap=float(top))
 
 
 def _half_weights(sd: SpectralDecomposition, weights, half=-1):

@@ -84,6 +84,11 @@ def test_kernel_slice_and_guard(tmp_path):
     # below the honest-time floor the run refuses with the numeric code
     assert main(["kernel", _cfg("logistic"), "--output-dir", out,
                  "--t", "0.01"]) == 4
+    # a time that is not positive and finite is a precondition
+    for t in ("0", "-1", "inf", "nan"):
+        assert main(["kernel", _cfg("logistic"), "--output-dir", out,
+                     "--t", t]) == 3
+        assert _report(out)["failure"]["stage"] == "spectral solve"
 
 
 def test_simulate_quick(tmp_path):
@@ -189,9 +194,7 @@ x_min = -2
     assert "domain.x_min" in err
 
 
-def test_precondition_exit_three(tmp_path):
-    # more modes than the grid can honestly resolve
-    bad = _write(tmp_path, """
+_TOO_MANY_LEVELS = """
 [model]
 preset = logistic
 
@@ -202,9 +205,55 @@ n = 64
 
 [spectral]
 k = 32
-""")
+
+[montecarlo]
+seed = 1
+"""
+
+
+def test_precondition_exit_three(tmp_path):
+    # more modes than the grid can honestly resolve
+    bad = _write(tmp_path, _TOO_MANY_LEVELS)
     assert main(["spectrum", bad, "--output-dir",
                  str(tmp_path / "out")]) == 3
+
+
+@pytest.mark.parametrize("command", ["yaglom", "kernel", "compare",
+                                     "qprocess"])
+def test_k_above_n_over_4_is_refused_by_every_spectral_command(tmp_path,
+                                                                command):
+    # also by the commands that solve fewer levels than the cap
+    out = str(tmp_path / "out")
+    assert main([command, _write(tmp_path, _TOO_MANY_LEVELS),
+                 "--output-dir", out]) == 3
+    failure = _report(out)["failure"]
+    assert failure["stage"] == "spectral solve"
+    assert failure["type"] == "PreconditionError"
+    assert "n/4" in failure["message"]
+
+
+@pytest.mark.parametrize("model", ["logistic", "linear"])
+def test_kernel_sums_the_levels_that_weigh_at_t(tmp_path, model):
+    from qsdlab.config import load_config
+    from qsdlab.spectral import build_and_solve, kernel_r
+    out = str(tmp_path / "out")
+    assert main(["kernel", _cfg(model), "--output-dir", out,
+                 "--t", "1.5", "--x", "1.0"]) == 0
+    sc = _report(out)["scalars"]
+    _, rows = _read_csv(out, "kernel_slice.csv")
+    density = np.array([float(r[2]) for r in rows])
+    cfg = load_config(_cfg(model))
+    full = build_and_solve(cfg.model.drift, cfg.domain, K=cfg.K)
+    row = kernel_r(full, 1.5, [1.0], full.grid)[0]
+    want = row * np.exp(-full.Qgrid)
+    # the levels left out weigh below e^-42; what is left is the two
+    # solves' own error
+    assert np.max(np.abs(density - want)) <= 1e-6 * np.max(want)
+    assert sc["survival_from_x"] == pytest.approx(row @ full.mu_weights,
+                                                  rel=1e-6)
+    assert sc["levels"] < cfg.K
+    # t_min_K is the refusal threshold: the cap's, as spectrum reports it
+    assert sc["t_min_K"] == pytest.approx(full.t_min(), rel=1e-6)
 
 
 @pytest.mark.parametrize("error, code", [(RuntimeError, 5),
@@ -422,13 +471,22 @@ def test_run_report_records_thread_cap(monkeypatch, tmp_path):
             assert json.load(fh)["thread_cap"] == cap
 
 
-def test_package_import_leaves_scipy_integrate_unloaded():
-    # every integral is marched on the package's own Gauss-Legendre
-    # panels, so start-up does not pay for scipy.integrate
+def _cli_import_loads(module):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     r = subprocess.run(
         [sys.executable, "-c",
-         "import sys, qsdlab.cli; "
-         "sys.exit('scipy.integrate' in sys.modules)"],
+         f"import sys, qsdlab.cli; sys.exit({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, cwd=ROOT)
-    assert r.returncode == 0, r.stderr
+    assert r.returncode in (0, 1), r.stderr
+    return r.returncode == 1
+
+
+def test_package_import_leaves_scipy_integrate_unloaded():
+    # every integral is marched on the package's own Gauss-Legendre
+    # panels, so start-up does not pay for scipy.integrate
+    assert not _cli_import_loads("scipy.integrate")
+
+
+def test_package_import_leaves_scipy_interpolate_unloaded():
+    # the conditioned drift's PCHIP is the one use: only qprocess loads it
+    assert not _cli_import_loads("scipy.interpolate")

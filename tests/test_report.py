@@ -170,10 +170,12 @@ def test_report_lists_bytes_written(tmp_path):
     digest = rep.add_file(str(tmp_path), "a.csv", ("x", "t"),
                           [np.linspace(0, 1, 5), ["a"] * 5])
     size = os.path.getsize(tmp_path / "a.csv")
-    # a subnormal, a value past the fast range, a rounding tie and an
-    # int beyond 2**53 are formatted by Python, and counted
+    # a subnormal, a value past the fast range, a rounding tie where
+    # 10**(16 - E) is not a double (so the scaled product is not exact)
+    # and an int beyond 2**53 are formatted by Python, and counted; an
+    # exact tie is settled in NumPy
     odd = rep.add_file(str(tmp_path), "b.csv", ("x", "i"),
-                       [[5e-324, 1e300, 1 + 3 * 2.0**-17, 0.5],
+                       [[5e-324, 1e300, 3 * 2.0**-24, 1 + 3 * 2.0**-17],
                         np.array([2**60, 1, 2, 3], dtype=np.int64)])
     assert json.loads(rep.to_json())["files"] == [
         {"name": "a.csv", "sha256": digest, "bytes": size,
@@ -185,6 +187,14 @@ def test_report_lists_bytes_written(tmp_path):
 
 def _python_cells(values, fmt):
     return "".join(fmt % x + "\n" for x in values.tolist()).encode()
+
+
+def _ties(rng, e, count=200):
+    """Exact ties of the 17th digit in decade e: a = q 2**(e - 17) with
+    q odd, so a * 10**(16 - e) = q 5**(16 - e) / 2."""
+    q = 2.0 * np.floor(rng.uniform(10.0**e, 10.0**(e + 1), count)
+                       * 2.0**(16 - e)) + 1.0
+    return q[q < 2.0**53] * 2.0**(e - 17)
 
 
 def test_cells_match_python_formatting(tmp_path):
@@ -201,6 +211,9 @@ def test_cells_match_python_formatting(tmp_path):
         "powers of ten": np.concatenate(
             [tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf)]),
         "ties 1 + j 2**-17": 1 + np.arange(1, 2**17, 2) * 2.0**-17,
+        "ties q 2**(E - 17)": np.concatenate([_ties(rng, e)
+                                              for e in range(-6, 16)]),
+        "tie in an eigenfunction": np.array([420190845569.390625]),
         "specials": np.array(
             [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324,
              -5e-324, 2.2250738585072009e-308, 1.5e-310,
@@ -210,9 +223,12 @@ def test_cells_match_python_formatting(tmp_path):
     for name, x in floats.items():
         if name != "bit patterns":
             x = np.concatenate([x, -x])
-        write_csv(path, ("x",), [x])
+        digest = write_csv(path, ("x",), [x])
         with open(path, "rb") as fh:
             assert fh.read() == b"x\n" + _python_cells(x, "%.17g"), name
+        if name.startswith("tie"):
+            # exact ties are settled half to even in NumPy
+            assert digest.fallback_cells == 0, name
     near = np.arange(-300, 301)
     ints = np.concatenate([sign * (base + near) for base in
                            (2**53, 10**16, 10**17) for sign in (1, -1)])

@@ -1,5 +1,7 @@
 """Eigensolve, quasi-stationary profiles, kernels, and their audits."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from qsdlab import (PreconditionError, TailDominatedError, TruncationDomain,
                     linear_growth, logistic_growth, ou_drift, qprocess_row,
                     qprocess_stationary, rate_report, survival,
                     yaglom_measure, yaglom_to_z)
+from qsdlab.config import load_config
+from qsdlab.model import potential
 
 # low levels of the reference population model, frozen from a grid
 # refinement study (n = 1024/2048/4096 agree to the digits shown)
@@ -260,3 +264,30 @@ def test_build_guards():
         TruncationDomain(2.0, 8.0, 128, "uniform").validate()
     with pytest.raises(PreconditionError):
         TruncationDomain(1e-3, 8.0, 128, "exotic").validate()
+
+
+def _norm1(drift, domain):
+    """||T||_1 of the symmetrized operator build_and_solve assembles."""
+    xf = domain.full_grid()
+    h = np.diff(xf)
+    dcell = 0.5 * (h[:-1] + h[1:])
+    diag = (1.0 / h[:-1] + 1.0 / h[1:]) / (2.0 * dcell) \
+        + potential(drift)(xf[1:-1])
+    off = 1.0 / (2.0 * h[1:-1] * np.sqrt(dcell[:-1] * dcell[1:]))
+    return float(np.max(np.abs(diag) + np.pad(off, 1)[:-1]
+                        + np.pad(off, 1)[1:]))
+
+
+@pytest.mark.parametrize("model", ["logistic", "ou", "linear", "allee"])
+def test_ground_pair_solve_matches_the_capped_solve(model):
+    # yaglom, compare and qprocess solve the ground pair alone; bisection
+    # for one level stops elsewhere inside its tolerance eps ||T||_1
+    cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "examples", model + ".cfg"))
+    full = build_and_solve(cfg.model.drift, cfg.domain, K=cfg.K)
+    ground = build_and_solve(cfg.model.drift, cfg.domain, K=1)
+    assert ground.K == 1
+    tol = np.finfo(float).eps * _norm1(cfg.model.drift, cfg.domain)
+    assert abs(ground.lambda1 - full.lambda1) <= tol
+    gap = ground.psis[:, 0] - full.psis[:, 0]
+    assert np.sqrt(np.sum(gap * gap * full.cell)) < 1e-10
