@@ -191,16 +191,24 @@ class _Buffers:
     made.  Otherwise how much of them is resident would depend on whether
     the allocator hands out fresh pages or ones touched before, and a
     run's peak resident size on what ran before it.
+
+    The normal and uniform rows are one allocation.  For a full block
+    (33.6 MB) that is above glibc's largest mmap threshold (32 MiB), so
+    it is mapped and unmapped whole.  As two heap blocks, a long-lived
+    allocation made while the paths march can land above them, and the
+    freed rows then stay resident for the rest of the process.
     """
 
     def __init__(self, B, absorbed):
-        self.raw = np.empty((B, _CHUNK))
+        rows = np.empty((1 + absorbed, B, _CHUNK))
+        self.raw = rows[0]
         self.slab = np.empty((_WIN + 1, B))
         self.diffs = self.prods = self.u = None
         if absorbed:
             self.diffs = np.full((_WIN + 1) * B, 0.0)
             self.prods = np.full(_WIN * B, 0.0)
-            self.u = np.full((B, _CHUNK), 0.0)
+            self.u = rows[1]
+            self.u.fill(0.0)
 
 
 @np.errstate(all="ignore")
