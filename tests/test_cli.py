@@ -12,7 +12,9 @@ import pytest
 
 from qsdlab import montecarlo
 from qsdlab.cli import _cap_threads, main
+from qsdlab.config import load_config
 from qsdlab.errors import PreconditionError
+from qsdlab.spectral import build_and_solve, kernel_r
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 EXAMPLES = os.path.join(ROOT, "examples")
@@ -234,8 +236,6 @@ def test_k_above_n_over_4_is_refused_by_every_spectral_command(tmp_path,
 
 @pytest.mark.parametrize("model", ["logistic", "linear"])
 def test_kernel_sums_the_levels_that_weigh_at_t(tmp_path, model):
-    from qsdlab.config import load_config
-    from qsdlab.spectral import build_and_solve, kernel_r
     out = str(tmp_path / "out")
     assert main(["kernel", _cfg(model), "--output-dir", out,
                  "--t", "1.5", "--x", "1.0"]) == 0
