@@ -205,10 +205,12 @@ def drift_from_growth(g: GrowthModel) -> DriftField:
         raise ModelError(f"growth must vanish at zero population, got h(0)={h0!r}")
 
     def q(x):
+        # 0.5/x - (2/(gamma x)) h(gamma x^2/4), with gamma x formed once
         x = np.asarray(x, dtype=float)
-        z = gamma * x * x / 4.0
+        gx = gamma * x
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            out = 0.5 / x - (2.0 / (gamma * x)) * np.asarray(g.h(z), dtype=float)
+            out = 0.5 / x - (2.0 / gx) * np.asarray(g.h(gx * x / 4.0),
+                                                    dtype=float)
         return float(out) if out.ndim == 0 else out
 
     def q_prime(x):

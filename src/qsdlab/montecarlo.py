@@ -9,6 +9,8 @@ h(y) - gamma y/I(y) with I(y) = int_y^inf exp(J(y) - J(z)) dz and
 J' = 2 h/(gamma z).
 """
 
+import math
+import mmap
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -26,7 +28,7 @@ from .spectral import SpectralDecomposition, YaglomMeasure
 # crossing-test uniforms fills whole Philox blocks of four doubles
 _CHUNK = 512
 _WIN = 32                 # steps marched between settlements
-_LANES = 512              # lanes per piece of a window's transposed copy
+_GROUP = 128              # lanes whose normals are drawn, then transposed
 _BLOCK = 4096             # paths marched together
 # exp(-2 y / dt) underflows to exactly 0.0 once y >= 373 dt (the bound is
 # 372.57 dt), so no crossing test is needed past it
@@ -141,8 +143,8 @@ def _record_steps(cfg):
     return np.asarray(steps, dtype=np.int64)
 
 
-def _euler_paths(v, x0, cfg, edges=None):
-    """Ensemble of x' = x + v(x) dt + sqrt(dt) N, one stream per path.
+def _euler_paths(q, x0, cfg, edges=None):
+    """Ensemble of x' = x - q(x) dt + sqrt(dt) N, one stream per path.
 
     Without edges the paths are absorbed: when a step lands at or below
     cfg.absorb_threshold (dated by linear interpolation), when a step is
@@ -173,10 +175,10 @@ def _euler_paths(v, x0, cfg, edges=None):
     states = np.zeros((cfg.n_paths, len(rec_steps)))
     T0 = np.full(cfg.n_paths, np.inf)
     events = dict.fromkeys(PATH_EVENTS, 0)
-    buf = _Buffers(min(_BLOCK, cfg.n_paths), edges is None)
+    buf = _Buffers(min(_BLOCK, cfg.n_paths), edges is None, cfg.seed)
     for lo in range(0, cfg.n_paths, _BLOCK):
         hi = min(lo + _BLOCK, cfg.n_paths)
-        _march_block(v, x0[lo:hi], lo, cfg, edges, rec_steps,
+        _march_block(q, x0[lo:hi], lo, cfg, edges, rec_steps,
                      states[lo:hi], T0[lo:hi], events, buf)
     for arr in (times, states, T0):
         arr.setflags(write=False)
@@ -184,57 +186,69 @@ def _euler_paths(v, x0, cfg, edges=None):
 
 
 class _Buffers:
-    """The arrays blocks are marched in, made once per ensemble.
+    """What blocks are marched in, made once per ensemble.
 
-    Every block of the ensemble reuses them.  Those a block fills only in
-    part (the uniform rows and _settle's rows) are written through when
-    made.  Otherwise how much of them is resident would depend on whether
-    the allocator hands out fresh pages or ones touched before, and a
-    run's peak resident size on what ran before it.
-
-    The normal and uniform rows are one allocation.  For a full block
-    (33.6 MB) that is above glibc's largest mmap threshold (32 MiB), so
-    it is mapped and unmapped whole.  As two heap blocks, a long-lived
-    allocation made while the paths march can land above them, and the
-    freed rows then stay resident for the rest of the process.
+    Every block of the ensemble reuses them.  gens are Philox generators,
+    one per lane, that each block re-keys to its paths' streams (seek):
+    re-keying costs a fifth of building a stream.  The arrays are the
+    zeroed pages of one anonymous mapping: slab, the time-major chunk,
+    one row per step; raw, a group of lanes' normals; and for absorbed
+    paths u, the crossing-test uniforms, and _settle's rows.  The mapping
+    goes back to the system whole when the ensemble is done, so its rows
+    never stay resident in the heap, and what is resident while it lives
+    is what this ensemble touched.
     """
 
-    def __init__(self, B, absorbed):
-        rows = np.empty((1 + absorbed, B, _CHUNK))
-        self.raw = rows[0]
-        self.slab = np.empty((_WIN + 1, B))
-        self.diffs = self.prods = self.u = None
+    def __init__(self, B, absorbed, seed):
+        self.seek = rng.Seek(seed)
+        self.gens = [rng.blank() for _ in range(B)]
+        shapes = [(_CHUNK + 1, B), (min(_GROUP, B), _CHUNK)]
         if absorbed:
-            self.diffs = np.full((_WIN + 1) * B, 0.0)
-            self.prods = np.full(_WIN * B, 0.0)
-            self.u = rows[1]
-            self.u.fill(0.0)
+            shapes += [(B, _CHUNK), ((_WIN + 1) * B,), (_WIN * B,)]
+        self.slab, self.raw, *rows = _mapped(shapes)
+        self.u, self.diffs, self.prods = rows or (None, None, None)
+
+
+def _mapped(shapes):
+    """Zeroed float arrays of the given shapes, cut from one anonymous
+    mapping that is unmapped when the last of them is freed."""
+    sizes = [math.prod(shape) for shape in shapes]
+    flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=float)
+    ends = np.cumsum(sizes).tolist()
+    return [flat[end - size:end].reshape(shape)
+            for shape, size, end in zip(shapes, sizes, ends)]
 
 
 @np.errstate(all="ignore")
-def _march_block(v, x0, first, cfg, edges, rec_steps, states, T0, events,
+def _march_block(q, x0, first, cfg, edges, rec_steps, states, T0, events,
                  buf):
     """Step paths first, first + 1, ... into their rows of states and T0.
 
     Each refill draws the next chunk of Gaussian steps for the live paths
     only: ids lists them (row in the block), one lane each.  A dead path's
     stream is never read again, so dropping it at the refill leaves every
-    other path's draws unchanged.  The chunk is taken in windows of _WIN
-    steps on a time-major slab, one row per step.  With edges each row is
-    reflected (_reflect) right after its step.  Without, after each window
-    _settle dates every lane's first event in it; a lane that died inside
-    a window was stepped on to the window's end: those states are
+    other path's draws unchanged.  The normals are drawn a group of
+    _GROUP lanes at a time and copied once, transposed and scaled by
+    sqrt(dt), into the time-major slab: row 0 holds the lanes' states,
+    row j the noise of the chunk's step j.  The chunk is marched in
+    windows of _WIN steps, each a range of the slab's rows; a step adds
+    x + q(x) (-dt) to its row, in place.  With edges each row is
+    reflected (_reflect) right after its step.  Without, after each
+    window _settle dates every lane's first event in it; a lane that died
+    inside a window was stepped on to the window's end: those states are
     discarded, and until the next refill the lane is held at its state at
-    the window's start.  Floating-point warnings are off: a step that
-    overflows is a non-finite step.  Adds the block's step events to the
-    events counts.  buf holds the arrays the block is marched in
-    (_Buffers).
+    the window's start, by resetting the first row of the next window.
+    Floating-point warnings are off: a step that overflows is a
+    non-finite step.  Adds the block's step events to the events counts.
+    buf holds what the block is marched in (_Buffers).
     """
-    dt = cfg.dt
-    sqdt = np.sqrt(dt)
+    mdt = -cfg.dt
+    sqdt = np.sqrt(cfg.dt)
     B = len(x0)
-    gens = [rng.stream(cfg.seed, first + i) for i in range(B)]
-    raw, slab = buf.raw, buf.slab
+    normals = [buf.seek.put(gen, first + i, 0).standard_normal
+               for i, gen in enumerate(buf.gens[:B])]
+    slab, raw = buf.slab, buf.raw
+    G = len(raw)
     unif = _Uniforms(cfg.seed, first, buf.u)
 
     ids = np.arange(B)
@@ -249,21 +263,22 @@ def _march_block(v, x0, first, cfg, edges, rec_steps, states, T0, events,
             ids, x, dead = ids[live], x[live], dead[live]
         m = min(_CHUNK, n_steps - start)
         n = len(ids)
-        for r, i in enumerate(ids):
-            gens[i].standard_normal(out=raw[r, :m])
-        noise = raw[:n, :m]
-        unif.refill(start // _CHUNK, m, n)
         slab[0, :n] = x
+        for g0 in range(0, n, G):
+            lanes = ids[g0:g0 + G].tolist()
+            for r, i in enumerate(lanes):
+                normals[i](out=raw[r, :m])
+            group = raw[:len(lanes), :m]
+            group *= sqdt
+            slab[1:m + 1, g0:g0 + len(lanes)] = group.T
+        unif.refill(start // _CHUNK, m, n)
         for j0 in range(0, m, _WIN):
             W = min(_WIN, m - j0)
-            X = slab[:W + 1, :n]
-            for l0 in range(0, n, _LANES):
-                np.multiply(noise[l0:l0 + _LANES, j0:j0 + W].T, sqdt,
-                            out=X[1:, l0:l0 + _LANES])
-            # (x + v(x) dt) + noise, the per-step sum: IEEE addition
-            # commutes, so the terms may be added in place
+            X = slab[j0:j0 + W + 1, :n]
+            # (x + q(x) (-dt)) + noise, the per-step sum: IEEE addition
+            # commutes, and q(x) (-dt) is (-q(x)) dt bit for bit
             for w in range(W):
-                step = v(X[w]) * dt
+                step = q(X[w]) * mdt
                 step += X[w]
                 X[w + 1] += step
                 if edges is not None:
@@ -279,8 +294,8 @@ def _march_block(v, x0, first, cfg, edges, rec_steps, states, T0, events,
             dead = stop < W
             if dead.all():
                 return
-            np.copyto(X[0], X[W], where=~dead)
-        x = slab[0, :n]
+            np.copyto(X[W], X[0], where=dead)
+        x = slab[m, :n]
 
 
 def _reflect(x, edges, events):
@@ -332,7 +347,7 @@ def _settle(X, dead, ids, s0, cfg, unif, T0, events, buf):
     lanes = sub[(P < near).any(axis=0)]
     lanes = lanes[unif.row[lanes] < 0]
     if lanes.size:
-        unif.draw(lanes, ids)
+        unif.draw(lanes, ids, s0 % _CHUNK)
     cand = ~(P >= (_CROSS_SKIP if unif.wide else _CROSS_NARROW) * dt)
     # a step can end its path only when it lands (P <= 0), its end is not
     # finite or it is in the crossing-test band; P misses an end at +inf
@@ -376,11 +391,12 @@ class _Uniforms:
     """The crossing-test uniforms of a block's paths, a chunk per draw.
 
     Path i's uniform for step s sits at a fixed place in its stream
-    (seed, first + i, UNIFORM): a chunk is _CHUNK doubles, _CHUNK // 4
-    Philox blocks.  So a lane draws a chunk only when it first comes near
-    the threshold in it, into the next free row of u, from one generator
-    re-keyed to the lane's stream at the chunk's counter; every uniform
-    read is the one a chunk-by-chunk draw gives.
+    (seed, first + i, UNIFORM): its double number s, in Philox block
+    s // 4.  So a lane draws a chunk's uniforms only when it first comes
+    near the threshold in it, into the next free row of u (column s mod
+    _CHUNK), from one generator re-keyed to the lane's stream at the
+    block's counter; every uniform read is the one a chunk-by-chunk draw
+    gives.
     """
 
     def __init__(self, seed, first, u):
@@ -396,31 +412,36 @@ class _Uniforms:
         # past _CROSS_NARROW dt only a uniform of 0.0 can fail the test
         self.wide = False
 
-    def draw(self, lanes, ids):
-        """Draw the chunk's uniforms for the given lanes into fresh rows."""
+    def draw(self, lanes, ids, j0):
+        """Draw the given lanes' uniforms into fresh rows, from the Philox
+        block holding the chunk's step j0 to the chunk's end: the lanes
+        first came near in the window starting there, so no earlier step
+        of theirs is tested."""
         first = self.rows
         self.rows += lanes.size
         self.row[lanes] = np.arange(first, self.rows)
-        block = self.chunk * (_CHUNK // 4)
+        a = j0 - j0 % 4
+        block = (self.chunk * _CHUNK + a) // 4
         for r, i in enumerate(ids[lanes].tolist(), first):
-            self.seek.at(self.first + i, block).random(out=self.u[r, :self.m])
+            self.seek.at(self.first + i, block).random(out=self.u[r, a:self.m])
         self.wide = self.wide or bool(
-            np.any(self.u[first:self.rows, :self.m] == 0.0))
+            np.any(self.u[first:self.rows, a:self.m] == 0.0))
 
 
 def simulate_x(d: DriftField, x0, cfg: SimConfig) -> PathBatch:
     """Euler-Maruyama ensemble for dX = dB - q(X) dt absorbed near 0.
 
-    x0 may be a scalar or one value per path.  Absorption is declared
-    when a step lands at or below the threshold or is not finite, and
-    with the pinned-path crossing probability
+    d.q goes to the stepper as it is: each step is
+    (x + q(x) (-dt)) + sqrt(dt) N, which is (x - q(x) dt) + sqrt(dt) N
+    bit for bit.  x0 may be a scalar or one value per path.  Absorption
+    is declared when a step lands at or below the threshold or is not
+    finite, and with the pinned-path crossing probability
     exp(-2 (X_t - d)(X_{t+dt} - d)/dt) for steps that stay above it.
     Identical (seed, n_paths, dt) reproduce the ensemble bit for bit
     regardless of blocking or window layout: every path owns
     counter-based substreams keyed by (seed, path index).
     """
-    times, states, T0, events = _euler_paths(
-        lambda x: -np.asarray(d.q(x), dtype=float), x0, cfg)
+    times, states, T0, events = _euler_paths(d.q, x0, cfg)
     censored = np.mean(~np.isfinite(T0))
     if censored > 0.9:
         warnings.warn(
@@ -565,11 +586,11 @@ def simulate_qprocess(d: DriftField, s: SpectralDecomposition, x0,
     logeta = 0.5 * s.Qgrid + np.log(np.maximum(np.abs(s.psis[:, 0]), 1e-280))
     dlog = _located(PchipInterpolator(s.grid, logeta).derivative(), s.domain)
 
-    def v(x):
-        return -np.asarray(d.q(x), dtype=float) + dlog(x)
+    def q(x):
+        return d.q(x) - dlog(x)
 
     times, states, T0, events = _euler_paths(
-        v, x0, cfg, edges=(float(s.grid[0]), float(s.grid[-1])))
+        q, x0, cfg, edges=(float(s.grid[0]), float(s.grid[-1])))
     if events["reflections"]:
         warnings.warn(f"{events['reflections']} excursions were reflected "
                       "at the spectral-grid edges", stacklevel=2)
@@ -586,15 +607,25 @@ def _located(pp, domain):
     """
     bp = pp.x
     c0, c1, c2 = pp.c
-    c2 = 0.0 + c2                  # PPoly's sum starts at 0.0 (-0.0 -> 0.0)
     last = len(bp) - 2
+    # each piece's left breakpoint and coefficients, taken together;
+    # PPoly's sum starts at 0.0 (-0.0 -> 0.0)
+    table = np.stack([bp[:-1], 0.0 + c2, c1, c0])
 
     def f(x):
-        i = np.fmin(np.fmax(domain.node_position(x) - 1.0, 0.0),
-                    last).astype(np.intp)
-        i = np.clip(i + (x >= bp[i + 1]) - (x < bp[i]), 0, last)
-        s = x - bp[i]
-        return (c2[i] + c1[i] * s) + c0[i] * (s * s)
+        p = domain.node_position(x)
+        p -= 1.0
+        np.fmax(p, 0.0, out=p)
+        np.fmin(p, last, out=p)
+        i = p.astype(np.intp)
+        # one step to the piece holding x; take's "clip" keeps a step
+        # past either end on the end piece
+        up = (x >= bp.take(i + 1)).view(np.int8)
+        up -= (x < bp.take(i)).view(np.int8)
+        i += up
+        b, k2, k1, k0 = table.take(i, axis=1, mode="clip")
+        s = x - b
+        return (k2 + k1 * s) + k0 * (s * s)
     return f
 
 

@@ -43,14 +43,14 @@ def stream(seed, index, region=0):
 
 
 class Seek:
-    """One generator re-keyed in place: at(index, block) returns it set to
+    """Generators re-keyed in place: at(index, block) returns one set to
     the draws of stream(seed, index, region) after advance(block), where
-    a block is four 64-bit words.  Re-keying costs a fraction of building
-    a stream and advancing it."""
+    a block is four 64-bit words, and put(gen, index, block) sets gen so.
+    Re-keying costs a fraction of building a stream and advancing it."""
 
     def __init__(self, seed, region=0):
         self.region = region
-        self.gen = np.random.Generator(np.random.Philox(_KEY))  # any key
+        self.gen = blank()
         self._counter = [0, 0, 0, region]
         self._key = [0, int(seed) & _MASK64]
         self._state = {"bit_generator": "Philox",
@@ -59,7 +59,16 @@ class Seek:
                        "has_uint32": 0, "uinteger": 0}
 
     def at(self, index, block):
+        return self.put(self.gen, index, block)
+
+    def put(self, gen, index, block):
         self._counter[0] = int(block)
         self._key[0] = int(index) & _MASK64
-        self.gen.bit_generator.state = self._state
-        return self.gen
+        gen.bit_generator.state = self._state
+        return gen
+
+
+def blank():
+    """A Philox generator for Seek.put to key; until then its key is
+    whichever was set last."""
+    return np.random.Generator(np.random.Philox(_KEY))

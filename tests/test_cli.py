@@ -391,7 +391,7 @@ def test_reruns_are_byte_identical(tmp_path):
     # the lattice and diffusion paths are sampled: their reruns must agree
     # too
     runs = (("spectrum", "logistic"), ("bd", "logistic"),
-            ("simulate", "ou"), ("compare", "logistic"))
+            ("simulate", "ou"), ("compare", "logistic"), ("qprocess", "ou"))
     for rerun in ("a", "b"):
         for command, model in runs:
             assert main([command, _cfg(model), "--output-dir",

@@ -95,6 +95,29 @@ def test_custom_expression_model():
     assert np.allclose(d1.q(xs), d2.q(xs), rtol=1e-8)
 
 
+@pytest.mark.parametrize("gamma", [1.0, 0.37])
+@pytest.mark.parametrize("growth", ["logistic", "allee", "custom"])
+def test_growth_drift_is_the_unfactored_formula_bit_for_bit(growth, gamma):
+    # q forms gamma x once; every value, the infinities and NaNs of the
+    # edge points included, stays the formula's
+    g = {"logistic": lambda: logistic_growth(1.0, 1.0, gamma),
+         "allee": lambda: allee_growth(1.0, 1.0, 4.0, gamma),
+         "custom": lambda: preset_model(
+             "custom", "growth",
+             {"expression": "z + 0.1*z^1.5 - 0.3*z^2", "gamma": gamma}
+         ).growth}[growth]()
+    x = np.concatenate([[0.0, 1e-300, 1e300, np.inf],
+                        np.geomspace(1e-12, 1e12, 97),
+                        np.linspace(0.0, 12.0, 121)])
+    with np.errstate(all="ignore"):
+        ref = (0.5 / x - (2.0 / (gamma * x))
+               * np.asarray(g.h(gamma * x * x / 4.0), dtype=float))
+    q = drift_from_growth(g).q
+    assert np.array_equal(q(x).view(np.uint64), ref.view(np.uint64))
+    for xi, ri in zip(x[:4], ref[:4]):
+        assert np.array(q(xi)).view(np.uint64) == ri.view(np.uint64), xi
+
+
 def test_allee_growth_shape():
     g = allee_growth(1.0, 1.0, 10.0, 1.0)
     # negative below the low threshold, positive in the window

@@ -134,17 +134,27 @@ def _pchip_drift(sd):
 _LAYOUTS = ((32, 512), (7, 64), (1, 4), (64, 32))
 
 
-def _layout_runs(monkeypatch, v, x0, cfg, layouts=_LAYOUTS, edges=None):
-    """The engine's (states, T0, events) under each window and chunk size."""
+def _layout_runs(monkeypatch, q, x0, cfg, layouts=_LAYOUTS, edges=None):
+    """The engine's (states, T0, events) under each window and chunk size;
+    the engine takes the drift q of dX = dB - q dt."""
+    default = montecarlo._WIN, montecarlo._CHUNK
     for win, chunk in layouts:
         monkeypatch.setattr(montecarlo, "_WIN", win)
         monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
-        _, states, T0, events = montecarlo._euler_paths(v, x0, cfg, edges)
+        _, states, T0, events = montecarlo._euler_paths(q, x0, cfg, edges)
         yield (win, chunk), states, T0, events
+    monkeypatch.setattr(montecarlo, "_WIN", default[0])
+    monkeypatch.setattr(montecarlo, "_CHUNK", default[1])
 
 
-def _minus_q(drift):
-    return lambda x: -np.asarray(drift.q(x), dtype=float)
+def _minus(q):
+    """The reference stepper's velocity -q."""
+    return lambda x: -np.asarray(q(x), dtype=float)
+
+
+# lane group sizes the engine must agree under: one lane, a size that
+# divides neither n_paths below, and the default
+_GROUPS = (1, 3, montecarlo._GROUP)
 
 
 def _step_products(states, delta):
@@ -154,7 +164,7 @@ def _step_products(states, delta):
 
 # OU from x0 = 0.05: paths land and fail the crossing test mid-chunk, and
 # t_max = 1.2 at dt = 1e-3 takes two refills
-_NEAR = dict(dt=1e-3, t_max=1.2, n_paths=60, seed=3)
+_NEAR = dict(dt=1e-3, t_max=1.2, n_paths=61, seed=3)
 
 
 @pytest.mark.parametrize("drift, x0, extra, block", [
@@ -165,9 +175,9 @@ _NEAR = dict(dt=1e-3, t_max=1.2, n_paths=60, seed=3)
                  id="block-4096"),
     pytest.param(ou_drift(1.0), 0.05, {"record_dt": 5e-3}, 4096,
                  id="record-5"),
-    pytest.param(_wall_drift(), np.r_[10.5, 9.99, np.full(58, 1.5)], {},
+    pytest.param(_wall_drift(), np.r_[10.5, 9.99, np.full(59, 1.5)], {},
                  4096, id="wall"),
-    pytest.param(_wall_drift(-np.inf), np.r_[10.5, 9.99, np.full(58, 1.5)],
+    pytest.param(_wall_drift(-np.inf), np.r_[10.5, 9.99, np.full(59, 1.5)],
                  {}, 4096, id="wall-up"),
 ])
 def test_engine_matches_reference_stepper(drift, x0, extra, block,
@@ -175,19 +185,22 @@ def test_engine_matches_reference_stepper(drift, x0, extra, block,
     monkeypatch.setattr(montecarlo, "_BLOCK", block)
     cfg = SimConfig(**{**_NEAR, **extra})
     assert _record_steps(cfg)[-1] > 2 * _CHUNK
-    b = simulate_x(drift, x0, cfg)
-    states, T0, _ = _reference_paths(_minus_q(drift), x0, cfg)
-    assert np.array_equal(b.T0, T0)
-    assert np.array_equal(b.states, states)
+    states, T0, _ = _reference_paths(_minus(drift.q), x0, cfg)
     # paths die after a refill, and some outlive t_max
     assert np.any(np.isfinite(T0) & (T0 > _CHUNK * cfg.dt))
     assert np.any(np.isinf(T0))
-    layouts = _LAYOUTS if cfg.n_paths <= 60 else _LAYOUTS[:2]
-    for layout, s, t, events in _layout_runs(monkeypatch, _minus_q(drift),
-                                             x0, cfg, layouts):
-        assert np.array_equal(t, T0), layout
-        assert np.array_equal(s, states), layout
-        assert events == b.events, layout
+    layouts = _LAYOUTS if cfg.n_paths <= 61 else _LAYOUTS[:2]
+    for group in _GROUPS:
+        assert cfg.n_paths % group or group == 1
+        monkeypatch.setattr(montecarlo, "_GROUP", group)
+        b = simulate_x(drift, x0, cfg)
+        assert np.array_equal(b.T0, T0), group
+        assert np.array_equal(b.states, states), group
+        for layout, s, t, events in _layout_runs(monkeypatch, drift.q, x0,
+                                                 cfg, layouts):
+            assert np.array_equal(t, T0), (group, layout)
+            assert np.array_equal(s, states), (group, layout)
+            assert events == b.events, (group, layout)
 
 
 def test_deaths_at_window_and_chunk_edges(monkeypatch):
@@ -197,19 +210,19 @@ def test_deaths_at_window_and_chunk_edges(monkeypatch):
     cfg = SimConfig(dt=dt, t_max=1200 * dt, n_paths=12, seed=4,
                     record_dt=3 * dt)
 
-    def v(x):
-        return np.full_like(x, -1.0 / dt)
+    def q(x):
+        return np.full_like(x, 1.0 / dt)
     for win, chunk in _LAYOUTS:
         # the first and last step of windows, the steps either side of
         # refills, and a path that lives into the last chunk
         k = np.array([0, 1, win - 1, win, 2 * win - 1, 2 * win, chunk - 1,
                       chunk, chunk + win - 1, 2 * chunk - 1, 2 * chunk,
                       1150])
-        states, T0, _ = _reference_paths(v, k + 0.5, cfg)
+        states, T0, _ = _reference_paths(_minus(q), k + 0.5, cfg)
         assert np.array_equal(np.floor(T0 / dt + 1e-9), k)
         monkeypatch.setattr(montecarlo, "_WIN", win)
         monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
-        _, s, t, events = montecarlo._euler_paths(v, k + 0.5, cfg)
+        _, s, t, events = montecarlo._euler_paths(q, k + 0.5, cfg)
         assert np.array_equal(t, T0), (win, chunk)
         assert np.array_equal(s, states), (win, chunk)
         assert events["landings"] == k.size
@@ -225,12 +238,12 @@ def test_crossing_after_skipped_uniform_chunks(win, chunk, monkeypatch):
     cfg = SimConfig(dt=dt, t_max=n_steps * dt, n_paths=40, seed=8,
                     record_dt=dt)
 
-    def v(x):
-        return np.full_like(x, -2.8 / (2 * chunk * dt))
-    states, T0, _ = _reference_paths(v, 3.0, cfg)
+    def q(x):
+        return np.full_like(x, 2.8 / (2 * chunk * dt))
+    states, T0, _ = _reference_paths(_minus(q), 3.0, cfg)
     monkeypatch.setattr(montecarlo, "_WIN", win)
     monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
-    _, s, t, events = montecarlo._euler_paths(v, 3.0, cfg)
+    _, s, t, events = montecarlo._euler_paths(q, 3.0, cfg)
     assert np.array_equal(t, T0)
     assert np.array_equal(s, states)
     # some path stayed out of the band through two chunks, then failed the
@@ -260,8 +273,8 @@ def test_zero_uniform_widens_the_crossing_band(monkeypatch):
     # positive, so path 0 dies on its first step within 373 dt, which is
     # outside the 19 dt band the other paths are tested in
     cfg = SimConfig(dt=1e-3, t_max=1.2, n_paths=30, seed=3, record_dt=1e-3)
-    drift = _minus_q(ou_drift(1.0))
-    plain, _, _ = _reference_paths(drift, 1.0, cfg)
+    q = ou_drift(1.0).q
+    plain, _, _ = _reference_paths(_minus(q), 1.0, cfg)
     real, real_at = rng.stream, rng.Seek.at
 
     def stream(seed, index, region=0):
@@ -276,13 +289,13 @@ def test_zero_uniform_widens_the_crossing_band(monkeypatch):
     # the reference reads path 0's stream, the engine re-keys one generator
     monkeypatch.setattr(rng, "stream", stream)
     monkeypatch.setattr(rng.Seek, "at", at)
-    states, T0, _ = _reference_paths(drift, 1.0, cfg)
+    states, T0, _ = _reference_paths(_minus(q), 1.0, cfg)
     # the same normals without the zeros: path 0 lived on past that step
     step = int(T0[0] / cfg.dt)
     p = _step_products(plain, cfg.absorb_threshold)[0]
     assert np.all(p[:step] >= _CROSS_SKIP * cfg.dt)
     assert _CROSS_NARROW * cfg.dt <= p[step] < _CROSS_SKIP * cfg.dt
-    for layout, s, t, _ in _layout_runs(monkeypatch, drift, 1.0, cfg):
+    for layout, s, t, _ in _layout_runs(monkeypatch, q, 1.0, cfg):
         assert np.array_equal(t, T0), layout
         assert np.array_equal(s, states), layout
 
@@ -290,21 +303,25 @@ def test_zero_uniform_widens_the_crossing_band(monkeypatch):
 def test_qprocess_matches_reference_stepper(logistic_sd, monkeypatch):
     cfg = SimConfig(dt=1e-2, t_max=12.0, n_paths=400, seed=5)
     sd = logistic_sd
-    with pytest.warns(UserWarning, match="reflected"):
-        b = simulate_qprocess(sd.drift, sd, 0.05, cfg)
     dlog = _pchip_drift(sd)
     v = lambda x: -np.asarray(sd.drift.q(x), dtype=float) + dlog(x)
+    q = lambda x: sd.drift.q(x) - dlog(x)
     edges = (float(sd.grid[0]), float(sd.grid[-1]))
     states, T0, reflections = _reference_paths(v, 0.05, cfg, edges)
     assert reflections > 0
-    assert b.events["reflections"] == reflections
-    assert np.array_equal(b.T0, T0)
-    assert np.array_equal(b.states, states)
-    for layout, s, t, events in _layout_runs(monkeypatch, v, 0.05, cfg,
-                                             edges=edges):
-        assert np.array_equal(t, T0), layout
-        assert np.array_equal(s, states), layout
-        assert events == b.events, layout
+    for group in _GROUPS:
+        assert cfg.n_paths % group or group == 1
+        monkeypatch.setattr(montecarlo, "_GROUP", group)
+        with pytest.warns(UserWarning, match="reflected"):
+            b = simulate_qprocess(sd.drift, sd, 0.05, cfg)
+        assert b.events["reflections"] == reflections
+        assert np.array_equal(b.T0, T0), group
+        assert np.array_equal(b.states, states), group
+        for layout, s, t, events in _layout_runs(monkeypatch, q, 0.05, cfg,
+                                                 edges=edges):
+            assert np.array_equal(t, T0), (group, layout)
+            assert np.array_equal(s, states), (group, layout)
+            assert events == b.events, (group, layout)
 
 
 def test_reflections_at_window_and_chunk_edges(monkeypatch):
@@ -323,13 +340,14 @@ def test_reflections_at_window_and_chunk_edges(monkeypatch):
                       chunk, chunk + win - 1, 2 * chunk - 1, 2 * chunk,
                       1150])
         for push, x0 in ((-1.0, k + 0.5), (1.0, n_steps - k - 0.5)):
-            def v(x):
-                return np.full_like(x, push / dt)
-            states, T0, reflections = _reference_paths(v, x0, cfg, edges)
+            def q(x):
+                return np.full_like(x, -push / dt)
+            states, T0, reflections = _reference_paths(_minus(q), x0, cfg,
+                                                       edges)
             assert reflections == np.sum(n_steps - k)
             monkeypatch.setattr(montecarlo, "_WIN", win)
             monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
-            _, s, t, events = montecarlo._euler_paths(v, x0, cfg, edges)
+            _, s, t, events = montecarlo._euler_paths(q, x0, cfg, edges)
             assert np.array_equal(t, T0), (win, chunk, push)
             assert np.array_equal(s, states), (win, chunk, push)
             assert events["reflections"] == reflections
@@ -349,7 +367,7 @@ def test_located_drift_equals_pchip_derivative(sd_name, request):
 
 def test_path_event_counts():
     cfg = SimConfig(**_NEAR)
-    b = simulate_x(_wall_drift(), np.r_[10.5, np.full(59, 0.05)], cfg)
+    b = simulate_x(_wall_drift(), np.r_[10.5, np.full(60, 0.05)], cfg)
     absorbed = [b.events[name] for name in PATH_EVENTS[:3]]
     assert sum(absorbed) == np.count_nonzero(np.isfinite(b.T0))
     assert min(absorbed) > 0 and b.events["reflections"] == 0

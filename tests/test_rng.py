@@ -44,3 +44,19 @@ def test_seek_reads_each_stream_at_its_counter(region):
         # a read that stopped inside a block leaves nothing behind
         assert np.array_equal(seek.at(index, block).random(n),
                               ref.random(n))
+
+
+def test_put_keys_each_generator_to_its_own_stream():
+    # a pool of generators keyed in place reads each path's stream on,
+    # draw after draw, as a generator built for it does
+    seek = rng.Seek(7)
+    pool = [seek.put(rng.blank(), 40 + i, 0) for i in range(3)]
+    refs = [rng.stream(7, 40 + i) for i in range(3)]
+    for n in (5, 512, 3):
+        for gen, ref in zip(pool, refs):
+            assert np.array_equal(gen.standard_normal(n),
+                                  ref.standard_normal(n))
+    # re-keyed to other paths, each starts its new stream afresh
+    for i, gen in enumerate(pool):
+        assert np.array_equal(seek.put(gen, 9 - i, 0).standard_normal(8),
+                              rng.stream(7, 9 - i).standard_normal(8))
