@@ -201,7 +201,7 @@ class _Buffers:
 
     def __init__(self, B, absorbed, seed):
         self.seek = rng.Seek(seed)
-        self.gens = [rng.blank() for _ in range(B)]
+        self.gens = [rng.stream(seed, i) for i in range(B)]
         shapes = [(_CHUNK + 1, B), (min(_GROUP, B), _CHUNK)]
         if absorbed:
             shapes += [(B, _CHUNK), ((_WIN + 1) * B,), (_WIN * B,)]

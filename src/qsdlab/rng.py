@@ -50,7 +50,7 @@ class Seek:
 
     def __init__(self, seed, region=0):
         self.region = region
-        self.gen = blank()
+        self.gen = np.random.Generator(np.random.Philox(_KEY))  # any key
         self._counter = [0, 0, 0, region]
         self._key = [0, int(seed) & _MASK64]
         self._state = {"bit_generator": "Philox",
@@ -66,9 +66,3 @@ class Seek:
         self._key[0] = int(index) & _MASK64
         gen.bit_generator.state = self._state
         return gen
-
-
-def blank():
-    """A Philox generator for Seek.put to key; until then its key is
-    whichever was set last."""
-    return np.random.Generator(np.random.Philox(_KEY))

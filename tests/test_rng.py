@@ -50,7 +50,7 @@ def test_put_keys_each_generator_to_its_own_stream():
     # a pool of generators keyed in place reads each path's stream on,
     # draw after draw, as a generator built for it does
     seek = rng.Seek(7)
-    pool = [seek.put(rng.blank(), 40 + i, 0) for i in range(3)]
+    pool = [seek.put(rng.stream(1, i), 40 + i, 0) for i in range(3)]
     refs = [rng.stream(7, 40 + i) for i in range(3)]
     for n in (5, 512, 3):
         for gen, ref in zip(pool, refs):
