@@ -245,6 +245,11 @@ def lattice_law(m: BDModel, z0, t) -> np.ndarray:
     below -1e-12 (cancellation) raise TruncationError; nothing is
     clipped.
     """
+    return _lattice_solve(m, z0, t)[0]
+
+
+def _lattice_solve(m: BDModel, z0, t):
+    """lattice_law's law, with the Modes of its last solve."""
     N = m.N
     n0 = _snap_count(z0, N)
     t = float(t)
@@ -260,11 +265,11 @@ def lattice_law(m: BDModel, z0, t) -> np.ndarray:
             raise DomainError("the exact law needs finite positive birth "
                               f"and death rates on 1..{M}")
         log_pi = _log_weights(b, d)
-        lam, phi = tridiagonal_modes(
+        solved = tridiagonal_modes(
             b + d, -np.sqrt(b[:-1] * d[1:]),
             "this chain's spectrum is not resolved in double precision",
-            select="v", select_range=(-np.inf, LEVEL_CUT / t),
-            lapack_driver="stemr")
+            cut=LEVEL_CUT / t)
+        lam, phi = solved.levels, solved.vectors
         p = np.zeros(M + 1)
         if n0 > 0:
             v = phi @ (np.exp(-lam * t) * phi[n0 - 1])
@@ -281,7 +286,7 @@ def lattice_law(m: BDModel, z0, t) -> np.ndarray:
         raise TruncationError(
             f"law entry {p.min():.3g} is below -1e-12: the weighted "
             "spectral sum cancels past double precision")
-    return p
+    return p, solved
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +296,8 @@ def lattice_law(m: BDModel, z0, t) -> np.ndarray:
 class ScalingReport:
     rows: tuple                 # (N, ks_distance, M)
     reference_levels: int       # levels the diffusion reference kept
+    eigen_residual: float       # largest ||T v - lambda v|| of every solve
+    orthonormality_defect: float    # largest max |V^T V - I| of every solve
 
 
 def _diffusion_cdf(kind, params, z0, t, z_max):
@@ -303,8 +310,7 @@ def _diffusion_cdf(kind, params, z0, t, z_max):
     at 0 plus S(t) times that law, mapped to z.  The solve keeps the
     levels that still weigh at t, as lattice_law does, up to 64.  A t
     below the solve's t_min raises TailDominatedError; K is the cap, so
-    the only remedy is a later t.  Returns the cdf and the number of
-    levels kept.
+    the only remedy is a later t.  Returns the cdf and the decomposition.
     """
     p = dict(params)
     noise = 2.0 * float(p.get("gamma", 1.0))
@@ -322,7 +328,7 @@ def _diffusion_cdf(kind, params, z0, t, z_max):
                                  "use t >= t_min") from None
     S, zs = law.survival, z_from_x(law.grid, noise)
     return (lambda z: 1.0 - S + S * np.interp(z, zs, law.cdf, left=0.0),
-            sd.K)
+            sd)
 
 
 def scaling_limit_check(kind, params, N_list, z0, t) -> ScalingReport:
@@ -337,9 +343,9 @@ def scaling_limit_check(kind, params, N_list, z0, t) -> ScalingReport:
     N_list = [int(N) for N in N_list]
     if len(N_list) < 1 or any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise PreconditionError("N_list must be strictly increasing")
-    laws = [lattice_law(preset_family(kind, params, N), z0, t)
-            for N in N_list]
-    G, levels = _diffusion_cdf(
+    laws, solves = zip(*(_lattice_solve(preset_family(kind, params, N),
+                                        z0, t) for N in N_list))
+    G, sd = _diffusion_cdf(
         kind, params, z0, t,
         max((len(law) - 1) / N for N, law in zip(N_list, laws)))
     rows = []
@@ -347,7 +353,12 @@ def scaling_limit_check(kind, params, N_list, z0, t) -> ScalingReport:
         F, g = np.cumsum(law), G(np.arange(len(law)) / N)
         ks = np.max(np.abs(np.concatenate([F - g, F[:-1] - g[1:]])))
         rows.append((N, float(ks), len(law) - 1))
-    return ScalingReport(rows=tuple(rows), reference_levels=levels)
+    return ScalingReport(
+        rows=tuple(rows), reference_levels=sd.K,
+        eigen_residual=max(sd.eigen_residual,
+                           *(s.residual for s in solves)),
+        orthonormality_defect=max(sd.orthonormality_defect,
+                                  *(s.defect for s in solves)))
 
 
 # ---------------------------------------------------------------------------

@@ -152,11 +152,12 @@ def _run(args, cfg, out_dir, rep, stage):
 # ---------------------------------------------------------------------------
 # shared pipeline pieces
 
-def _decomposition(args, cfg, stage):
+def _decomposition(args, cfg, rep, stage):
     """The levels the command reads, with [spectral] k as the cap: all k
     for spectrum, those that weigh at --t for kernel, and the ground pair
     for yaglom, compare and qprocess.  A cap the grid cannot carry is
-    refused by every command."""
+    refused by every command.  The solve's largest residual and its
+    orthonormality defect go into the report."""
     from .spectral import build_and_solve, require_levels
     stage.append("spectral solve")
     require_levels(cfg.domain, cfg.K)
@@ -167,6 +168,8 @@ def _decomposition(args, cfg, stage):
         K = 1
     sd = build_and_solve(cfg.model.drift, cfg.domain, K=K, horizon=horizon)
     stage.pop()
+    rep.scalars["eigen_residual"] = sd.eigen_residual
+    rep.scalars["orthonormality_defect"] = sd.orthonormality_defect
     return sd
 
 
@@ -234,7 +237,7 @@ def _cmd_check(args, cfg, out_dir, rep, stage):
 def _cmd_spectrum(args, cfg, out_dir, rep, stage):
     import numpy as np
     from .spectral import yaglom_measure
-    sd = _decomposition(args, cfg, stage)
+    sd = _decomposition(args, cfg, rep, stage)
     rep.add_file(out_dir, "spectrum.csv", ("k", "lambda_k"),
                  [np.arange(1, sd.K + 1), sd.lambdas])
     header = (["x"] + [f"eta_{k + 1}" for k in range(sd.K)]
@@ -253,7 +256,7 @@ def _cmd_spectrum(args, cfg, out_dir, rep, stage):
 
 def _cmd_yaglom(args, cfg, out_dir, rep, stage):
     from .spectral import yaglom_measure
-    sd = _decomposition(args, cfg, stage)
+    sd = _decomposition(args, cfg, rep, stage)
     ym = yaglom_measure(sd)
     rep.add_file(out_dir, "yaglom.csv", ("x", "density", "cdf"),
                  [ym.grid, ym.density, ym.cdf])
@@ -267,7 +270,7 @@ def _cmd_yaglom(args, cfg, out_dir, rep, stage):
 def _cmd_kernel(args, cfg, out_dir, rep, stage):
     import numpy as np
     from .spectral import kernel_r
-    sd = _decomposition(args, cfg, stage)
+    sd = _decomposition(args, cfg, rep, stage)
     stage.append("kernel slice")
     row = kernel_r(sd, args.t, [args.x], sd.grid)[0]
     stage.pop()
@@ -307,7 +310,7 @@ def _cmd_qprocess(args, cfg, out_dir, rep, stage):
     from .montecarlo import conditional_histogram, ks_distance, \
         simulate_qprocess
     from .spectral import qprocess_stationary
-    sd = _decomposition(args, cfg, stage)
+    sd = _decomposition(args, cfg, rep, stage)
     stage.append("conditioned-path simulation")
     batch = simulate_qprocess(cfg.model.drift, sd, cfg.mc["x0"], cfg.sim)
     stage.pop()
@@ -345,6 +348,8 @@ def _cmd_bd(args, cfg, out_dir, rep, stage):
     for N, ks, _ in sr.rows:
         rep.scalars[f"ks_N{N}"] = ks
     rep.scalars["reference_levels"] = sr.reference_levels
+    rep.scalars["eigen_residual"] = sr.eigen_residual
+    rep.scalars["orthonormality_defect"] = sr.orthonormality_defect
 
     biggest = preset_family(bd["kind"], bd["params"], bd["n_list"][-1])
     paths = [gillespie(biggest, bd["z0"], bd["t"], seed=cfg.seed,
@@ -376,7 +381,7 @@ def _cmd_compare(args, cfg, out_dir, rep, stage):
     from .montecarlo import (conditional_histogram, estimate_lambda1,
                              ks_distance, yaglom_cdf)
     from .spectral import yaglom_measure, yaglom_to_z
-    sd = _decomposition(args, cfg, stage)
+    sd = _decomposition(args, cfg, rep, stage)
     ym = yaglom_measure(sd)
     if cfg.model.kind == "growth":
         ym = yaglom_to_z(ym, cfg.model.growth.gamma)

@@ -10,17 +10,19 @@ Every drift field carries:
 * q, q_prime: the drift and its derivative,
 * Q: the accumulated potential Q(x) = int_1^x 2 q(u) du, anchored Q(1) = 0,
 * C: the curvature floor, the smallest constant with q^2 - q' >= -C,
+  given in closed form (C_closed) or found on a probe grid at first read,
 * origin_exponent: a when q(x) ~ a/x near the origin (None if unknown).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import ConfigError, DomainError, ModelError
 from .expr import compile_expression, fd_derivative
@@ -36,9 +38,17 @@ class DriftField:
     q: Callable
     q_prime: Callable
     Q: Callable
-    C: float
     origin_exponent: Optional[float]
     name: str = "drift"
+    C_closed: Optional[float] = None
+
+    @cached_property
+    def C(self) -> float:
+        """The curvature floor: C_closed when given, else curvature_floor
+        at first read (only h2, h3 and the kernel bounds read it)."""
+        if self.C_closed is not None:
+            return self.C_closed
+        return curvature_floor(self.q, self.q_prime)
 
 
 @dataclass(frozen=True)
@@ -100,6 +110,7 @@ def curvature_floor(q, q_prime):
     The coarse minimum is refined by golden-section search in the
     bracketing interval.
     """
+    from scipy.optimize import minimize_scalar   # loaded at first use
     xs = np.geomspace(_PROBE_LO, _PROBE_HI, _PROBE_N)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         vals = np.asarray(q(xs), dtype=float) ** 2 - np.asarray(q_prime(xs), dtype=float)
@@ -187,11 +198,11 @@ def make_potential_integral(q, singular_origin=False):
 
 def drift_field(q, q_prime, Q=None, origin_exponent=None, name="drift",
                 singular_origin=False):
-    """Assemble a DriftField, filling in Q and the curvature floor."""
+    """Assemble a DriftField, filling in Q; its curvature floor is found
+    at first read."""
     if Q is None:
         Q = make_potential_integral(q, singular_origin=singular_origin)
-    C = curvature_floor(q, q_prime)
-    return DriftField(q=q, q_prime=q_prime, Q=Q, C=C,
+    return DriftField(q=q, q_prime=q_prime, Q=Q,
                       origin_exponent=origin_exponent, name=name)
 
 
@@ -262,8 +273,8 @@ def ou_drift(theta=1.0):
         out = theta * (x * x - 1.0)
         return float(out) if out.ndim == 0 else out
 
-    return DriftField(q=q, q_prime=q_prime, Q=Q, C=float(theta),
-                      origin_exponent=0.0, name=f"ou(theta={theta:g})")
+    return DriftField(q=q, q_prime=q_prime, Q=Q, origin_exponent=0.0,
+                      name=f"ou(theta={theta:g})", C_closed=float(theta))
 
 
 def logistic_growth(r, c, gamma):
@@ -328,8 +339,7 @@ def _logistic_drift_closed(g: GrowthModel, r, c):
         out = np.log(x) - 0.5 * r * (x * x - 1.0) + (c * gamma / 16.0) * (x ** 4 - 1.0)
         return float(out) if out.ndim == 0 else out
 
-    return DriftField(q=base.q, q_prime=base.q_prime, Q=Q, C=base.C,
-                      origin_exponent=0.5, name=base.name)
+    return dataclasses.replace(base, Q=Q)
 
 
 def _allee_drift_closed(g: GrowthModel, r, K0, K):
@@ -348,8 +358,7 @@ def _allee_drift_closed(g: GrowthModel, r, K0, K):
         out = np.log(x) - (G(z) - G(gamma / 4.0))
         return float(out) if out.ndim == 0 else out
 
-    return DriftField(q=base.q, q_prime=base.q_prime, Q=Q, C=base.C,
-                      origin_exponent=0.5, name=base.name)
+    return dataclasses.replace(base, Q=Q)
 
 
 def preset_model(preset, kind, params) -> Model:

@@ -5,7 +5,8 @@ equivalent, through multiplication by exp(-Q/2), to a Schrodinger operator
 -(1/2) d^2/dx^2 + w with w = (q^2 - q')/2.  That operator is discretized
 by a finite-volume scheme on a graded grid with Dirichlet walls at both
 truncation points, symmetrized by the cell-length weights, and solved with
-the tridiagonal bisection + inverse-iteration eigensolver.
+one tridiagonal eigen core: coarse bisection, inverse iteration and a
+Rayleigh-Ritz step.
 
 Discrete structure everything downstream relies on: with cell lengths d_i,
 the returned psi vectors satisfy sum_i psi_k(i) psi_l(i) d_i = delta_kl to
@@ -21,10 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh
+from scipy.linalg.lapack import dstebz, dstein
 
 from .errors import (IntegrabilityError, PreconditionError,
                      SurvivalUnderflowError, TailDominatedError,
@@ -39,6 +41,14 @@ _TAIL_RATIO = 1e10           # kernel refuses t where the dropped tail could
 # double precision against any level that still matters: a mode sum at t
 # leaves it out.
 LEVEL_CUT = 42.0
+# Absolute width dstebz bisects each wanted level to.  It only has to keep
+# the levels apart: the Rayleigh-Ritz step places each level to the square
+# of its vector's residual.
+BISECTION_WIDTH = 1e-4
+# Bisected levels closer than this share one Ritz step.  dstein's three
+# solves from a shift within half a width of a level leave a neighbour
+# farther away in its vector at most (5e-5 / 0.5)^3 = 1e-12.
+_CLUSTER_GAP = 0.5
 
 
 @dataclass(frozen=True)
@@ -119,12 +129,22 @@ class SpectralDecomposition:
     etas: np.ndarray          # (n, K), eta = exp(Q/2) psi
     Qgrid: np.ndarray         # (n,) potential on the grid
     mu_weights: np.ndarray    # (n,) d_i exp(-Q_i)
-    lambda_cap: float         # the cap's top level: lambdas[-1], or the
-                              # level a horizon solve stopped short of
+    cap: int                  # the level cap the solve was asked for
+    operator: tuple           # (diag, off) of the symmetrized operator
+    eigen_residual: float     # largest ||T v - lambda v|| of the solve
+    orthonormality_defect: float   # max |V^T V - I| of its vectors
 
     @property
     def lambda1(self):
         return float(self.lambdas[0])
+
+    @cached_property
+    def lambda_cap(self) -> float:
+        """The cap's top level: lambdas[-1], or the level a horizon solve
+        stopped short of, solved at first read."""
+        if self.K == self.cap:
+            return float(self.lambdas[-1])
+        return _cap_level(*self.operator, self.cap)
 
     @cached_property
     def eta_masses(self):
@@ -173,23 +193,105 @@ def _t_min(lam) -> float:
     return float(np.log(_TAIL_RATIO) / gap)
 
 
-def tridiagonal_modes(diag, off, hint, scale=None, **select):
-    """Eigenpairs, lowest first, of the symmetric tridiagonal (diag, off).
+class Modes(NamedTuple):
+    levels: np.ndarray        # (K,) increasing
+    vectors: np.ndarray       # (n, K), divided by the scale and signed
+    residual: float           # largest ||T v - lambda v|| over the levels
+    defect: float             # max |V^T V - I|, V the l2-normed vectors
 
-    ``select`` goes to scipy's eigh_tridiagonal and picks the levels.  Each
-    eigenvector is divided entrywise by ``scale`` when one is given (the
-    square roots of a discretised operator's cell weights, which turn
+
+def _bisect(diag, off, top=np.inf, index=None, width=BISECTION_WIDTH):
+    """dstebz: the levels at most top, or the index-th level (from 1)
+    alone, each inside an interval of the given width, ordered by block
+    as dstein reads them."""
+    if index is None:
+        m, w, iblock, isplit, info = dstebz(diag, off, 1, -np.inf, top, 1, 1,
+                                            width, b"B")
+    else:
+        m, w, iblock, isplit, info = dstebz(diag, off, 2, 0.0, 0.0, index,
+                                            index, width, b"B")
+    if info != 0:
+        raise TruncationError(f"bisection failed (dstebz info {info})")
+    return w[:m], iblock, isplit
+
+
+def _level_count(diag, off, top) -> int:
+    """How many levels are at most top: a Sturm count, nothing bisected."""
+    return _bisect(diag, off, top, width=np.inf)[0].size
+
+
+def _apply(diag, off, V):
+    """T V for the symmetric tridiagonal T = (diag, off)."""
+    TV = diag[:, None] * V
+    TV[:-1] += off[:, None] * V[1:]
+    TV[1:] += off[:, None] * V[:-1]
+    return TV
+
+
+def _inverse_iteration(diag, off, bisected, hint):
+    V, info = dstein(diag, off, *bisected)
+    if info != 0:
+        raise TruncationError(f"inverse iteration left {info} vectors "
+                              f"unconverged; {hint}")
+    return V
+
+
+def _cap_level(diag, off, k) -> float:
+    """The k-th level alone: its bisected vector's Rayleigh quotient."""
+    v = _inverse_iteration(diag, off, _bisect(diag, off, index=k),
+                           "the cap's level is not resolved")
+    return float(v[:, 0] @ _apply(diag, off, v)[:, 0])
+
+
+def tridiagonal_modes(diag, off, hint, scale=None, *, cut=np.inf,
+                      count=None) -> Modes:
+    """Eigenpairs, lowest first, of the symmetric tridiagonal (diag, off):
+    the levels at most ``cut``, or the lowest ``count`` levels.
+
+    dstebz bisects the wanted levels to BISECTION_WIDTH: up to the cut,
+    or up to the count-th level (bisected alone first), plus two widths.
+    dstein computes their vectors V, and a Rayleigh-Ritz step gives the
+    levels: a lone level is its vector's Rayleigh quotient, and a cluster
+    of levels closer than _CLUSTER_GAP takes the eigendecomposition of
+    its block of V^T T V, which also rotates its vectors, so levels
+    closer than the width, whose vectors together span their cluster,
+    come apart.  A Ritz level is accurate to the square of its vector's
+    residual.  Well-separated vectors are not rotated: that would only
+    mix each into the others at the rounding level of V^T T V.  Levels
+    past the cut, or past the count, are then dropped.  The largest
+    residual ||T v - lambda v|| and the orthonormality defect
+    max |V^T V - I| are returned with the pairs.
+
+    Each eigenvector is divided entrywise by ``scale`` when one is given
+    (the square roots of a discretised operator's cell weights, which turn
     l2-orthonormal columns into measure-orthonormal profiles), then signed
     so that its largest-amplitude entry is positive.  A ground level that
-    is not positive, or two levels within 1e-10 of each other, is not
-    resolved: both raise TruncationError, with ``hint`` appended.
-
-    Bisection stops each level within eps * ||T||_1 absolute (scipy's
-    default tolerance), and where it stops depends on which levels are
-    selected: two solves of the same matrix for different level sets
-    agree to that tolerance, not bit for bit.
+    is not positive, two levels within 1e-10 of each other, or a vector
+    whose inverse iteration does not converge is not resolved: each raises
+    TruncationError, with ``hint`` appended.
     """
-    lam, phi = eigh_tridiagonal(diag, off, **select)
+    if count is not None:
+        cut = _bisect(diag, off, index=count)[0][0]
+    bisected = _bisect(diag, off, cut + 2.0 * BISECTION_WIDTH)
+    order = np.argsort(bisected[0], kind="stable")
+    w = bisected[0][order]
+    V = _inverse_iteration(diag, off, bisected, hint)[:, order]
+    TV = _apply(diag, off, V)
+    lam = np.einsum("ij,ij->j", V, TV)
+    starts = np.flatnonzero(np.diff(w, prepend=-np.inf) >= _CLUSTER_GAP)
+    for a, b in zip(starts, np.append(starts[1:], w.size)):
+        if b - a > 1:
+            Q = np.linalg.qr(V[:, a:b])[0]
+            TQ = _apply(diag, off, Q)
+            lam[a:b], Y = eigh(Q.T @ TQ)
+            V[:, a:b], TV[:, a:b] = Q @ Y, TQ @ Y
+    keep = count if count is not None else int(np.searchsorted(
+        lam, cut, side="right"))
+    lam, V, TV = lam[:keep], V[:, :keep], TV[:, :keep]
+    residual = float(np.max(np.linalg.norm(TV - V * lam, axis=0),
+                            initial=0.0))
+    defect = float(np.max(np.abs(V.T @ V - np.eye(keep)), initial=0.0))
+
     if lam.size and lam[0] <= 0:
         raise TruncationError(
             f"ground level {lam[0]:.6g} is not positive; {hint}")
@@ -200,11 +302,10 @@ def tridiagonal_modes(diag, off, hint, scale=None, **select):
         raise TruncationError(
             f"levels {k + 1} and {k + 2} cluster within 1e-10 "
             f"({lam[k]:.12g} vs {lam[k + 1]:.12g}); {hint}")
-    if scale is not None:
-        phi = phi / scale[:, None]
+    phi = V if scale is None else V / scale[:, None]
     top = phi[np.argmax(np.abs(phi), axis=0), np.arange(phi.shape[1])]
     phi[:, top < 0] *= -1.0
-    return lam, phi
+    return Modes(lam, phi, residual, defect)
 
 
 def require_levels(domain: TruncationDomain, K: int):
@@ -228,7 +329,8 @@ def build_and_solve(d: DriftField, domain: Optional[TruncationDomain] = None,
     lambda t <= LEVEL_CUT, the cut doubled while their t_min exceeds t,
     and the lowest K once the cut reaches the K-th level (so a t below
     t_min(K) is refused exactly as without a horizon).  The result's K is
-    the number of levels kept, and its lambda_cap the K-th level.
+    the number of levels kept, and its lambda_cap the K-th level, solved
+    only when read.
     """
     if domain is None:
         domain = default_domain(d)
@@ -256,20 +358,15 @@ def build_and_solve(d: DriftField, domain: Optional[TruncationDomain] = None,
             diag, off, "enlarge the box or n, or check that the drift is "
             "admissible", scale=np.sqrt(dcell), **select)
 
-    cut = top = np.inf
-    if horizon is not None:
-        cut = LEVEL_CUT / horizon
-        top = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
-                               select_range=(K - 1, K - 1))[0]
-    while cut < top:
-        lam, psi = modes(select="v", select_range=(-np.inf, cut))
-        if lam.size < K and _t_min(lam) <= horizon:
+    cut = np.inf if horizon is None else LEVEL_CUT / horizon
+    while cut < np.inf and _level_count(diag, off, cut) < K:
+        solved = modes(cut=cut)
+        if _t_min(solved.levels) <= horizon:
             break
         cut *= 2.0
     else:
-        lam, psi = modes(select="i", select_range=(0, K - 1))
-        if horizon is None:
-            top = lam[-1]
+        solved = modes(count=K)
+    lam, psi = solved.levels, solved.vectors
 
     Qg = np.asarray(d.Q(x), dtype=float)
     amp = np.abs(psi)
@@ -284,7 +381,9 @@ def build_and_solve(d: DriftField, domain: Optional[TruncationDomain] = None,
     return SpectralDecomposition(
         domain=domain, drift=d, K=lam.size, grid=x, cell=dcell,
         lambdas=lam, psis=psi, etas=eta, Qgrid=Qg,
-        mu_weights=dcell * np.exp(-Qg), lambda_cap=float(top))
+        mu_weights=dcell * np.exp(-Qg), cap=K, operator=(diag, off),
+        eigen_residual=solved.residual,
+        orthonormality_defect=solved.defect)
 
 
 def _half_weights(sd: SpectralDecomposition, weights, half=-1):

@@ -490,3 +490,20 @@ def test_package_import_leaves_scipy_integrate_unloaded():
 def test_package_import_leaves_scipy_interpolate_unloaded():
     # the conditioned drift's PCHIP is the one use: only qprocess loads it
     assert not _cli_import_loads("scipy.interpolate")
+
+
+def test_package_import_leaves_scipy_optimize_unloaded():
+    # the curvature floor's golden search is the one use, at C's first
+    # read: only check and the kernel bounds load it
+    assert not _cli_import_loads("scipy.optimize")
+
+
+def test_bd_builds_its_drifts_without_the_curvature_floor(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    r = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, qsdlab.cli as c; sys.exit(c.main(['bd', "
+         f"'examples/logistic.cfg', '--quick', '--output-dir', "
+         f"{str(tmp_path)!r}]) or 'scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, cwd=ROOT)
+    assert r.returncode == 0, r.stderr

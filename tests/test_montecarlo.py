@@ -26,8 +26,8 @@ def _wall_drift(push=np.inf):
     def q(x):
         x = np.asarray(x, dtype=float)
         return np.where(x > 10.0, push, x)
-    return DriftField(q=q, q_prime=None, Q=None, C=0.0, origin_exponent=None,
-                      name="wall")
+    return DriftField(q=q, q_prime=None, Q=None, origin_exponent=None,
+                      name="wall", C_closed=0.0)
 
 
 # the per-step-compacting stepper the engine replaced, kept verbatim: the

@@ -4,14 +4,17 @@ import os
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
+from qsdlab import spectral
 from qsdlab import (PreconditionError, TailDominatedError, TruncationDomain,
                     appendix_bound_sweep, build_and_solve, conditional_density,
                     conditional_law, default_domain, drift_from_growth,
                     eta1_mass_trail, flux_check, kernel_r, l2_bound_check,
                     linear_growth, logistic_growth, ou_drift, qprocess_row,
-                    qprocess_stationary, rate_report, survival,
-                    yaglom_measure, yaglom_to_z)
+                    preset_model, qprocess_stationary, rate_report,
+                    survival, yaglom_measure, yaglom_to_z)
+from qsdlab.errors import TruncationError
 from qsdlab.config import load_config
 from qsdlab.model import potential
 
@@ -25,7 +28,7 @@ def test_logistic_levels_frozen(logistic_sd):
     got = logistic_sd.lambdas[:6]
     assert np.allclose(got, LOGISTIC_LEVELS, rtol=1e-6, atol=0)
     gap = logistic_sd.lambdas[1] - logistic_sd.lambdas[0]
-    assert gap == pytest.approx(1.5706010451695243, rel=1e-9)
+    assert gap == pytest.approx(1.570601162522507, rel=1e-9)
     assert np.all(np.diff(logistic_sd.lambdas) > 0)
 
 
@@ -280,8 +283,8 @@ def _norm1(drift, domain):
 
 @pytest.mark.parametrize("model", ["logistic", "ou", "linear", "allee"])
 def test_ground_pair_solve_matches_the_capped_solve(model):
-    # yaglom, compare and qprocess solve the ground pair alone; bisection
-    # for one level stops elsewhere inside its tolerance eps ||T||_1
+    # yaglom, compare and qprocess solve the ground pair alone; the two
+    # solves bisect and polish the ground level apart
     cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir,
                                    "examples", model + ".cfg"))
     full = build_and_solve(cfg.model.drift, cfg.domain, K=cfg.K)
@@ -291,3 +294,74 @@ def test_ground_pair_solve_matches_the_capped_solve(model):
     assert abs(ground.lambda1 - full.lambda1) <= tol
     gap = ground.psis[:, 0] - full.psis[:, 0]
     assert np.sqrt(np.sum(gap * gap * full.cell)) < 1e-10
+
+
+# the four grids of the benchmark's analysis workload: (model, box, K)
+_ANALYSIS_GRIDS = {
+    "logistic": (("logistic", {"r": 1.0, "c": 1.0, "gamma": 1.0}),
+                 TruncationDomain(1e-3, 6.0, 4096, "sqrt"), 32),
+    "ou": (("ou", {"theta": 1.0}),
+           TruncationDomain(1e-4, 8.0, 4096, "uniform"), 16),
+    "linear": (("linear", {"r": -1.0, "gamma": 1.0}),
+               TruncationDomain(1e-3, 8.0, 4096, "sqrt"), 32),
+    "allee": (("allee", {"r": 1.0, "K0": 1.0, "K": 4.0, "gamma": 1.0}),
+              None, 16),
+}
+_TINY_TOL = 2 * np.finfo(float).tiny
+
+
+def _bisected_to_tiny(sd, K):
+    """The lowest K levels of sd's operator, bisected to 2 * tiny."""
+    return eigh_tridiagonal(*sd.operator, eigvals_only=True, select="i",
+                            select_range=(0, K - 1), tol=_TINY_TOL)
+
+
+@pytest.mark.parametrize("model", list(_ANALYSIS_GRIDS))
+def test_levels_match_tiny_tolerance_bisection(model):
+    # the Ritz levels are accurate to the square of their residuals, not to
+    # the bisection width: every solve of one operator, by count, for the
+    # ground pair or by horizon, reads the same levels to 1e-10
+    (preset, params), box, K = _ANALYSIS_GRIDS[model]
+    kind = "drift" if preset == "ou" else "growth"
+    drift = preset_model(preset, kind, params).drift
+    box = box or default_domain(drift, n=4096)
+    sd = build_and_solve(drift, box, K=K)
+    ref = _bisected_to_tiny(sd, K)
+    assert np.max(np.abs(sd.lambdas - ref)) <= 1e-10
+    assert abs(build_and_solve(drift, box, K=1).lambda1 - ref[0]) <= 1e-10
+    horizon = build_and_solve(drift, box, K=K, horizon=1.5)
+    assert 2 <= horizon.K <= K
+    assert np.max(np.abs(horizon.lambdas - ref[:horizon.K])) <= 1e-10
+    assert abs(horizon.lambda_cap - ref[-1]) <= 1e-10
+    assert sd.eigen_residual < 1e-8 and sd.orthonormality_defect < 1e-12
+
+
+def _joined_blocks(m=12, join=1e-6):
+    """Two copies of one tridiagonal block joined by a tiny off-diagonal:
+    each level of the block splits into a pair about join apart."""
+    diag = np.full(2 * m, 2.5)
+    off = np.concatenate([-np.ones(m - 1), [join], -np.ones(m - 1)])
+    return diag, off
+
+
+def test_close_pairs_come_apart_in_the_ritz_step(monkeypatch):
+    diag, off = _joined_blocks()
+    ref = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                           select_range=(0, 7), tol=_TINY_TOL)
+    assert np.all(np.diff(ref)[::2] < spectral.BISECTION_WIDTH)
+    modes = spectral.tridiagonal_modes(diag, off, "hint", count=8)
+    assert np.max(np.abs(modes.levels - ref)) <= 1e-10
+    V = modes.vectors
+    assert np.max(np.abs(V.T @ V - np.eye(8))) <= 1e-12
+    assert modes.defect <= 1e-12
+
+    dstein = spectral.dstein
+
+    def unconverged(*args):
+        return dstein(*args)[0], 1
+
+    # a vector that inverse iteration leaves unconverged is refused: no
+    # fallback solver
+    monkeypatch.setattr(spectral, "dstein", unconverged)
+    with pytest.raises(TruncationError, match="inverse iteration left 1"):
+        spectral.tridiagonal_modes(diag, off, "hint", count=8)
