@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse import diags
 from scipy.sparse.linalg import expm_multiply
 from scipy.stats import gamma as gamma_law, poisson
@@ -354,7 +355,8 @@ def test_scaling_rows_shrink_with_lattice_size():
 
 
 @pytest.mark.parametrize("lam, mu, gamma", [(1.0, 2.0, 1.0), (1.0, 1.5, 0.5),
-                                             (1.0, 1.0, 1.0), (1.0, 2.0, 0.02)])
+                                             (1.0, 1.0, 1.0),
+                                             (1.0, 2.0, 0.02)])
 def test_diffusion_reference_matches_feller_closed_form(lam, mu, gamma):
     # dZ = r Z dt + sqrt(2 gamma Z) dB at t: a Poisson(m) number of
     # Exponential(B) summands, A = e^{rt}, B = gamma (A - 1) / r, m = z0 A / B.
@@ -413,9 +415,9 @@ def test_reference_levels_at_the_horizon_agree_with_64(chain, t,
             G, sd = _diffusion_cdf(kind, params, 1.0, t, 12.0)
         except TailDominatedError as exc:
             return str(exc), None, None
-        return None, G(z), sd.K
+        return None, G(z), sd
 
-    refused, G, levels = reference()
+    refused, G, sd = reference()
     full = []
 
     def forced(d, box, K, horizon):
@@ -423,12 +425,20 @@ def test_reference_levels_at_the_horizon_agree_with_64(chain, t,
         return full[-1]
 
     monkeypatch.setattr(birthdeath, "build_and_solve", forced)
-    refused64, G64, levels64 = reference()
+    refused64, G64, sd64 = reference()
     assert refused == refused64
     if refused is not None:
         return
-    assert levels64 == 64 and 1 <= levels <= 64
+    levels = sd.K
+    assert sd64.K == 64 and 1 <= levels <= 64
     assert np.max(np.abs(G - G64)) <= 1e-6
+    # both solves read the operator's levels to 1e-10 of bisection to the
+    # smallest tolerance
+    exact = eigh_tridiagonal(*sd64.operator, eigvals_only=True, select="i",
+                             select_range=(0, 63),
+                             tol=2 * np.finfo(float).tiny)
+    assert np.max(np.abs(sd64.lambdas - exact)) <= 1e-10
+    assert np.max(np.abs(sd.lambdas - exact[:levels])) <= 1e-10
     if (chain, t) == ("lattice", 25.0):
         # the doubling path: the first cut, 42/25, keeps only 0.351 and
         # 1.241, whose t_min 25.9 exceeds t; one doubling keeps a third
