@@ -9,6 +9,7 @@ pools before numpy first loads.
 """
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -43,6 +44,7 @@ def _cap_threads():
     return cap
 
 
+@functools.cache
 def _parser():
     p = argparse.ArgumentParser(
         prog="qsd",

@@ -5,17 +5,20 @@ same seed produces byte-identical files; the report carries a sha256
 manifest of everything written, which is what the reproducibility tests
 diff against.
 
-Cells are formatted in NumPy a block at a time, byte for byte as
-Python's '%.17g' (floats) and '%d' (integers and flags) write them.
-A float's digits come from Dekker's exact product of |x| with 10**p
-held as two doubles, within 1e-14 of the exact scaled value, so where
-its fraction lies more than 1e-9 from one half the rounding is decided
-and the digits are those '%.17g' writes.  Where 10**p is itself a
-double the product is exact, and a fraction of exactly one half is a
-true tie, rounded half to even as '%.17g' rounds it.  Any other cell (a
-near-tie, a subnormal, a magnitude outside [1e-280, 1e280], an integer
-of 2**53 or more) is formatted by Python and counted in the manifest as
-a fallback cell.
+Each file's numeric columns go into one float table, and its text
+cells and integers of 2**53 or more are formatted by Python once.  The
+table is formatted in NumPy a block of rows at a time, byte for byte
+as Python's '%.17g' (floats) and '%d' (integers and flags) write it:
+each cell fills a fixed template, whose slots its layout does not keep
+are zeroed and then deleted.  A float's digits come from Dekker's exact
+product of |x| with 10**p held as two doubles, within 1e-14 of the
+exact scaled value, so where its fraction lies more than 1e-9 from one
+half the rounding is decided and the digits are those '%.17g' writes.
+Where 10**p is itself a double the product is exact, and a fraction of
+exactly one half is a true tie, rounded half to even as '%.17g' rounds
+it.  Any other cell (a near-tie, a subnormal, a magnitude outside
+[1e-280, 1e280], an integer of 2**53 or more) is formatted by Python
+and counted in the manifest as a fallback cell.
 """
 
 import hashlib
@@ -100,7 +103,7 @@ def _layouts():
 
 
 _EXPONENTS = _exponents()
-_KEEP = _layouts()
+_KEEP = _layouts().view(np.uint8)
 _LENGTHS = _KEEP.sum(axis=1)
 _TEXT_KEY = len(_KEEP) - 1
 
@@ -146,35 +149,18 @@ def _decimal17(a):
     return n, e, sure & (n < 10**17)
 
 
-def _format_block(columns, alone):
-    """The bytes of one block of rows (a uint8 array or bytes), cells
-    joined by commas and rows ended by LF, and the number of numeric
-    cells Python formatted.
+def _format_block(v, texts):
+    """The bytes of one block of rows v of the numeric table, cells
+    joined by commas and rows ended by LF, and the number of floats
+    Python formatted; texts maps the flat index of a cell that is not
+    v's (text, or an integer past 2**53) to its bytes.
 
-    Every numeric cell whose 17 digits _decimal17 decides, and every
-    zero, infinity and NaN, is laid out by %g's rules in NumPy.  The
-    other numeric cells are formatted by '%.17g' or '%d', and text
-    cells by _csv_text; they are spliced in before their separators."""
-    rows, width = len(columns[0]), len(columns)
-    v = np.zeros((rows, width))
-    texts = {}              # flat cell index -> text, for Python's cells
-    formatted = 0
-    for j, c in enumerate(columns):
-        kind = c.dtype.kind
-        if kind not in "biuf":
-            texts.update(zip(range(j, rows * width, width),
-                             (_csv_text(x, alone) for x in c.tolist())))
-            continue
-        if kind in "iu":
-            big = c >= _INT_EXACT
-            if kind == "i":
-                big |= c <= -_INT_EXACT
-            if big.any():
-                texts.update(zip((np.flatnonzero(big) * width + j).tolist(),
-                                 ("%d" % x for x in c[big].tolist())))
-                formatted += int(np.count_nonzero(big))
-                c = np.where(big, 0, c)
-        v[:, j] = c
+    Every float whose 17 digits _decimal17 decides, and every zero,
+    infinity and NaN, is laid out by %g's rules in NumPy: the template
+    slots its layout does not keep are zeroed and then deleted.  The
+    other floats are formatted by '%.17g'; they and the cells in texts
+    are spliced in before their separators."""
+    rows, width = v.shape
     v = v.ravel()
     python = np.zeros(len(v), dtype=bool)
     python[list(texts)] = True
@@ -185,11 +171,11 @@ def _format_block(columns, alone):
     sure &= fast
     zero, inf, nan = a == 0, np.isinf(v), np.isnan(v)
     fallback = ~(sure | zero | inf | nan | python)
-    if fallback.any():
+    formatted = int(np.count_nonzero(fallback))
+    if formatted:
         cells = np.flatnonzero(fallback)
-        texts.update(zip(cells.tolist(),
-                         ("%.17g" % x for x in v[cells].tolist())))
-        formatted += len(cells)
+        texts.update(zip(cells.tolist(), (b"%.17g" % x
+                                          for x in v[cells].tolist())))
         python |= fallback
     n[~sure] = 0
     e[~sure] = 0
@@ -221,7 +207,8 @@ def _format_block(columns, alone):
     cls = np.where(fixed, e + 4, np.where(np.abs(e) < 100, 21, 22))
     key = ((np.signbit(v) & ~nan) * 23 + cls) * 17 + nz - 1
     key[python] = _TEXT_KEY
-    data = np.compress(_KEEP.take(key, axis=0).ravel(), out)
+    out *= _KEEP.take(key, axis=0)
+    data = out.tobytes().translate(None, b"\0")
     if not texts:
         return data, 0
 
@@ -231,7 +218,7 @@ def _format_block(columns, alone):
     pieces, prev = [], 0
     for cell in cells:
         cut = int(ends[cell]) - 1
-        pieces += [data[prev:cut], texts[cell].encode("utf-8")]
+        pieces += [data[prev:cut], texts[cell]]
         prev = cut
     pieces.append(data[prev:])
     return b"".join(pieces), formatted
@@ -251,19 +238,41 @@ def write_csv(path, header, columns):
     """Write one artifact from one equal-length 1-D column per header
     name; returns its content hash (a Digest).
 
-    Each block of about _BLOCK_CELLS cells is formatted by
-    _format_block and written as one byte string; the hash is taken
-    over the bytes as written."""
+    The numeric columns go into one (n, width) float table, and the
+    text cells and integers of 2**53 or more are formatted by Python,
+    once per file.  Each block of about _BLOCK_CELLS cells, a slice of
+    the table's rows, is formatted by _format_block and written as one
+    byte string; the hash is taken over the bytes as written."""
     columns = [np.asarray(c) for c in columns]
-    n = len(columns[0]) if columns else 0
-    if len(columns) != len(header) or any(
-            c.ndim != 1 or len(c) != n for c in columns):
+    n, width = (len(columns[0]) if columns else 0), len(columns)
+    if width != len(header) or any(c.ndim != 1 or len(c) != n
+                                   for c in columns):
         raise ValueError(f"{os.path.basename(path)}: expected "
                          f"{len(header)} 1-D columns of equal length")
-    alone = len(columns) == 1
-    step = max(1, _BLOCK_CELLS // max(1, len(columns)))
-    digest = hashlib.sha256()
+    alone = width == 1
+    table = np.zeros((n, width))
+    texts = {}              # flat cell index -> bytes, for Python's cells
     fallback = 0
+    for j, c in enumerate(columns):
+        kind = c.dtype.kind
+        if kind not in "biuf":
+            texts.update(zip(range(j, n * width, width),
+                             (_csv_text(x, alone).encode("utf-8")
+                              for x in c.tolist())))
+            continue
+        if kind in "iu":
+            big = c >= _INT_EXACT
+            if kind == "i":
+                big |= c <= -_INT_EXACT
+            if big.any():
+                texts.update(zip((np.flatnonzero(big) * width + j).tolist(),
+                                 (b"%d" % x for x in c[big].tolist())))
+                fallback += int(np.count_nonzero(big))
+                c = np.where(big, 0, c)
+        table[:, j] = c
+    cells = np.array(sorted(texts), dtype=np.int64)
+    step = max(1, _BLOCK_CELLS // max(1, width))
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
         def emit(data):
             digest.update(data)
@@ -272,8 +281,10 @@ def write_csv(path, header, columns):
         emit((",".join(_csv_text(h, alone) for h in header)
               + "\n").encode("utf-8"))
         for lo in range(0, n, step):
-            data, k = _format_block([c[lo:lo + step] for c in columns],
-                                    alone)
+            first = lo * width
+            a, b = np.searchsorted(cells, (first, first + step * width))
+            data, k = _format_block(table[lo:lo + step], {
+                cell - first: texts[cell] for cell in cells[a:b].tolist()})
             fallback += k
             emit(data)
     return Digest(digest.hexdigest(), fallback)

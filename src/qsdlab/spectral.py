@@ -566,14 +566,18 @@ class ConditionalDensity:
 def conditional_density(sd: SpectralDecomposition, t: float, x0: float,
                         K: Optional[int] = None) -> ConditionalDensity:
     """Full grid density of the process at time t given it still lives;
-    a sum whose negative lobes exceed 1e-6 of its mass (rounding noise,
-    the discrete kernel being nonnegative) raises TruncationError."""
+    a sum whose survival is negative, or whose negative lobes exceed
+    1e-6 of its mass (rounding noise, the discrete kernel being
+    nonnegative), cancels and raises TruncationError."""
     k, decay = _modes(sd, t, K)
     i0 = sd.node_index(float(x0))
     # r(t, x0, y) exp(-Q(y)) = sum_k decay_k eta_k(x0) psi_k(y) exp(-Q(y)/2)
     coef = decay * sd.etas[i0, :k]
     vals = (sd.psis[:, :k] @ coef) * np.exp(-0.5 * sd.Qgrid)
     surv = float(np.sum(vals * sd.cell))
+    if surv < 0:
+        raise TruncationError(f"the mode sum from x0={x0:g} cancels to "
+                              f"a survival of {surv:.6g} at t={t:g}")
     if not np.isfinite(surv) or surv < 1e-300:
         raise SurvivalUnderflowError(
             f"survival from x0={x0:g} at t={t:g} underflowed "
@@ -602,9 +606,12 @@ def conditional_law(sd: SpectralDecomposition, init, t, interval):
     """Probability the surviving process sits in the interval at times t.
 
     Ratio of the interval-restricted to the full survival sum; the initial
-    condition union and the time checks match survival().
+    condition union and the time checks match survival().  A negative
+    survival sum cancels and raises TruncationError.
     """
     den = _mode_sum(sd, t, init, sd.eta_masses)
+    if np.any(den < 0):
+        raise TruncationError(f"the mode sum cancels to {np.min(den):.6g}")
     if not np.all(np.isfinite(den) & (den >= 1e-300)):
         raise SurvivalUnderflowError(
             f"survival at t={np.max(t):g} underflowed "

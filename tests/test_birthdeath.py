@@ -380,9 +380,10 @@ def test_diffusion_reference_matches_feller_closed_form(lam, mu, gamma):
 @pytest.mark.parametrize("gamma, t, error, match", [
     (1.0, 0.001, TailDominatedError, "below t_min"),
     # weaker noise starts the diffusion farther up its potential, where the
-    # mode sum cancels past double precision; 0.012 is the weakest noise
-    # that still cancels (at 0.011 the survival underflows instead)
-    (0.012, 1.0, TruncationError, "cancels")])
+    # mode sum cancels past double precision: at 0.012 its negative lobes
+    # outweigh the rounding bound, at 0.011 the survival itself is negative
+    (0.012, 1.0, TruncationError, "cancels"),
+    (0.011, 1.0, TruncationError, "cancels")])
 def test_scaling_check_refuses_an_unresolved_reference(gamma, t, error,
                                                        match):
     with pytest.raises(error, match=match):

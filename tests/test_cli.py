@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qsdlab import montecarlo
-from qsdlab.cli import _cap_threads, main
+from qsdlab.cli import _cap_threads, _parser, main
 from qsdlab.config import load_config
 from qsdlab.errors import PreconditionError
 from qsdlab.spectral import build_and_solve, kernel_r
@@ -91,6 +91,23 @@ def test_kernel_slice_and_guard(tmp_path):
         assert main(["kernel", _cfg("logistic"), "--output-dir", out,
                      "--t", t]) == 3
         assert _report(out)["failure"]["stage"] == "spectral solve"
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # the parser is built once per process: an option one call gives must
+    # not carry into the next, and a bad option still exits 2
+    out = str(tmp_path / "out")
+    assert _parser() is _parser()
+    assert main(["kernel", _cfg("logistic"), "--output-dir", out,
+                 "--quick", "--t", "1.5"]) == 0
+    assert _report(out)["scalars"]["t"] == 1.5
+    assert main(["kernel", _cfg("logistic"), "--output-dir", out,
+                 "--quick"]) == 0
+    assert _report(out)["scalars"]["t"] == 1.0
+    with pytest.raises(SystemExit) as exc:
+        main(["kernel", _cfg("logistic"), "--output-dir", out, "--bogus"])
+    assert exc.value.code == 2
+    assert "--bogus" in capsys.readouterr().err
 
 
 def test_simulate_quick(tmp_path):

@@ -272,3 +272,42 @@ def test_mixed_kinds_across_blocks_match_the_csv_module(tmp_path):
                           np.where(i % 3 == 0, np.uint64(2**64 - 1),
                                    np.uint64(7)),
                           i % 2 == 0, text, -x, i])
+
+
+# one pool of awkward floats: signed zeros, specials, subnormals, the
+# edges of the fast range, near-ties of the 17th digit (10**(16 - E) not
+# a double) and integer-valued floats
+_AWKWARD = np.array(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+     2.2250738585072009e-308, -1.5e-310, 1e-280, -1e280,
+     *np.nextafter([1e-280, 1e280], 0), *np.nextafter([1e-280, 1e280], 2e280),
+     3 * 2.0**-24, -(1 + 3 * 2.0**-17), 420190845569.390625,
+     1.0, -42.0, 2.0**53, -2.0**53 - 2, 1e16, 1e17, 123456789012345678.0])
+
+
+@pytest.mark.parametrize("n", [_BLOCK // 66 - 1, _BLOCK // 66,
+                               _BLOCK // 66 + 1])
+def test_all_float_table_at_a_block_edge_matches_the_csv_module(tmp_path, n):
+    rng = np.random.default_rng(n)
+    cols = []
+    for j in range(66):
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        pick = rng.random(n) < 0.3
+        x[pick] = rng.choice(_AWKWARD, int(pick.sum()))
+        cols.append(x)
+    header = [f"c{j}" for j in range(66)]
+    _assert_as_reference(tmp_path, header, cols)
+    assert write_csv(str(tmp_path / "again.csv"), header,
+                     cols).fallback_cells > 0
+
+
+def test_control_and_non_ascii_text_cells_match_the_csv_module(tmp_path):
+    n = _BLOCK // 4 + 1
+    i = np.arange(n)
+    text = np.array(["\0", "a\0b", "\r", "x\ry", "\x7f", "naïve ∞ λ₁",
+                     "ü,\0", ""], dtype=object)
+    t, u = np.resize(text, n), np.resize(text[::-1], n)
+    data = _assert_as_reference(
+        tmp_path, ("t", "x", "big", "u"),
+        [t, np.resize(_AWKWARD, n), np.where(i % 3 == 0, 2**60 + i, i), u])
+    assert data.count(b"\0") == sum(c.count("\0") for c in [*t, *u])
