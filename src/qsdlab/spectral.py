@@ -15,6 +15,10 @@ in the discrete absorption measure mu_i = d_i exp(-Q(x_i)).  Semigroup
 identities (survival started from the quasi-stationary profile, kernel
 composition, conditioned-process row sums) then hold exactly on the grid,
 and their checks probe floating-point noise only.
+
+eta is formed only at the rows read (_eta_rows), and refused there if it
+overflows.  Every mode sum, such as r(t, x, y) = sum_k exp(-lambda_k t)
+eta_k(x) eta_k(y), goes through _spectral_sum.
 """
 
 from __future__ import annotations
@@ -126,7 +130,6 @@ class SpectralDecomposition:
     cell: np.ndarray          # (n,) finite-volume cell lengths d_i
     lambdas: np.ndarray       # (K,) increasing positive levels
     psis: np.ndarray          # (n, K), sum_i psi_k psi_l d_i = delta_kl
-    etas: np.ndarray          # (n, K), eta = exp(Q/2) psi
     Qgrid: np.ndarray         # (n,) potential on the grid
     mu_weights: np.ndarray    # (n,) d_i exp(-Q_i)
     cap: int                  # the level cap the solve was asked for
@@ -147,6 +150,11 @@ class SpectralDecomposition:
         return _cap_level(*self.operator, self.cap)
 
     @cached_property
+    def etas(self):
+        """(n, K) eta = exp(Q/2) psi on every node, formed at first read."""
+        return _eta_rows(self, slice(None))
+
+    @cached_property
     def eta_masses(self):
         """(K,) <eta_k, 1> in the absorption measure."""
         return _project(self, 1.0)
@@ -164,13 +172,6 @@ class SpectralDecomposition:
         right = self.grid[idx]
         out = np.where(xs - left <= right - xs, idx - 1, idx)
         return out if np.ndim(x) else int(out[0])
-
-    def require_time(self, t, K: Optional[int] = None):
-        """Refuse t below t_min(K): the dropped modes may still matter."""
-        k = self.K if K is None else K
-        tm = self.t_min(k)
-        if t < tm:
-            raise TailDominatedError(t, tm, k)
 
     def t_min(self, K: Optional[int] = None) -> float:
         """Shortest time the K-mode kernel can honestly represent."""
@@ -369,18 +370,9 @@ def build_and_solve(d: DriftField, domain: Optional[TruncationDomain] = None,
     lam, psi = solved.levels, solved.vectors
 
     Qg = np.asarray(d.Q(x), dtype=float)
-    amp = np.abs(psi)
-    tiny = amp < _PSI_FLOOR
-    with np.errstate(divide="ignore", over="ignore"):
-        eta = np.sign(psi) * np.exp(0.5 * Qg[:, None] + np.log(amp))
-    eta[tiny] = 0.0
-    if not np.all(np.isfinite(eta)):
-        raise TruncationError("mode profile overflowed while unweighting; "
-                              "the box extends past representable range")
-
     return SpectralDecomposition(
         domain=domain, drift=d, K=lam.size, grid=x, cell=dcell,
-        lambdas=lam, psis=psi, etas=eta, Qgrid=Qg,
+        lambdas=lam, psis=psi, Qgrid=Qg,
         mu_weights=dcell * np.exp(-Qg), cap=K, operator=(diag, off),
         eigen_residual=solved.residual,
         orthonormality_defect=solved.defect)
@@ -396,16 +388,48 @@ def _project(sd: SpectralDecomposition, weights, half=-1) -> np.ndarray:
     return (sd.psis * _half_weights(sd, weights, half)[:, None]).sum(axis=0)
 
 
-def _modes(sd: SpectralDecomposition, t: float, K: Optional[int] = None,
-           relative: bool = False):
-    """k and exp(-lambda_k t) for the lowest k modes (levels measured from
-    lambda_1 when relative); refuses k outside 1..sd.K and t < t_min(k)."""
+def _eta_rows(sd: SpectralDecomposition, rows) -> np.ndarray:
+    """eta = sign(psi) exp(Q/2 + ln|psi|) at the grid rows given (index,
+    array or slice), zero below _PSI_FLOOR; refused where a row overflows."""
+    psi = sd.psis[rows]
+    amp = np.abs(psi)
+    with np.errstate(divide="ignore", over="ignore"):
+        eta = np.sign(psi) * np.exp(0.5 * sd.Qgrid[rows, None] + np.log(amp))
+    eta[amp < _PSI_FLOOR] = 0.0
+    if not np.all(np.isfinite(eta)):
+        raise TruncationError("mode profile overflowed while unweighting; "
+                              "the box extends past representable range")
+    return eta
+
+
+def _spectral_sum(sd: SpectralDecomposition, t, left, right=None, K=None,
+                  relative=False, exact=False):
+    """sum_k exp(-lambda_k t) left_k right_k over the lowest K levels (all
+    by default) as (left * decay) @ right, or summed over the levels in
+    NumPy's order where right is None; relative levels count from
+    lambda_1.  Refuses K outside 1..sd.K and, unless exact (a start in the
+    ground level), t below t_min(K)."""
     k = sd.K if K is None else int(K)
     if not 1 <= k <= sd.K:
         raise PreconditionError(f"K={k} not in 1..{sd.K}")
-    sd.require_time(t, k)
+    if not exact and np.min(t) < sd.t_min(k):
+        raise TailDominatedError(float(np.min(t)), sd.t_min(k), k)
     lam = sd.lambdas[:k] - sd.lambdas[0] if relative else sd.lambdas[:k]
-    return k, np.exp(-lam * t)
+    terms = left[..., :k] * np.exp(-lam * t)
+    return terms.sum(axis=-1) if right is None else terms @ right[:k]
+
+
+def _conditioning(surv, where, divide=True):
+    """Refuse a survival sum that cancelled (a value below 0) and, where a
+    caller divides by it, one that underflowed (below 1e-300 or not finite)."""
+    low = float(np.min(surv))
+    if low < 0:
+        raise TruncationError(f"the mode sum {where} cancels to a survival "
+                              f"of {low:.6g}")
+    if divide and not np.all(np.isfinite(surv) & (surv >= 1e-300)):
+        raise SurvivalUnderflowError(f"survival {where} underflowed "
+                                     f"({low!r}); condition on a shorter "
+                                     f"horizon")
 
 
 # ---------------------------------------------------------------------------
@@ -488,18 +512,11 @@ def yaglom_to_z(ym: YaglomMeasure, gamma: float) -> YaglomMeasure:
 
 def kernel_r(sd: SpectralDecomposition, t: float, xs, ys,
              K: Optional[int] = None) -> np.ndarray:
-    """Mode-sum transition kernel density against mu, at nearest grid nodes.
-
-    Refuses times shorter than t_min(K): there the dropped modes are not
-    provably negligible and the truncated sum would silently misrepresent
-    the kernel.
-    """
-    k, decay = _modes(sd, t, K)
+    """Mode-sum transition kernel density against mu, at nearest grid nodes;
+    refused below t_min(K), where the dropped modes may still matter."""
     ix = sd.node_index(np.atleast_1d(xs))
     iy = sd.node_index(np.atleast_1d(ys))
-    ex = sd.etas[ix][:, :k]
-    ey = sd.etas[iy][:, :k]
-    out = (ex * decay) @ ey.T
+    out = _spectral_sum(sd, t, _eta_rows(sd, ix), _eta_rows(sd, iy).T, K)
     if ix.shape == iy.shape and np.array_equal(ix, iy):
         # a diagonal query is symmetric by construction; the matrix
         # product rounds the two triangles independently, so enforce it
@@ -515,23 +532,21 @@ def survival(sd: SpectralDecomposition, t, init) -> np.ndarray:
 
     Point and density starts are refused below t_min (the dropped modes
     could still matter there); a quasi-stationary start is exact at every
-    t >= 0 because only the ground mode survives the projection.
+    t >= 0 because only the ground mode survives the projection.  A sum
+    that cancels to a negative survival is refused; an underflow is a value.
     """
-    out = _mode_sum(sd, t, init, sd.eta_masses)
-    return out if np.ndim(t) else float(out[0])
+    return _from_start(sd, t, init, sd.eta_masses[:, None], divide=False)[0]
 
 
-def _mode_sum(sd: SpectralDecomposition, t, init, masses) -> np.ndarray:
-    """sum_k exp(-lambda_k t) <eta_k, init> masses_k at each time t, for
-    the initial conditions and with the time checks of survival()."""
+def _from_start(sd: SpectralDecomposition, t, init, right, divide=True):
+    """The mode sums from survival()'s init to each column of right at the
+    times t, a row per column; the first, the survival, is conditioned."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(ts < 0):
         raise PreconditionError("survival needs t >= 0")
     kind = init[0]
-    if kind != "yaglom":
-        sd.require_time(float(ts.min(initial=np.inf)))
     if kind == "point":
-        coeffs = sd.etas[sd.node_index(float(init[1])), :]
+        coeffs = _eta_rows(sd, sd.node_index(float(init[1])))
     elif kind == "yaglom":
         ym = init[1]
         if ym.grid.shape != sd.grid.shape or not np.allclose(ym.grid, sd.grid):
@@ -550,7 +565,10 @@ def _mode_sum(sd: SpectralDecomposition, t, init, masses) -> np.ndarray:
         coeffs = _project(sd, vals / mass, half=1)
     else:
         raise PreconditionError(f"unknown initial condition kind {kind!r}")
-    return np.exp(-np.outer(ts, sd.lambdas)) @ (coeffs * masses)
+    out = _spectral_sum(sd, ts[:, None], coeffs, right,
+                        exact=kind == "yaglom").T
+    _conditioning(out[0], f"at t={np.max(t):g}", divide)
+    return out if np.ndim(t) else out[:, 0].tolist()
 
 
 @dataclass(frozen=True)
@@ -569,19 +587,11 @@ def conditional_density(sd: SpectralDecomposition, t: float, x0: float,
     a sum whose survival is negative, or whose negative lobes exceed
     1e-6 of its mass (rounding noise, the discrete kernel being
     nonnegative), cancels and raises TruncationError."""
-    k, decay = _modes(sd, t, K)
-    i0 = sd.node_index(float(x0))
     # r(t, x0, y) exp(-Q(y)) = sum_k decay_k eta_k(x0) psi_k(y) exp(-Q(y)/2)
-    coef = decay * sd.etas[i0, :k]
-    vals = (sd.psis[:, :k] @ coef) * np.exp(-0.5 * sd.Qgrid)
+    eta0 = _eta_rows(sd, sd.node_index(float(x0)))
+    vals = _spectral_sum(sd, t, eta0, sd.psis.T, K) * np.exp(-0.5 * sd.Qgrid)
     surv = float(np.sum(vals * sd.cell))
-    if surv < 0:
-        raise TruncationError(f"the mode sum from x0={x0:g} cancels to "
-                              f"a survival of {surv:.6g} at t={t:g}")
-    if not np.isfinite(surv) or surv < 1e-300:
-        raise SurvivalUnderflowError(
-            f"survival from x0={x0:g} at t={t:g} underflowed "
-            f"({surv!r}); condition on a shorter horizon")
+    _conditioning(surv, f"from x0={x0:g} at t={t:g}")
     dens = np.maximum(vals, 0.0)
     mass = float(np.sum(dens * sd.cell))
     if mass - surv > 1e-6 * mass:
@@ -603,22 +613,13 @@ def _interval_mass(sd: SpectralDecomposition, interval) -> np.ndarray:
 
 
 def conditional_law(sd: SpectralDecomposition, init, t, interval):
-    """Probability the surviving process sits in the interval at times t.
-
-    Ratio of the interval-restricted to the full survival sum; the initial
-    condition union and the time checks match survival().  A negative
-    survival sum cancels and raises TruncationError.
-    """
-    den = _mode_sum(sd, t, init, sd.eta_masses)
-    if np.any(den < 0):
-        raise TruncationError(f"the mode sum cancels to {np.min(den):.6g}")
-    if not np.all(np.isfinite(den) & (den >= 1e-300)):
-        raise SurvivalUnderflowError(
-            f"survival at t={np.max(t):g} underflowed "
-            f"({float(np.min(den))!r}); condition on a shorter horizon")
-    out = np.clip(_mode_sum(sd, t, init, _interval_mass(sd, interval)) / den,
-                  0.0, 1.0)
-    return out if np.ndim(t) else float(out[0])
+    """Probability the surviving process sits in the interval at times t:
+    the interval-restricted over the full survival sum, with survival()'s
+    starts and refusals, and refused where that survival underflows."""
+    rows = np.column_stack((sd.eta_masses, _interval_mass(sd, interval)))
+    den, num = _from_start(sd, t, init, rows)
+    out = np.clip(num / den, 0.0, 1.0)
+    return out if np.ndim(t) else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +656,7 @@ def rate_report(sd: SpectralDecomposition, x0: float, interval,
 
     m = sd.eta_masses
     limit = mA[0] / m[0]
-    eta_x = sd.etas[sd.node_index(float(x0)), :]
+    eta_x = _eta_rows(sd, sd.node_index(float(x0)))
     gap = float(sd.lambdas[1] - sd.lambdas[0])
     coef = (eta_x[1] / eta_x[0]) * (mA[1] * m[0] - mA[0] * m[1]) / (m[0] ** 2)
     diffs = conditional_law(sd, ("point", x0), ts, interval) - limit
@@ -719,7 +720,7 @@ def flux_check(sd: SpectralDecomposition, tail_mass: float = 1e-9) -> FluxReport
     slack = 1e-6 * max(1.0, float(np.max(np.abs(Fb))))
     flux_dec = bool(np.all(np.diff(Fb) <= slack))
 
-    eta1b = sd.etas[lo:hi + 1, 0]
+    eta1b = _eta_rows(sd, slice(lo, hi + 1))[:, 0]
     slack_e = 1e-9 * max(1.0, float(np.max(np.abs(eta1b))))
     eta_inc = bool(np.all(np.diff(eta1b) >= -slack_e))
 
@@ -739,14 +740,12 @@ def qprocess_row(sd: SpectralDecomposition, t: float, x0: float,
     The row sum is exactly 1 up to rounding because the mode profiles are
     discretely orthonormal.
     """
-    k, u = _modes(sd, t, K, relative=True)
-    i0 = sd.node_index(float(x0))
-    eta_x = sd.etas[i0, :k]
+    eta_x = _eta_rows(sd, sd.node_index(float(x0)))
     if eta_x[0] == 0.0:
         raise PreconditionError(f"ground profile vanishes at x0={x0:g}; "
                                 f"start the conditioned process in the bulk")
-    c = u * eta_x / eta_x[0]
-    probs = sd.psis[:, 0] * (sd.psis[:, :k] @ c) * sd.cell
+    row = _spectral_sum(sd, t, eta_x / eta_x[0], sd.psis.T, K, relative=True)
+    probs = sd.psis[:, 0] * row * sd.cell
     return probs, float(np.sum(probs))
 
 
@@ -773,14 +772,13 @@ def appendix_bound_sweep(sd: SpectralDecomposition, xs=None,
     """The symmetrized kernel r(t,x,y) exp(-(Q(x)+Q(y))/2), the plain mode
     sum over psi, against exp(C t / 2) times the half-line heat kernel with
     an absorbing wall at 0, over every probe pair (x, y)."""
-    _, decay = _modes(sd, t)
     if xs is None:
         xs = np.linspace(0.1, 5.0, 50)
     xs = np.asarray(xs, dtype=float)
     idx = sd.node_index(xs)
     xn = sd.grid[idx]
     P = sd.psis[idx, :]
-    val = (P * decay) @ P.T
+    val = _spectral_sum(sd, t, P, P.T)
 
     Xm, Ym = np.meshgrid(xn, xn, indexing="ij")
     heat = (np.exp(-(Xm - Ym) ** 2 / (2.0 * t))
@@ -800,11 +798,11 @@ def appendix_bound_sweep(sd: SpectralDecomposition, xs=None,
 
 def l2_bound_check(sd: SpectralDecomposition, xs=(0.5, 1.0, 2.0),
                    ts=(0.5, 1.0)) -> BoundReport:
-    """On-diagonal square sum against its closed-form envelope."""
+    """On-diagonal square sum r(2t, x, x) against its closed-form envelope;
+    refused where 2t is below t_min."""
     i = sd.node_index(np.asarray(xs, dtype=float))
     T = np.asarray(ts, dtype=float)[:, None]             # (t, x) probes
-    val = (np.exp(-2.0 * sd.lambdas * T[:, :, None])
-           * sd.etas[i, :] ** 2).sum(axis=-1)
+    val = _spectral_sum(sd, 2.0 * T[:, :, None], _eta_rows(sd, i) ** 2)
     C = max(sd.drift.C, 0.0)
     ratio = val / (np.exp(C * T + sd.Qgrid[i]) / np.sqrt(2.0 * np.pi * T))
     return BoundReport(

@@ -392,6 +392,32 @@ def test_scaling_check_refuses_an_unresolved_reference(gamma, t, error,
                             [10], z0=1.0, t=t)
 
 
+def test_survival_refuses_the_reference_sum_that_cancels(monkeypatch):
+    # the gamma = 0.011 reference above: its survival from the start sums
+    # to about -0.72, and survival() says it cancels, from a point or from
+    # a density at that node, where it once returned the negative number
+    seen = {}
+
+    def capture(sd, t, x0):
+        seen.update(sd=sd, t=t, x0=x0)
+        return spectral.conditional_density(sd, t, x0)
+
+    monkeypatch.setattr(birthdeath, "conditional_density", capture)
+    with pytest.raises(TruncationError, match="cancels"):
+        scaling_limit_check("pure_branching",
+                            {"lam": 1.0, "mu": 2.0, "gamma": 0.011},
+                            [10], z0=1.0, t=1.0)
+    sd, t = seen["sd"], seen["t"]
+    i0 = sd.node_index(seen["x0"])
+    spike = np.zeros_like(sd.grid)
+    spike[i0] = 1.0 / sd.cell[i0]
+    for init in (("point", seen["x0"]), ("density", spike)):
+        with pytest.raises(TruncationError, match="cancels to a survival"):
+            spectral.survival(sd, t, init)
+    # underflow is still a value: nothing divides by it here
+    assert spectral.survival(sd, 1e5, ("point", seen["x0"])) == 0.0
+
+
 _REFERENCE_CHAINS = {
     "c11": ("logistic_branching",
             {"lam": 1.0, "mu": 1.0, "c": 1.0, "gamma": 1.0}),

@@ -336,6 +336,23 @@ def test_bd_below_t_min_asks_for_a_later_time(tmp_path, capsys):
     assert failure["message"] in capsys.readouterr().err
 
 
+def test_a_box_too_long_for_eta_is_refused_only_where_eta_is_read(tmp_path):
+    # at x_max = 24, exp(Q/2) psi overflows far up the potential: the
+    # commands that never read eta run, and those that write eta on every
+    # node (eigenfunctions.csv, every y of a kernel slice) still refuse
+    with open(_cfg("logistic"), encoding="utf-8") as fh:
+        text = fh.read()
+    cfg = _write(tmp_path, text.replace("x_max = 6.0 ", "x_max = 24.0 "))
+    for command, code in (("yaglom", 0), ("compare", 0), ("qprocess", 0),
+                          ("spectrum", 4), ("kernel", 4)):
+        out = str(tmp_path / command)
+        assert main([command, cfg, "--quick", "--output-dir", out]) == code
+        if code:
+            failure = _report(out)["failure"]
+            assert failure["type"] == "TruncationError"
+            assert "overflowed while unweighting" in failure["message"]
+
+
 def test_path_event_scalars(tmp_path):
     # the report counts the steps that ended a path, and the reflections
     for command in ("simulate", "qprocess"):

@@ -144,16 +144,38 @@ def test_conditioned_rows_are_stochastic(logistic_sd):
         qprocess_row(logistic_sd, 0.05, 1.0)
 
 
-@pytest.mark.parametrize("call", [
-    lambda sd, K: kernel_r(sd, 1.0, [1.0], [1.0], K=K),
-    lambda sd, K: conditional_density(sd, 1.0, 1.0, K=K),
-    lambda sd, K: qprocess_row(sd, 1.0, 1.0, K=K),
-], ids=["kernel_r", "conditional_density", "qprocess_row"])
-@pytest.mark.parametrize("K", [0, 33])        # the fixture has 32 modes
-def test_mode_count_out_of_range_is_refused(logistic_sd, call, K):
+# every caller of the mode sum, as call(sd, K, t); K reaches the callers
+# that take one, and the others sum every level
+_MODE_SUM_CALLERS = {
+    "kernel_r": lambda sd, K, t: kernel_r(sd, t, [1.0], [1.0], K=K),
+    "conditional_density":
+        lambda sd, K, t: conditional_density(sd, t, 1.0, K=K),
+    "qprocess_row": lambda sd, K, t: qprocess_row(sd, t, 1.0, K=K),
+    "survival": lambda sd, K, t: survival(sd, t, ("point", 1.0)),
+    "conditional_law":
+        lambda sd, K, t: conditional_law(sd, ("point", 1.0), t, (0.0, 1.0)),
+    "appendix_bound_sweep":
+        lambda sd, K, t: appendix_bound_sweep(sd, xs=[1.0], t=t),
+    # its square sum at t is r(2t, x, x): refused where 2t < t_min
+    "l2_bound_check": lambda sd, K, t: l2_bound_check(sd, ts=(t / 2,)),
+}
+
+
+@pytest.mark.parametrize("K, name", [
+    (K, name) for K in (0, 33)                # the fixture has 32 modes
+    for name in ("kernel_r", "conditional_density", "qprocess_row")
+] + [(None, name) for name in _MODE_SUM_CALLERS])
+def test_mode_count_out_of_range_is_refused(logistic_sd, K, name):
+    # the mode sum's refusals reach every caller: a level count outside
+    # 1..32 and, with K None, a time below t_min (0.123)
     assert logistic_sd.K == 32
-    with pytest.raises(PreconditionError, match=f"K={K} not in 1..32"):
-        call(logistic_sd, K)
+    call = _MODE_SUM_CALLERS[name]
+    if K is None:
+        with pytest.raises(TailDominatedError):
+            call(logistic_sd, None, 0.1)
+    else:
+        with pytest.raises(PreconditionError, match=f"K={K} not in 1..32"):
+            call(logistic_sd, K, 1.0)
 
 
 def test_conditioned_stationary_dominates_yaglom(logistic_sd, logistic_ym):
@@ -294,6 +316,31 @@ def test_ground_pair_solve_matches_the_capped_solve(model):
     assert abs(ground.lambda1 - full.lambda1) <= tol
     gap = ground.psis[:, 0] - full.psis[:, 0]
     assert np.sqrt(np.sum(gap * gap * full.cell)) < 1e-10
+
+
+@pytest.mark.parametrize("model", ["logistic", "ou", "linear", "allee"])
+def test_eta_on_demand_is_the_eager_eta(model):
+    # eta is formed where it is read, from the formula build_and_solve
+    # once applied to every node: rows read alone equal the rows of the
+    # whole table, and the table equals that eager formula, bit for bit
+    cfg = load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                   "examples", model + ".cfg"))
+    sd = build_and_solve(cfg.model.drift, cfg.domain, K=cfg.K)
+    assert "etas" not in vars(sd)             # nothing formed by the solve
+    amp = np.abs(sd.psis)
+    with np.errstate(divide="ignore"):
+        eager = np.sign(sd.psis) * np.exp(0.5 * sd.Qgrid[:, None]
+                                          + np.log(amp))
+    eager[amp < spectral._PSI_FLOOR] = 0.0
+    etas = sd.etas
+    assert etas is sd.etas                    # formed once, then kept
+    assert np.array_equal(etas, eager)
+    idx = sd.node_index(np.array([0.5, 1.0, 2.0]))
+    assert np.array_equal(spectral._eta_rows(sd, idx), etas[idx])
+    assert np.array_equal(spectral._eta_rows(sd, int(idx[1])),
+                          etas[idx[1]])
+    assert np.array_equal(spectral._eta_rows(sd, slice(7, 900)),
+                          etas[7:900])
 
 
 # the four grids of the benchmark's analysis workload: (model, box, K)
