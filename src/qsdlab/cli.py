@@ -244,8 +244,10 @@ def _cmd_spectrum(args, cfg, out_dir, rep, stage):
                  [np.arange(1, sd.K + 1), sd.lambdas])
     header = (["x"] + [f"eta_{k + 1}" for k in range(sd.K)]
               + [f"psi_{k + 1}" for k in range(sd.K)] + ["mu_weight"])
+    stage.append("eigenfunction table")
     rep.add_file(out_dir, "eigenfunctions.csv", header,
                  [sd.grid, *sd.etas.T, *sd.psis.T, sd.mu_weights])
+    stage.pop()
     ym = yaglom_measure(sd)
     rep.add_file(out_dir, "yaglom.csv", ("x", "density", "cdf"),
                  [ym.grid, ym.density, ym.cdf])

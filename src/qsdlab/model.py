@@ -7,11 +7,16 @@ the drift q(x) = 1/(2x) - (2/(gamma x)) h(gamma x^2 / 4).
 
 Every drift field carries:
 
-* q, q_prime: the drift and its derivative,
+* q, q_prime: the drift and its derivative; every drift the package
+  builds is an InPlace, whose into(x, out, work) writes q(x) into a
+  given row,
 * Q: the accumulated potential Q(x) = int_1^x 2 q(u) du, anchored Q(1) = 0,
 * C: the curvature floor, the smallest constant with q^2 - q' >= -C,
   given in closed form (C_closed) or found on a probe grid at first read,
 * origin_exponent: a when q(x) ~ a/x near the origin (None if unknown).
+
+The growth functions h of the logistic, linear and two-threshold presets
+are InPlace too, so a growth drift fills its row without allocating.
 """
 
 from __future__ import annotations
@@ -31,6 +36,49 @@ from .expr import compile_expression, fd_derivative
 _PROBE_LO = 1e-6
 _PROBE_HI = 1e6
 _PROBE_N = 4096
+
+
+class InPlace:
+    """A function of one array that is evaluated into rows it is given.
+
+    into(x, out, work) writes f(x) into out, an array of x's shape, and
+    returns it, allocating nothing; work holds scratch rows of that shape,
+    as many as the function uses (a drift at most three, a growth
+    function one).  Called as f(x), on a scalar or an array, it is the
+    allocating form: it makes out and work, runs into (under an errstate
+    that ignores floating-point warnings when quiet) and returns a float
+    or an array.
+    """
+
+    __slots__ = ("into", "quiet")
+
+    def __init__(self, into, quiet=False):
+        self.into = into
+        self.quiet = quiet
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        out = np.empty_like(x)
+        work = (np.empty_like(x), np.empty_like(x), np.empty_like(x))
+        if self.quiet:
+            with np.errstate(divide="ignore", over="ignore",
+                             invalid="ignore"):
+                self.into(x, out, work)
+        else:
+            self.into(x, out, work)
+        return float(out) if out.ndim == 0 else out
+
+
+def in_place(f):
+    """The evaluator into(x, out, work) of f: its own when f is an
+    InPlace, else the adapter that copies f(x) into out."""
+    if isinstance(f, InPlace):
+        return f.into
+
+    def into(x, out, work):
+        np.copyto(out, f(x))
+        return out
+    return into
 
 
 @dataclass(frozen=True)
@@ -215,14 +263,21 @@ def drift_from_growth(g: GrowthModel) -> DriftField:
     if not math.isfinite(h0) or abs(h0) > 1e-9:
         raise ModelError(f"growth must vanish at zero population, got h(0)={h0!r}")
 
-    def q(x):
+    h_into = in_place(g.h)
+
+    def q_into(x, out, work):
         # 0.5/x - (2/(gamma x)) h(gamma x^2/4), with gamma x formed once
-        x = np.asarray(x, dtype=float)
-        gx = gamma * x
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            out = 0.5 / x - (2.0 / gx) * np.asarray(g.h(gx * x / 4.0),
-                                                    dtype=float)
-        return float(out) if out.ndim == 0 else out
+        # in gx, then 2/(gamma x) and 0.5/x; a product by 0.25 is the
+        # quotient by 4.0 bit for bit, the exact value being the same
+        gx, z, tmp = work
+        np.multiply(x, gamma, out=gx)
+        np.multiply(gx, x, out=z)
+        z *= 0.25
+        h_into(z, out, (tmp,))
+        np.divide(2.0, gx, out=gx)
+        out *= gx
+        np.divide(0.5, x, out=gx)
+        return np.subtract(gx, out, out=out)
 
     def q_prime(x):
         x = np.asarray(x, dtype=float)
@@ -249,8 +304,9 @@ def drift_from_growth(g: GrowthModel) -> DriftField:
         out = np.log(x) - G(x)
         return float(out) if out.ndim == 0 else out
 
-    return drift_field(q, q_prime, Q=Q, origin_exponent=0.5,
-                       name=f"{g.name}-drift", singular_origin=True)
+    return drift_field(InPlace(q_into, quiet=True), q_prime, Q=Q,
+                       origin_exponent=0.5, name=f"{g.name}-drift",
+                       singular_origin=True)
 
 
 # ---------------------------------------------------------------------------
@@ -261,8 +317,8 @@ def ou_drift(theta=1.0):
     if theta <= 0:
         raise ModelError("theta must be positive")
 
-    def q(x):
-        return theta * np.asarray(x, dtype=float)
+    def q_into(x, out, work):
+        return np.multiply(x, theta, out=out)
 
     def q_prime(x):
         x = np.asarray(x, dtype=float)
@@ -273,8 +329,9 @@ def ou_drift(theta=1.0):
         out = theta * (x * x - 1.0)
         return float(out) if out.ndim == 0 else out
 
-    return DriftField(q=q, q_prime=q_prime, Q=Q, origin_exponent=0.0,
-                      name=f"ou(theta={theta:g})", C_closed=float(theta))
+    return DriftField(q=InPlace(q_into), q_prime=q_prime, Q=Q,
+                      origin_exponent=0.0, name=f"ou(theta={theta:g})",
+                      C_closed=float(theta))
 
 
 def logistic_growth(r, c, gamma):
@@ -284,23 +341,30 @@ def logistic_growth(r, c, gamma):
     if c < 0:
         raise ModelError("c must be nonnegative")
 
-    def h(z):
-        z = np.asarray(z, dtype=float)
-        out = r * z - c * z * z
-        return float(out) if out.ndim == 0 else out
+    def h_into(z, out, work):
+        # r z - (c z) z
+        tmp = work[0]
+        np.multiply(z, r, out=out)
+        np.multiply(z, c, out=tmp)
+        tmp *= z
+        return np.subtract(out, tmp, out=out)
 
     def h_prime(z):
         z = np.asarray(z, dtype=float)
         out = r - 2.0 * c * z
         return float(out) if out.ndim == 0 else out
 
-    return GrowthModel(h=h, h_prime=h_prime, gamma=gamma,
+    return GrowthModel(h=InPlace(h_into), h_prime=h_prime, gamma=gamma,
                        name=f"logistic(r={r:g},c={c:g},gamma={gamma:g})")
 
 
 def linear_growth(r, gamma):
+    """h(z) = r z."""
+    def h_into(z, out, work):
+        return np.multiply(z, r, out=out)
+
     return GrowthModel(
-        h=lambda z: r * np.asarray(z, dtype=float),
+        h=InPlace(h_into),
         h_prime=lambda z: np.full_like(np.asarray(z, dtype=float), r)
         if np.ndim(z) else float(r),
         gamma=gamma,
@@ -313,10 +377,16 @@ def allee_growth(r, K0, K, gamma):
     if not (0 < K0 < K):
         raise ModelError("need 0 < K0 < K for the two-threshold growth")
 
-    def h(z):
-        z = np.asarray(z, dtype=float)
-        out = r * z * (z / K0 - 1.0) * (1.0 - z / K)
-        return float(out) if out.ndim == 0 else out
+    def h_into(z, out, work):
+        # ((r z) (z/K0 - 1)) (1 - z/K)
+        tmp = work[0]
+        np.multiply(z, r, out=out)
+        np.divide(z, K0, out=tmp)
+        tmp -= 1.0
+        out *= tmp
+        np.divide(z, K, out=tmp)
+        np.subtract(1.0, tmp, out=tmp)
+        return np.multiply(out, tmp, out=out)
 
     def h_prime(z):
         z = np.asarray(z, dtype=float)
@@ -325,7 +395,7 @@ def allee_growth(r, K0, K, gamma):
         out = r * (A * B + z * (B / K0 - A / K))
         return float(out) if out.ndim == 0 else out
 
-    return GrowthModel(h=h, h_prime=h_prime, gamma=gamma,
+    return GrowthModel(h=InPlace(h_into), h_prime=h_prime, gamma=gamma,
                        name=f"allee(r={r:g},K0={K0:g},K={K:g},gamma={gamma:g})")
 
 

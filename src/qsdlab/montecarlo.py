@@ -19,8 +19,8 @@ import numpy as np
 
 from . import rng
 from .errors import DomainError, PreconditionError
-from .model import (DriftField, GrowthModel, drift_from_growth,
-                    make_potential_integral, x_from_z, z_from_x)
+from .model import (DriftField, GrowthModel, InPlace, drift_from_growth,
+                    in_place, make_potential_integral, x_from_z, z_from_x)
 from .quadrature import sweep
 from .spectral import SpectralDecomposition, YaglomMeasure
 
@@ -151,7 +151,9 @@ def _euler_paths(q, x0, cfg, edges=None):
     not finite (dated at mid-step), and with the pinned-path crossing
     probability exp(-2 (x - d)(x' - d)/dt) for steps that stay above it.
     With edges (lo, hi) the paths live forever and excursions past an
-    edge are mirrored back inside.  Paths are marched _BLOCK at a time.
+    edge are mirrored back inside.  q is stepped through its in-place
+    evaluator (model.in_place): an InPlace's own, or the adapter that
+    copies q(x).  Paths are marched _BLOCK at a time.
     Returns the read-only (times, states, T0) and the step events counted
     by name (PATH_EVENTS).
     """
@@ -176,9 +178,10 @@ def _euler_paths(q, x0, cfg, edges=None):
     T0 = np.full(cfg.n_paths, np.inf)
     events = dict.fromkeys(PATH_EVENTS, 0)
     buf = _Buffers(min(_BLOCK, cfg.n_paths), edges is None, cfg.seed)
+    into = in_place(q)
     for lo in range(0, cfg.n_paths, _BLOCK):
         hi = min(lo + _BLOCK, cfg.n_paths)
-        _march_block(q, x0[lo:hi], lo, cfg, edges, rec_steps,
+        _march_block(into, x0[lo:hi], lo, cfg, edges, rec_steps,
                      states[lo:hi], T0[lo:hi], events, buf)
     for arr in (times, states, T0):
         arr.setflags(write=False)
@@ -192,21 +195,22 @@ class _Buffers:
     one per lane, that each block re-keys to its paths' streams (seek):
     re-keying costs a fifth of building a stream.  The arrays are the
     zeroed pages of one anonymous mapping: slab, the time-major chunk,
-    one row per step; raw, a group of lanes' normals; and for absorbed
-    paths u, the crossing-test uniforms, and _settle's rows.  The mapping
-    goes back to the system whole when the ensemble is done, so its rows
-    never stay resident in the heap, and what is resident while it lives
-    is what this ensemble touched.
+    one row per step; raw, a group of lanes' normals; rows, the row each
+    step's drift is written into and the drift's three scratch rows; and
+    for absorbed paths u, the crossing-test uniforms, and _settle's rows.
+    The mapping goes back to the system whole when the ensemble is done,
+    so its rows never stay resident in the heap, and what is resident
+    while it lives is what this ensemble touched.
     """
 
     def __init__(self, B, absorbed, seed):
         self.seek = rng.Seek(seed)
         self.gens = [rng.stream(seed, i) for i in range(B)]
-        shapes = [(_CHUNK + 1, B), (min(_GROUP, B), _CHUNK)]
+        shapes = [(_CHUNK + 1, B), (min(_GROUP, B), _CHUNK), (4, B)]
         if absorbed:
             shapes += [(B, _CHUNK), ((_WIN + 1) * B,), (_WIN * B,)]
-        self.slab, self.raw, *rows = _mapped(shapes)
-        self.u, self.diffs, self.prods = rows or (None, None, None)
+        self.slab, self.raw, self.rows, *settle = _mapped(shapes)
+        self.u, self.diffs, self.prods = settle or (None, None, None)
 
 
 def _mapped(shapes):
@@ -220,7 +224,7 @@ def _mapped(shapes):
 
 
 @np.errstate(all="ignore")
-def _march_block(q, x0, first, cfg, edges, rec_steps, states, T0, events,
+def _march_block(into, x0, first, cfg, edges, rec_steps, states, T0, events,
                  buf):
     """Step paths first, first + 1, ... into their rows of states and T0.
 
@@ -228,18 +232,20 @@ def _march_block(q, x0, first, cfg, edges, rec_steps, states, T0, events,
     only: ids lists them (row in the block), one lane each.  A dead path's
     stream is never read again, so dropping it at the refill leaves every
     other path's draws unchanged.  The normals are drawn a group of
-    _GROUP lanes at a time and copied once, transposed and scaled by
-    sqrt(dt), into the time-major slab: row 0 holds the lanes' states,
-    row j the noise of the chunk's step j.  The chunk is marched in
-    windows of _WIN steps, each a range of the slab's rows; a step adds
-    x + q(x) (-dt) to its row, in place.  With edges each row is
-    reflected (_reflect) right after its step.  Without, after each
-    window _settle dates every lane's first event in it; a lane that died
-    inside a window was stepped on to the window's end: those states are
-    discarded, and until the next refill the lane is held at its state at
-    the window's start, by resetting the first row of the next window.
-    Floating-point warnings are off: a step that overflows is a
-    non-finite step.  Adds the block's step events to the events counts.
+    _GROUP lanes at a time and scaled by sqrt(dt) into the time-major
+    slab, transposed: row 0 holds the lanes' states, row j the noise of
+    the chunk's step j.  The chunk is marched in windows of _WIN steps,
+    each a range of the slab's rows; a step writes q(x) into buf's drift
+    row (into, the drift's in-place evaluator, with buf's scratch rows),
+    scales it by -dt, adds x and adds the sum to its row, allocating
+    nothing.  With edges each row is reflected (_reflect) right after
+    its step.  Without, after each window _settle dates every lane's
+    first event in it; a lane that died inside a window was stepped on
+    to the window's end: those states are discarded, and until the next
+    refill the lane is held at its state at the window's start, by
+    resetting the first row of the next window.  Floating-point warnings
+    are off for the whole block, not per step: a step that overflows is
+    a non-finite step.  Adds the block's step events to the events counts.
     buf holds what the block is marched in (_Buffers).
     """
     mdt = -cfg.dt
@@ -268,18 +274,20 @@ def _march_block(q, x0, first, cfg, edges, rec_steps, states, T0, events,
             lanes = ids[g0:g0 + G].tolist()
             for r, i in enumerate(lanes):
                 normals[i](out=raw[r, :m])
-            group = raw[:len(lanes), :m]
-            group *= sqdt
-            slab[1:m + 1, g0:g0 + len(lanes)] = group.T
+            g = len(lanes)
+            np.multiply(raw[:g, :m].T, sqdt, out=slab[1:m + 1, g0:g0 + g])
         unif.refill(start // _CHUNK, m, n)
+        step, *work = buf.rows[:, :n]
         for j0 in range(0, m, _WIN):
             W = min(_WIN, m - j0)
             X = slab[j0:j0 + W + 1, :n]
             # (x + q(x) (-dt)) + noise, the per-step sum: IEEE addition
             # commutes, and q(x) (-dt) is (-q(x)) dt bit for bit
             for w in range(W):
-                step = q(X[w]) * mdt
-                step += X[w]
+                xw = X[w]
+                into(xw, step, work)
+                step *= mdt
+                step += xw
                 X[w + 1] += step
                 if edges is not None:
                     _reflect(X[w + 1], edges, events)
@@ -582,19 +590,27 @@ def simulate_qprocess(d: DriftField, s: SpectralDecomposition, x0,
     smooth and the profile's positivity is never violated.  Paths are
     never absorbed; excursions past the spectral grid are reflected.
     """
-    from scipy.interpolate import PchipInterpolator   # loaded at first use
-    logeta = 0.5 * s.Qgrid + np.log(np.maximum(np.abs(s.psis[:, 0]), 1e-280))
-    dlog = _located(PchipInterpolator(s.grid, logeta).derivative(), s.domain)
-
-    def q(x):
-        return d.q(x) - dlog(x)
-
     times, states, T0, events = _euler_paths(
-        q, x0, cfg, edges=(float(s.grid[0]), float(s.grid[-1])))
+        _conditioned_drift(d, s), x0, cfg,
+        edges=(float(s.grid[0]), float(s.grid[-1])))
     if events["reflections"]:
         warnings.warn(f"{events['reflections']} excursions were reflected "
                       "at the spectral-grid edges", stacklevel=2)
     return PathBatch(times=times, states=states, T0=T0, events=events)
+
+
+def _conditioned_drift(d: DriftField, s: SpectralDecomposition):
+    """The Q-process drift d.q(x) - dlog(x) as an InPlace, with dlog the
+    PCHIP derivative of log eta_1 on s's grid (_located)."""
+    from scipy.interpolate import PchipInterpolator   # loaded at first use
+    logeta = 0.5 * s.Qgrid + np.log(np.maximum(np.abs(s.psis[:, 0]), 1e-280))
+    dlog = _located(PchipInterpolator(s.grid, logeta).derivative(), s.domain)
+    d_into = in_place(d.q)
+
+    def q_into(x, out, work):
+        d_into(x, out, work)
+        return np.subtract(out, dlog(x), out=out)
+    return InPlace(q_into, quiet=True)
 
 
 def _located(pp, domain):

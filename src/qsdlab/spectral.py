@@ -516,8 +516,11 @@ def kernel_r(sd: SpectralDecomposition, t: float, xs, ys,
     refused below t_min(K), where the dropped modes may still matter."""
     ix = sd.node_index(np.atleast_1d(xs))
     iy = sd.node_index(np.atleast_1d(ys))
-    out = _spectral_sum(sd, t, _eta_rows(sd, ix), _eta_rows(sd, iy).T, K)
-    if ix.shape == iy.shape and np.array_equal(ix, iy):
+    diagonal = ix.shape == iy.shape and np.array_equal(ix, iy)
+    left = _eta_rows(sd, ix)
+    right = left if diagonal else _eta_rows(sd, iy)
+    out = _spectral_sum(sd, t, left, right.T, K)
+    if diagonal:
         # a diagonal query is symmetric by construction; the matrix
         # product rounds the two triangles independently, so enforce it
         out = 0.5 * (out + out.T)

@@ -351,6 +351,9 @@ def test_a_box_too_long_for_eta_is_refused_only_where_eta_is_read(tmp_path):
             failure = _report(out)["failure"]
             assert failure["type"] == "TruncationError"
             assert "overflowed while unweighting" in failure["message"]
+            # the stage that formed eta, not the command or the solve
+            assert failure["stage"] == {"spectrum": "eigenfunction table",
+                                        "kernel": "kernel slice"}[command]
 
 
 def test_path_event_scalars(tmp_path):

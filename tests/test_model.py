@@ -6,6 +6,9 @@ import pytest
 from qsdlab import (ConfigError, DomainError, ModelError, allee_growth, drift_from_growth,
                     linear_growth, logistic_growth, ou_drift, potential,
                     preset_model, x_from_z, z_from_x)
+from qsdlab.expr import compile_expression
+from qsdlab.model import in_place
+from qsdlab.montecarlo import _conditioned_drift, _located
 
 
 def test_coordinate_round_trip():
@@ -116,6 +119,134 @@ def test_growth_drift_is_the_unfactored_formula_bit_for_bit(growth, gamma):
     assert np.array_equal(q(x).view(np.uint64), ref.view(np.uint64))
     for xi, ri in zip(x[:4], ref[:4]):
         assert np.array(q(xi)).view(np.uint64) == ri.view(np.uint64), xi
+
+
+# the allocating drift closures the package had before each drift got one
+# in-place evaluator, kept verbatim: every package drift must still be
+# them, bit for bit, called as q(x) and stepped in place alike
+def _frozen_ou(theta):
+    def q(x):
+        return theta * np.asarray(x, dtype=float)
+    return q
+
+
+def _frozen_logistic_h(r, c):
+    def h(z):
+        z = np.asarray(z, dtype=float)
+        out = r * z - c * z * z
+        return float(out) if out.ndim == 0 else out
+    return h
+
+
+def _frozen_allee_h(r, K0, K):
+    def h(z):
+        z = np.asarray(z, dtype=float)
+        out = r * z * (z / K0 - 1.0) * (1.0 - z / K)
+        return float(out) if out.ndim == 0 else out
+    return h
+
+
+def _frozen_growth_drift(h, gamma):
+    def q(x):
+        # 0.5/x - (2/(gamma x)) h(gamma x^2/4), with gamma x formed once
+        x = np.asarray(x, dtype=float)
+        gx = gamma * x
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            out = 0.5 / x - (2.0 / gx) * np.asarray(h(gx * x / 4.0),
+                                                    dtype=float)
+        return float(out) if out.ndim == 0 else out
+    return q
+
+
+def _frozen_drifts():
+    """(name, package drift q, frozen q) for every drift kind."""
+    custom_h = "z + 0.1*z^1.5 - 0.3*z^2"
+    custom_q = "x + 1/(2*x) - 0.2*x^2"
+    return [
+        ("ou", preset_model("ou", "drift", {"theta": 1.5}).drift.q,
+         _frozen_ou(1.5)),
+        ("logistic", preset_model("logistic", "growth",
+                                  {"r": 1.3, "c": 0.7, "gamma": 0.9}).drift.q,
+         _frozen_growth_drift(_frozen_logistic_h(1.3, 0.7), 0.9)),
+        ("linear", preset_model("linear", "growth",
+                                {"r": -1.0, "gamma": 1.2}).drift.q,
+         _frozen_growth_drift(lambda z: -1.0 * np.asarray(z, dtype=float),
+                              1.2)),
+        ("allee", preset_model("allee", "growth",
+                               {"r": 1.0, "K0": 1.0, "K": 4.0,
+                                "gamma": 0.37}).drift.q,
+         _frozen_growth_drift(_frozen_allee_h(1.0, 1.0, 4.0), 0.37)),
+        ("custom-growth", preset_model("custom", "growth",
+                                       {"expression": custom_h,
+                                        "gamma": 0.8}).drift.q,
+         _frozen_growth_drift(compile_expression(custom_h, "z", {}), 0.8)),
+        ("custom-drift", preset_model("custom", "drift",
+                                      {"expression": custom_q}).drift.q,
+         compile_expression(custom_q, "x", {})),
+    ]
+
+
+# near the default absorption threshold 1e-4, zero and the subnormals,
+# a log sweep, large x up to overflow, the infinities, NaN and x < 0
+_DRIFT_XS = np.concatenate([
+    1e-4 * (1.0 + np.array([-1e-3, -1e-12, -2.2e-16, 0.0, 2.2e-16, 1e-12,
+                            1e-3])),
+    [0.0, -0.0, 5e-324, 1e-310, 1e-300, 1e-8],
+    np.geomspace(1e-6, 1e6, 97),
+    [3.7, 1e77, 1e103, 1e154, 1e200, 1e300, 1.7e308],
+    [np.inf, -np.inf, np.nan, -1.0]])
+
+
+def _assert_bits(got, ref, what):
+    got = np.asarray(got, dtype=float)
+    ref = np.asarray(ref, dtype=float)
+    assert got.shape == ref.shape, what
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64)), what
+
+
+def _assert_in_place_is_frozen(q, frozen, xs, scalars=True):
+    """q(x), on the array and (when scalars) on each scalar, and q's
+    in-place evaluator into a row it is given, are frozen(x) bit for bit."""
+    with np.errstate(all="ignore"):
+        ref = np.asarray(frozen(xs), dtype=float)
+        _assert_bits(q(xs), ref, "array")
+        for xi, ri in zip(xs if scalars else (), ref):
+            _assert_bits(q(xi), ri, xi)
+        # the path engine's call: a row and scratch rows already holding
+        # other values, under the march's errstate
+        row = np.full_like(xs, 7.0)
+        work = tuple(np.full_like(xs, -3.0) for _ in range(3))
+        assert in_place(q)(xs, row, work) is row
+    _assert_bits(row, ref, "in place")
+
+
+@pytest.mark.parametrize("name", [d[0] for d in _frozen_drifts()])
+def test_every_drift_is_its_frozen_closure_bit_for_bit(name):
+    _, q, frozen = next(d for d in _frozen_drifts() if d[0] == name)
+    _assert_in_place_is_frozen(q, frozen, _DRIFT_XS)
+
+
+@pytest.mark.parametrize("sd_name", ["logistic_sd", "ou_sd"])
+def test_conditioned_drift_is_its_frozen_closure_bit_for_bit(sd_name,
+                                                              request):
+    # the Q-process drift d.q - dlog, on the grid, between its nodes, past
+    # its edges and at the points above; the path engine only steps it on
+    # arrays, so it is not called on scalars
+    from scipy.interpolate import PchipInterpolator
+    s = request.getfixturevalue(sd_name)
+    dq = {"logistic_sd": _frozen_growth_drift(_frozen_logistic_h(1.0, 1.0),
+                                              1.0),
+          "ou_sd": _frozen_ou(1.0)}[sd_name]
+    logeta = 0.5 * s.Qgrid + np.log(np.maximum(np.abs(s.psis[:, 0]), 1e-280))
+    dlog = _located(PchipInterpolator(s.grid, logeta).derivative(), s.domain)
+
+    def frozen(x):
+        return dq(x) - dlog(x)
+    g = s.grid
+    xs = np.concatenate([g, 0.5 * (g[:-1] + g[1:]), [0.5 * g[0], 2 * g[-1]],
+                         _DRIFT_XS])
+    _assert_in_place_is_frozen(_conditioned_drift(s.drift, s), frozen, xs,
+                               scalars=False)
 
 
 def test_allee_growth_shape():

@@ -124,6 +124,31 @@ def test_kernel_guard_and_symmetry(logistic_sd):
     assert np.all(np.isfinite(M))
 
 
+@pytest.mark.parametrize("sd_name", ["logistic_sd", "ou_sd"])
+def test_diagonal_kernel_forms_eta_once_and_is_unchanged(sd_name, request,
+                                                         monkeypatch):
+    # a diagonal query reads one set of eta rows for both sides; the result
+    # is bitwise the sum over rows formed separately for x and y
+    sd = request.getfixturevalue(sd_name)
+    calls = []
+    real = spectral._eta_rows
+
+    def counted(sd, rows):
+        calls.append(rows)
+        return real(sd, rows)
+    for xs, t, K in ((sd.grid, 1.0, None),
+                     (np.array([0.5, 1.0, 2.0, 3.0]), 4.0, 4)):
+        ix = sd.node_index(xs)
+        out = spectral._spectral_sum(sd, t, real(sd, ix), real(sd, ix).T, K)
+        was = 0.5 * (out + out.T)
+        monkeypatch.setattr(spectral, "_eta_rows", counted)
+        calls.clear()
+        got = kernel_r(sd, t, xs, xs, K=K)
+        monkeypatch.setattr(spectral, "_eta_rows", real)
+        assert len(calls) == 1
+        assert np.array_equal(got.view(np.uint64), was.view(np.uint64))
+
+
 def test_two_step_composition(logistic_sd):
     sd = logistic_sd
     pts = np.array([0.5, 1.0, 2.0])
