@@ -42,31 +42,33 @@ class InPlace:
     """A function of one array that is evaluated into rows it is given.
 
     into(x, out, work) writes f(x) into out, an array of x's shape, and
-    returns it, allocating nothing; work holds scratch rows of that shape,
-    as many as the function uses (a drift at most three, a growth
-    function one).  Called as f(x), on a scalar or an array, it is the
-    allocating form: it makes out and work, runs into (under an errstate
-    that ignores floating-point warnings when quiet) and returns a float
-    or an array.
+    returns it, allocating nothing; work is an array of scratch rows of
+    that shape, at least scratch of them.  Called as f(x), on a scalar or
+    an array, it is the allocating form: it makes out and work, runs into
+    (under an errstate that ignores floating-point warnings when quiet)
+    and returns a float or an array.
     """
 
-    __slots__ = ("into", "quiet")
+    __slots__ = ("into", "scratch", "quiet")
 
-    def __init__(self, into, quiet=False):
+    def __init__(self, into, scratch, quiet=False):
         self.into = into
+        self.scratch = scratch
         self.quiet = quiet
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
+        if x.ndim == 0:
+            return float(self(x.reshape(1))[0])
         out = np.empty_like(x)
-        work = (np.empty_like(x), np.empty_like(x), np.empty_like(x))
+        work = np.empty((self.scratch,) + x.shape)
         if self.quiet:
             with np.errstate(divide="ignore", over="ignore",
                              invalid="ignore"):
                 self.into(x, out, work)
         else:
             self.into(x, out, work)
-        return float(out) if out.ndim == 0 else out
+        return out
 
 
 def in_place(f):
@@ -79,6 +81,12 @@ def in_place(f):
         np.copyto(out, f(x))
         return out
     return into
+
+
+def scratch_rows(f):
+    """The scratch rows in_place(f) uses: an InPlace's own count, none
+    for the adapter."""
+    return f.scratch if isinstance(f, InPlace) else 0
 
 
 @dataclass(frozen=True)
@@ -269,11 +277,11 @@ def drift_from_growth(g: GrowthModel) -> DriftField:
         # 0.5/x - (2/(gamma x)) h(gamma x^2/4), with gamma x formed once
         # in gx, then 2/(gamma x) and 0.5/x; a product by 0.25 is the
         # quotient by 4.0 bit for bit, the exact value being the same
-        gx, z, tmp = work
+        gx, z = work[0], work[1]
         np.multiply(x, gamma, out=gx)
         np.multiply(gx, x, out=z)
         z *= 0.25
-        h_into(z, out, (tmp,))
+        h_into(z, out, work[2:])
         np.divide(2.0, gx, out=gx)
         out *= gx
         np.divide(0.5, x, out=gx)
@@ -304,7 +312,8 @@ def drift_from_growth(g: GrowthModel) -> DriftField:
         out = np.log(x) - G(x)
         return float(out) if out.ndim == 0 else out
 
-    return drift_field(InPlace(q_into, quiet=True), q_prime, Q=Q,
+    return drift_field(InPlace(q_into, 2 + scratch_rows(g.h), quiet=True),
+                       q_prime, Q=Q,
                        origin_exponent=0.5, name=f"{g.name}-drift",
                        singular_origin=True)
 
@@ -329,7 +338,7 @@ def ou_drift(theta=1.0):
         out = theta * (x * x - 1.0)
         return float(out) if out.ndim == 0 else out
 
-    return DriftField(q=InPlace(q_into), q_prime=q_prime, Q=Q,
+    return DriftField(q=InPlace(q_into, 0), q_prime=q_prime, Q=Q,
                       origin_exponent=0.0, name=f"ou(theta={theta:g})",
                       C_closed=float(theta))
 
@@ -354,7 +363,7 @@ def logistic_growth(r, c, gamma):
         out = r - 2.0 * c * z
         return float(out) if out.ndim == 0 else out
 
-    return GrowthModel(h=InPlace(h_into), h_prime=h_prime, gamma=gamma,
+    return GrowthModel(h=InPlace(h_into, 1), h_prime=h_prime, gamma=gamma,
                        name=f"logistic(r={r:g},c={c:g},gamma={gamma:g})")
 
 
@@ -364,7 +373,7 @@ def linear_growth(r, gamma):
         return np.multiply(z, r, out=out)
 
     return GrowthModel(
-        h=InPlace(h_into),
+        h=InPlace(h_into, 0),
         h_prime=lambda z: np.full_like(np.asarray(z, dtype=float), r)
         if np.ndim(z) else float(r),
         gamma=gamma,
@@ -395,7 +404,7 @@ def allee_growth(r, K0, K, gamma):
         out = r * (A * B + z * (B / K0 - A / K))
         return float(out) if out.ndim == 0 else out
 
-    return GrowthModel(h=InPlace(h_into), h_prime=h_prime, gamma=gamma,
+    return GrowthModel(h=InPlace(h_into, 1), h_prime=h_prime, gamma=gamma,
                        name=f"allee(r={r:g},K0={K0:g},K={K:g},gamma={gamma:g})")
 
 

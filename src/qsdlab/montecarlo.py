@@ -20,7 +20,8 @@ import numpy as np
 from . import rng
 from .errors import DomainError, PreconditionError
 from .model import (DriftField, GrowthModel, InPlace, drift_from_growth,
-                    in_place, make_potential_integral, x_from_z, z_from_x)
+                    in_place, make_potential_integral, scratch_rows, x_from_z,
+                    z_from_x)
 from .quadrature import sweep
 from .spectral import SpectralDecomposition, YaglomMeasure
 
@@ -82,13 +83,18 @@ class PathBatch:
     from absorption onward.  T0 is the per-path absorption time with an
     infinity sentinel for paths still alive at t_max.  events counts the
     steps that ended a path (landings, non-finite steps, crossing-test
-    kills) and the reflections, by the names in PATH_EVENTS.
+    kills) and the reflections, by the names in PATH_EVENTS.  The batch
+    makes times, states and T0 read-only.
     """
 
     times: np.ndarray
     states: np.ndarray
     T0: np.ndarray
     events: dict
+
+    def __post_init__(self):
+        for arr in (self.times, self.states, self.T0):
+            arr.setflags(write=False)
 
     @property
     def n_paths(self):
@@ -154,8 +160,8 @@ def _euler_paths(q, x0, cfg, edges=None):
     edge are mirrored back inside.  q is stepped through its in-place
     evaluator (model.in_place): an InPlace's own, or the adapter that
     copies q(x).  Paths are marched _BLOCK at a time.
-    Returns the read-only (times, states, T0) and the step events counted
-    by name (PATH_EVENTS).
+    Returns (times, states, T0) and the step events counted by name
+    (PATH_EVENTS).
     """
     cfg.validate()
     try:
@@ -174,17 +180,18 @@ def _euler_paths(q, x0, cfg, edges=None):
 
     rec_steps = _record_steps(cfg)
     times = rec_steps * cfg.dt
-    states = np.zeros((cfg.n_paths, len(rec_steps)))
+    # a mapping of its own: freed, it goes back to the system whole and
+    # leaves the heap (and malloc's mmap threshold) as it found them
+    states, = _mapped([(cfg.n_paths, len(rec_steps))])
     T0 = np.full(cfg.n_paths, np.inf)
     events = dict.fromkeys(PATH_EVENTS, 0)
-    buf = _Buffers(min(_BLOCK, cfg.n_paths), edges is None, cfg.seed)
+    buf = _Buffers(min(_BLOCK, cfg.n_paths), edges is None, cfg.seed,
+                   1 + scratch_rows(q))
     into = in_place(q)
     for lo in range(0, cfg.n_paths, _BLOCK):
         hi = min(lo + _BLOCK, cfg.n_paths)
         _march_block(into, x0[lo:hi], lo, cfg, edges, rec_steps,
                      states[lo:hi], T0[lo:hi], events, buf)
-    for arr in (times, states, T0):
-        arr.setflags(write=False)
     return times, states, T0, events
 
 
@@ -196,17 +203,17 @@ class _Buffers:
     re-keying costs a fifth of building a stream.  The arrays are the
     zeroed pages of one anonymous mapping: slab, the time-major chunk,
     one row per step; raw, a group of lanes' normals; rows, the row each
-    step's drift is written into and the drift's three scratch rows; and
+    step's drift is written into and the drift's R - 1 scratch rows; and
     for absorbed paths u, the crossing-test uniforms, and _settle's rows.
     The mapping goes back to the system whole when the ensemble is done,
     so its rows never stay resident in the heap, and what is resident
     while it lives is what this ensemble touched.
     """
 
-    def __init__(self, B, absorbed, seed):
+    def __init__(self, B, absorbed, seed, R):
         self.seek = rng.Seek(seed)
         self.gens = [rng.stream(seed, i) for i in range(B)]
-        shapes = [(_CHUNK + 1, B), (min(_GROUP, B), _CHUNK), (4, B)]
+        shapes = [(_CHUNK + 1, B), (min(_GROUP, B), _CHUNK), (R, B)]
         if absorbed:
             shapes += [(B, _CHUNK), ((_WIN + 1) * B,), (_WIN * B,)]
         self.slab, self.raw, self.rows, *settle = _mapped(shapes)
@@ -232,21 +239,22 @@ def _march_block(into, x0, first, cfg, edges, rec_steps, states, T0, events,
     only: ids lists them (row in the block), one lane each.  A dead path's
     stream is never read again, so dropping it at the refill leaves every
     other path's draws unchanged.  The normals are drawn a group of
-    _GROUP lanes at a time and scaled by sqrt(dt) into the time-major
-    slab, transposed: row 0 holds the lanes' states, row j the noise of
-    the chunk's step j.  The chunk is marched in windows of _WIN steps,
-    each a range of the slab's rows; a step writes q(x) into buf's drift
-    row (into, the drift's in-place evaluator, with buf's scratch rows),
-    scales it by -dt, adds x and adds the sum to its row, allocating
-    nothing.  With edges each row is reflected (_reflect) right after
-    its step.  Without, after each window _settle dates every lane's
-    first event in it; a lane that died inside a window was stepped on
-    to the window's end: those states are discarded, and until the next
-    refill the lane is held at its state at the window's start, by
-    resetting the first row of the next window.  Floating-point warnings
-    are off for the whole block, not per step: a step that overflows is
-    a non-finite step.  Adds the block's step events to the events counts.
-    buf holds what the block is marched in (_Buffers).
+    _GROUP lanes at a time, scaled by sqrt(dt) in place while the group
+    is lane-major, and copied into the time-major slab, transposed: row 0
+    holds the lanes' states, row j the noise of the chunk's step j.  The
+    chunk is marched in windows of _WIN steps, each a range of the slab's
+    rows; a step writes q(x) into buf's drift row (into, the drift's
+    in-place evaluator, with buf's scratch rows), scales it by -dt, adds
+    x and adds the sum to its row, allocating nothing.  With edges each
+    row is reflected (_reflect) right after its step.  Without, after
+    each window _settle dates every lane's first event in it; a lane that
+    died inside a window was stepped on to the window's end: those states
+    are discarded, and until the next refill the lane is held at its
+    state at the window's start, by resetting the first row of the next
+    window.  Floating-point warnings are off for the whole block, not per
+    step: a step that overflows is a non-finite step.  Adds the block's
+    step events to the events counts.  buf holds what the block is
+    marched in (_Buffers).
     """
     mdt = -cfg.dt
     sqdt = np.sqrt(cfg.dt)
@@ -270,14 +278,16 @@ def _march_block(into, x0, first, cfg, edges, rec_steps, states, T0, events,
         m = min(_CHUNK, n_steps - start)
         n = len(ids)
         slab[0, :n] = x
+        rows = list(raw[:, :m])        # a lane's row of raw, cut once a chunk
         for g0 in range(0, n, G):
             lanes = ids[g0:g0 + G].tolist()
-            for r, i in enumerate(lanes):
-                normals[i](out=raw[r, :m])
-            g = len(lanes)
-            np.multiply(raw[:g, :m].T, sqdt, out=slab[1:m + 1, g0:g0 + g])
+            for row, i in zip(rows, lanes):
+                normals[i](out=row)
+            group = raw[:len(lanes), :m]
+            group *= sqdt
+            slab[1:m + 1, g0:g0 + len(lanes)] = group.T
         unif.refill(start // _CHUNK, m, n)
-        step, *work = buf.rows[:, :n]
+        step, work = buf.rows[0, :n], buf.rows[1:, :n]
         for j0 in range(0, m, _WIN):
             W = min(_WIN, m - j0)
             X = slab[j0:j0 + W + 1, :n]
@@ -308,15 +318,18 @@ def _march_block(into, x0, first, cfg, edges, rec_steps, states, T0, events,
 
 def _reflect(x, edges, events):
     """Mirror the states in x that left [lo, hi] = edges back inside, in
-    place, and count them as reflections."""
+    place, and count them as reflections.  A row with no excursion is
+    told by its least and greatest state alone (fmin and fmax skip NaN,
+    which no edge test counts), and builds no masks."""
+    if not (np.fmin.reduce(x) < edges[0] or np.fmax.reduce(x) > edges[1]):
+        return
     out_lo = x < edges[0]
     out_hi = x > edges[1]
-    if np.any(out_lo) or np.any(out_hi):
-        events["reflections"] += int(np.count_nonzero(out_lo)
-                                     + np.count_nonzero(out_hi))
-        x[out_lo] = 2.0 * edges[0] - x[out_lo]
-        x[out_hi] = 2.0 * edges[1] - x[out_hi]
-        np.clip(x, edges[0], edges[1], out=x)
+    events["reflections"] += int(np.count_nonzero(out_lo)
+                                 + np.count_nonzero(out_hi))
+    x[out_lo] = 2.0 * edges[0] - x[out_lo]
+    x[out_hi] = 2.0 * edges[1] - x[out_hi]
+    np.clip(x, edges[0], edges[1], out=x)
 
 
 def _settle(X, dead, ids, s0, cfg, unif, T0, events, buf):
@@ -464,7 +477,8 @@ def simulate_z(g: GrowthModel, z0, cfg: SimConfig) -> PathBatch:
 
     The square-root state map removes the degenerate diffusion
     coefficient at 0, so the stepping error near extinction is governed
-    by the drift alone; states are mapped back to the population scale.
+    by the drift alone; states are mapped back to the population scale
+    in place, a block of rows at a time (z_from_x, which refuses x < 0).
     """
     cfg.validate()
     try:
@@ -476,18 +490,19 @@ def simulate_z(g: GrowthModel, z0, cfg: SimConfig) -> PathBatch:
     if np.all(z0 == 0.0):
         # already extinct: every path sits at the absorbing state
         times = _record_steps(cfg) * cfg.dt
-        states = np.zeros((cfg.n_paths, len(times)))
-        T0 = np.zeros(cfg.n_paths)
-        for arr in (states, T0, times):
-            arr.setflags(write=False)
-        return PathBatch(times=times, states=states, T0=T0,
+        return PathBatch(times=times,
+                         states=np.zeros((cfg.n_paths, len(times))),
+                         T0=np.zeros(cfg.n_paths),
                          events=dict.fromkeys(PATH_EVENTS, 0))
 
-    d = drift_from_growth(g)
-    batch = simulate_x(d, x_from_z(z0, g.gamma), cfg)
-    zstates = z_from_x(batch.states, g.gamma)
-    zstates.setflags(write=False)
-    return PathBatch(times=batch.times, states=zstates, T0=batch.T0,
+    batch = simulate_x(drift_from_growth(g), x_from_z(z0, g.gamma), cfg)
+    # the x-states are this call's own: they become the z-states in place,
+    # a group's rows at a time, so z_from_x's temporaries stay small
+    states = batch.states
+    states.setflags(write=True)
+    for lo in range(0, len(states), _GROUP):
+        states[lo:lo + _GROUP] = z_from_x(states[lo:lo + _GROUP], g.gamma)
+    return PathBatch(times=batch.times, states=states, T0=batch.T0,
                      events=batch.events)
 
 
@@ -600,49 +615,92 @@ def simulate_qprocess(d: DriftField, s: SpectralDecomposition, x0,
 
 
 def _conditioned_drift(d: DriftField, s: SpectralDecomposition):
-    """The Q-process drift d.q(x) - dlog(x) as an InPlace, with dlog the
-    PCHIP derivative of log eta_1 on s's grid (_located)."""
+    """The Q-process drift d.q(x) - dlog(x) as an InPlace on 1-D rows, with
+    dlog the PCHIP derivative of log eta_1 on s's grid (_located)."""
     from scipy.interpolate import PchipInterpolator   # loaded at first use
     logeta = 0.5 * s.Qgrid + np.log(np.maximum(np.abs(s.psis[:, 0]), 1e-280))
     dlog = _located(PchipInterpolator(s.grid, logeta).derivative(), s.domain)
-    d_into = in_place(d.q)
+    d_into, dlog_into = in_place(d.q), dlog.into
 
     def q_into(x, out, work):
         d_into(x, out, work)
-        return np.subtract(out, dlog(x), out=out)
-    return InPlace(q_into, quiet=True)
+        # dlog goes to the first scratch row, on the rows after it
+        return np.subtract(out, dlog_into(x, work[0], work[1:]), out=out)
+    return InPlace(q_into, max(scratch_rows(d.q), 1 + dlog.scratch),
+                   quiet=True)
 
 
 def _located(pp, domain):
-    """The piecewise quadratic pp on domain's interior nodes as a callable
-    that returns exactly what pp(x) does.
+    """The piecewise quadratic pp on domain's interior nodes as an InPlace
+    on 1-D rows whose values are exactly pp(x)'s.
 
-    The piece comes from inverting the grid map plus one step against the
-    breakpoints, not from a binary search; outside the nodes the end
-    pieces extrapolate, and the value is summed in PPoly's order.
+    The piece comes from inverting the grid map, not from a binary
+    search: p, x's node position less one, is nondecreasing in x, and
+    each breakpoint's p is within guard of its index, so a lane whose p
+    is farther than guard from an integer lies in piece floor(p).  Only
+    when some lane is that near is every lane checked one step against
+    the breakpoints.  Outside the nodes the end pieces extrapolate.  Each
+    lane's (breakpoint, coefficients) row is gathered at once, and the
+    value is summed in PPoly's order.  Scratch: six rows, the last four
+    the gathered rows, read as one (n, 4) block: whole rows of a
+    C-contiguous array, as the reflecting march's are (its lanes never
+    die), or reshape copies them.
     """
+    guard = 1e-6
     bp = pp.x
     c0, c1, c2 = pp.c
     last = len(bp) - 2
-    # each piece's left breakpoint and coefficients, taken together;
+    # each piece's left breakpoint and coefficients, one row per piece;
     # PPoly's sum starts at 0.0 (-0.0 -> 0.0)
-    table = np.stack([bp[:-1], 0.0 + c2, c1, c0])
+    table = np.stack([bp[:-1], 0.0 + c2, c1, c0], axis=1)
+    right = bp[1:]
+    p = domain.node_position(bp) - 1.0
+    if not np.all(np.abs(p - np.arange(len(bp))) < guard):
+        raise PreconditionError("the breakpoints are not the domain's "
+                                "interior nodes")
 
-    def f(x):
-        p = domain.node_position(x)
+    def into(x, out, work):
+        p, f = work[0], work[1]
+        rows = work[2:6].reshape(-1, 4)
+        domain.node_position(x, out=p)
         p -= 1.0
         np.fmax(p, 0.0, out=p)
         np.fmin(p, last, out=p)
-        i = p.astype(np.intp)
-        # one step to the piece holding x; take's "clip" keeps a step
-        # past either end on the end piece
-        up = (x >= bp.take(i + 1)).view(np.int8)
-        up -= (x < bp.take(i)).view(np.int8)
-        i += up
-        b, k2, k1, k0 = table.take(i, axis=1, mode="clip")
-        s = x - b
-        return (k2 + k1 * s) + k0 * (s * s)
-    return f
+        # p's whole part goes to f, its fraction stays in p
+        np.floor(p, out=f)
+        p -= f
+        near = (np.minimum.reduce(p) < guard
+                or np.maximum.reduce(p) > 1.0 - guard)
+        i = p.view(np.intp)
+        np.copyto(i, f, casting="unsafe")
+        if near:
+            # -1 where x < bp[i], +1 where x >= bp[i + 1] (exact signs of
+            # the differences); a NaN lane's piece is immaterial, and take's
+            # "clip" keeps a step past either end on the end piece
+            lo, hi = work[2], work[3]
+            bp.take(i, out=lo, mode="clip")
+            np.subtract(x, lo, out=lo)
+            np.sign(lo, out=lo)
+            np.fmin(lo, 0.0, out=lo)
+            right.take(i, out=hi, mode="clip")
+            np.subtract(x, hi, out=hi)
+            np.sign(hi, out=hi)
+            hi += 1.0
+            np.fmin(hi, 1.0, out=hi)
+            f += lo
+            f += hi
+            np.copyto(i, f, casting="unsafe")
+        table.take(i, axis=0, out=rows, mode="clip")
+        b, k2, k1, k0 = rows.T
+        s = np.subtract(x, b, out=f)
+        # (k2 + k1 s) + k0 (s s), each sum and product in either order
+        np.multiply(k1, s, out=out)
+        out += k2
+        s *= s
+        s *= k0
+        out += s
+        return out
+    return InPlace(into, 6, quiet=True)
 
 
 # ---------------------------------------------------------------------------

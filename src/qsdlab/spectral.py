@@ -98,14 +98,20 @@ class TruncationDomain:
             return self.x_min + (v * v - s)
         return self.x_min + (self.x_max - self.x_min) * u
 
-    def node_position(self, x):
+    def node_position(self, x, out=None):
         """Fractional index of x among full_grid's n+2 nodes: the grid map
-        inverted, up to rounding."""
+        inverted, up to rounding, and nondecreasing in x (each of its
+        operations rounds monotonically).  Written into out when given."""
         scale = self.n + 1
         if self.grid_kind == "sqrt":
             lo, hi = np.sqrt(self.x_min), np.sqrt(self.x_max)
-            return (np.sqrt(x) - lo) * (scale / (hi - lo))
-        return (x - self.x_min) * (scale / (self.x_max - self.x_min))
+            out = np.sqrt(x, out=out)
+            out -= lo
+            out *= scale / (hi - lo)
+            return out
+        out = np.subtract(x, self.x_min, out=out)
+        out *= scale / (self.x_max - self.x_min)
+        return out
 
 
 def default_domain(d: DriftField, n: int = 2048, x_min: float = 1e-3) -> TruncationDomain:

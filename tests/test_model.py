@@ -7,7 +7,7 @@ from qsdlab import (ConfigError, DomainError, ModelError, allee_growth, drift_fr
                     linear_growth, logistic_growth, ou_drift, potential,
                     preset_model, x_from_z, z_from_x)
 from qsdlab.expr import compile_expression
-from qsdlab.model import in_place
+from qsdlab.model import in_place, scratch_rows
 from qsdlab.montecarlo import _conditioned_drift, _located
 
 
@@ -212,10 +212,10 @@ def _assert_in_place_is_frozen(q, frozen, xs, scalars=True):
         _assert_bits(q(xs), ref, "array")
         for xi, ri in zip(xs if scalars else (), ref):
             _assert_bits(q(xi), ri, xi)
-        # the path engine's call: a row and scratch rows already holding
-        # other values, under the march's errstate
+        # the path engine's call: a row and the scratch rows q declares,
+        # already holding other values, under the march's errstate
         row = np.full_like(xs, 7.0)
-        work = tuple(np.full_like(xs, -3.0) for _ in range(3))
+        work = np.full((scratch_rows(q),) + xs.shape, -3.0)
         assert in_place(q)(xs, row, work) is row
     _assert_bits(row, ref, "in place")
 

@@ -1,5 +1,7 @@
 """Path ensembles: exact laws, determinism, honest error bars."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -353,16 +355,107 @@ def test_reflections_at_window_and_chunk_edges(monkeypatch):
             assert events["reflections"] == reflections
 
 
+def _assert_same_bits(got, ref):
+    """got is ref bit for bit, a NaN matching any NaN."""
+    nan = np.isnan(ref)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), ref[~nan].view(np.uint64))
+
+
 @pytest.mark.parametrize("sd_name", ["logistic_sd", "ou_sd"])
 def test_located_drift_equals_pchip_derivative(sd_name, request):
     sd = request.getfixturevalue(sd_name)
     pp = _pchip_drift(sd)
     g = sd.grid
+    lo, hi = sd.domain.x_min, sd.domain.x_max
+    # every breakpoint and its neighbours up to three ulps either side
+    ulps = np.concatenate([(g.view(np.int64) + k).view(float)
+                           for k in range(-3, 4)])
     xs = np.concatenate([
-        g, np.nextafter(g, -np.inf), np.nextafter(g, np.inf),
-        np.random.default_rng(7).uniform(g[0], g[-1], 100000),
-        [sd.domain.x_min, sd.domain.x_max]])
-    assert np.array_equal(_located(pp, sd.domain)(xs), pp(xs))
+        ulps, np.random.default_rng(7).uniform(g[0], g[-1], 100000),
+        [lo, hi], 0.5 * (g[:-1] + g[1:]),
+        # past both walls, and the non-finite
+        [0.5 * lo, 1e-300, 5e-324, 0.0, -0.0, -lo, -1.0, -1e300,
+         np.nextafter(hi, np.inf), 1.5 * hi, 1e300, 1.7e308],
+        [np.nan, np.inf, -np.inf]])
+    dlog = _located(pp, sd.domain)
+    ref = pp(xs)
+    _assert_same_bits(dlog(xs), ref)
+    # in place, into rows that hold other values, a row at a time: each
+    # row with one non-finite lane, one on a breakpoint or none
+    out = np.full(4096, 7.0)
+    work = np.full((dlog.scratch, 4096), -3.0)
+    with np.errstate(all="ignore"):
+        for a in range(0, len(xs) - 4096, 4096):
+            assert dlog.into(xs[a:a + 4096], out, work) is out
+            _assert_same_bits(out, ref[a:a + 4096])
+
+
+def test_located_refuses_breakpoints_off_the_nodes(ou_sd):
+    sd = ou_sd
+    pp = PchipInterpolator(sd.grid * (1.0 + 1e-6), sd.grid).derivative()
+    with pytest.raises(PreconditionError, match="interior nodes"):
+        _located(pp, sd.domain)
+
+
+@pytest.mark.parametrize("sd_name", ["logistic_sd", "ou_sd"])
+def test_conditioned_drift_allocates_no_array(sd_name, request):
+    # a step of 4096 lanes, on interior points and on rows that send
+    # every lane through the one-step breakpoint check
+    sd = request.getfixturevalue(sd_name)
+    q = montecarlo._conditioned_drift(sd.drift, sd)
+    g = sd.grid
+    rows = [np.random.default_rng(3).uniform(0.5, 2.0, 4096),
+            np.r_[g[:4094], np.nan, 2.0 * g[-1]]]
+    out = np.empty(4096)
+    work = np.empty((q.scratch, 4096))
+    with np.errstate(all="ignore"):
+        for x in rows:
+            q.into(x, out, work)
+            tracemalloc.start()
+            try:
+                for _ in range(5):
+                    q.into(x, out, work)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            # a 4096-row temporary alone would be 32 KiB
+            assert peak < 8192, peak
+            _assert_same_bits(out, q(x))
+
+
+def _mirror_and_clip(x, edges):
+    """The reference stepper's reflection rule, kept verbatim: the
+    reflected row and the number of reflections."""
+    xn = x.copy()
+    reflections = 0
+    out_lo = xn < edges[0]
+    out_hi = xn > edges[1]
+    if np.any(out_lo) or np.any(out_hi):
+        reflections += int(np.count_nonzero(out_lo)
+                           + np.count_nonzero(out_hi))
+        xn[out_lo] = 2.0 * edges[0] - xn[out_lo]
+        xn[out_hi] = 2.0 * edges[1] - xn[out_hi]
+        np.clip(xn, edges[0], edges[1], out=xn)
+    return xn, reflections
+
+
+@pytest.mark.parametrize("row", [
+    pytest.param([np.nan, -0.5, 0.3, 2.5, np.nan, 1.0, -np.inf, 7.0, np.inf],
+                 id="nan-and-both-edges"),
+    pytest.param([np.nan, 0.5, -0.5], id="nan-then-low"),
+    pytest.param([2.5, np.nan], id="high-then-nan"),
+    pytest.param([0.1, 0.5, 1.0, 1.9, 2.0, 0.1], id="inside"),
+    pytest.param([np.nan, np.nan, np.nan], id="all-nan"),
+])
+def test_reflect_is_the_reference_mirror_and_clip(row):
+    edges = (0.1, 2.0)
+    x = np.array(row)
+    ref, reflections = _mirror_and_clip(x, edges)
+    events = dict.fromkeys(PATH_EVENTS, 0)
+    montecarlo._reflect(x, edges, events)
+    _assert_same_bits(x, ref)
+    assert events["reflections"] == reflections
 
 
 def test_path_event_counts():
