@@ -4,11 +4,13 @@ Subcommands cover the whole pipeline — hypothesis checks, the
 eigensolve, the quasi-stationary profile, kernel slices, path
 ensembles, the conditioned process, the lattice prelimits, and the
 spectral-versus-Monte-Carlo comparison.  Numeric imports happen inside
-main() on purpose: QSD_NUM_THREADS must cap the linear-algebra thread
-pools before numpy first loads.
+main() on purpose, and the package resolves its exports lazily:
+QSD_NUM_THREADS must cap the linear-algebra thread pools before numpy
+first loads.
 """
 
 import argparse
+import dataclasses
 import functools
 import os
 import sys
@@ -186,13 +188,23 @@ def _hist_edges(cfg):
     return np.linspace(0.0, float(hi), cfg.mc["bins"] + 1)
 
 
-def _native_batch(cfg, stage):
+def _path_grid(cfg):
+    """The config's snapshot times, and its step controls recording only
+    step 0 and the final step.  A path command reads T0 and the final
+    states alone: its survival curve is T0 read on those times, its
+    histogram the final column."""
+    from .montecarlo import snapshot_times
+    times = snapshot_times(cfg.sim)
+    return times, dataclasses.replace(cfg.sim, record_dt=float(times[-1]))
+
+
+def _native_batch(cfg, sim, stage):
     from .montecarlo import simulate_x, simulate_z
     stage.append("path simulation")
     if cfg.model.kind == "growth":
-        batch = simulate_z(cfg.model.growth, cfg.mc["z0"], cfg.sim)
+        batch = simulate_z(cfg.model.growth, cfg.mc["z0"], sim)
     else:
-        batch = simulate_x(cfg.model.drift, cfg.mc["x0"], cfg.sim)
+        batch = simulate_x(cfg.model.drift, cfg.mc["x0"], sim)
     stage.pop()
     return batch
 
@@ -205,14 +217,14 @@ def _lambda_window(cfg):
     return (t_max / 3.0, t_max)
 
 
-def _batch_files(rep, out_dir, batch, law):
+def _batch_files(rep, out_dir, batch, law, times):
     import numpy as np
     rep.add_file(out_dir, "paths_summary.csv",
                  ("path_id", "T0", "censored"),
                  [np.arange(batch.n_paths), batch.T0, np.isinf(batch.T0)])
-    alive = batch.survival(batch.times)
+    alive = batch.survival(times)
     rep.add_file(out_dir, "survival.csv", ("t", "n_alive", "fraction"),
-                 [batch.times, np.rint(alive * batch.n_paths).astype(int),
+                 [times, np.rint(alive * batch.n_paths).astype(int),
                   alive])
     rep.add_file(out_dir, "conditional_hist.csv",
                  ("bin_lo", "bin_hi", "mass", "stderr"),
@@ -293,16 +305,17 @@ def _cmd_simulate(args, cfg, out_dir, rep, stage):
     import numpy as np
     from .errors import PreconditionError
     from .montecarlo import conditional_histogram, estimate_lambda1
-    batch = _native_batch(cfg, stage)
+    times, sim = _path_grid(cfg)
+    batch = _native_batch(cfg, sim, stage)
     law = conditional_histogram(batch, cfg.sim.t_max, _hist_edges(cfg))
-    _batch_files(rep, out_dir, batch, law)
+    _batch_files(rep, out_dir, batch, law, times)
     frac_absorbed = float(np.mean(np.isfinite(batch.T0)))
     rep.scalars["n_paths"] = batch.n_paths
     rep.scalars["absorbed_fraction"] = frac_absorbed
     rep.scalars["survivors_at_t_max"] = int(law.n_survivors)
     rep.scalars.update(batch.events)
     try:
-        est = estimate_lambda1(batch, _lambda_window(cfg))
+        est = estimate_lambda1(batch, _lambda_window(cfg), times)
         rep.scalars["lambda1_hat"] = est.rate
         rep.scalars["lambda1_stderr"] = est.stderr
     except PreconditionError as exc:
@@ -315,13 +328,14 @@ def _cmd_qprocess(args, cfg, out_dir, rep, stage):
         simulate_qprocess
     from .spectral import qprocess_stationary
     sd = _decomposition(args, cfg, rep, stage)
+    times, sim = _path_grid(cfg)
     stage.append("conditioned-path simulation")
-    batch = simulate_qprocess(cfg.model.drift, sd, cfg.mc["x0"], cfg.sim)
+    batch = simulate_qprocess(cfg.model.drift, sd, cfg.mc["x0"], sim)
     stage.pop()
     edges = np.linspace(sd.domain.x_min, sd.domain.x_max,
                         cfg.mc["bins"] + 1)
     law = conditional_histogram(batch, cfg.sim.t_max, edges)
-    _batch_files(rep, out_dir, batch, law)
+    _batch_files(rep, out_dir, batch, law, times)
     dens = qprocess_stationary(sd)
     cum = np.concatenate([[0.0], np.cumsum(dens * sd.cell)])
     cum /= cum[-1]
@@ -389,7 +403,8 @@ def _cmd_compare(args, cfg, out_dir, rep, stage):
     ym = yaglom_measure(sd)
     if cfg.model.kind == "growth":
         ym = yaglom_to_z(ym, cfg.model.growth.gamma)
-    batch = _native_batch(cfg, stage)
+    times, sim = _path_grid(cfg)
+    batch = _native_batch(cfg, sim, stage)
     edges = _hist_edges(cfg)
     law = conditional_histogram(batch, cfg.sim.t_max, edges)
     cdf = yaglom_cdf(ym)
@@ -401,7 +416,7 @@ def _cmd_compare(args, cfg, out_dir, rep, stage):
     rep.scalars["ks_distance"] = ks_distance(law, cdf)
     rep.scalars["lambda1_spectral"] = sd.lambda1
     try:
-        est = estimate_lambda1(batch, _lambda_window(cfg))
+        est = estimate_lambda1(batch, _lambda_window(cfg), times)
         rep.scalars["lambda1_mc"] = est.rate
         rep.scalars["lambda1_mc_stderr"] = est.stderr
         rep.scalars["lambda1_rel_gap"] = abs(est.rate - sd.lambda1) \

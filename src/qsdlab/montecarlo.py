@@ -149,6 +149,12 @@ def _record_steps(cfg):
     return np.asarray(steps, dtype=np.int64)
 
 
+def snapshot_times(cfg):
+    """The times an ensemble run under cfg records: step 0, every
+    record_dt (about 128 snapshots when it is None) and the final step."""
+    return _record_steps(cfg) * cfg.dt
+
+
 def _euler_paths(q, x0, cfg, edges=None):
     """Ensemble of x' = x - q(x) dt + sqrt(dt) N, one stream per path.
 
@@ -204,7 +210,8 @@ class _Buffers:
     zeroed pages of one anonymous mapping: slab, the time-major chunk,
     one row per step; raw, a group of lanes' normals; rows, the row each
     step's drift is written into and the drift's R - 1 scratch rows; and
-    for absorbed paths u, the crossing-test uniforms, and _settle's rows.
+    for absorbed paths u, room for a chunk of crossing-test uniforms per
+    lane, filled from its start (_Uniforms), and _settle's rows.
     The mapping goes back to the system whole when the ensemble is done,
     so its rows never stay resident in the heap, and what is resident
     while it lives is what this ensemble touched.
@@ -215,7 +222,7 @@ class _Buffers:
         self.gens = [rng.stream(seed, i) for i in range(B)]
         shapes = [(_CHUNK + 1, B), (min(_GROUP, B), _CHUNK), (R, B)]
         if absorbed:
-            shapes += [(B, _CHUNK), ((_WIN + 1) * B,), (_WIN * B,)]
+            shapes += [(B * _CHUNK,), ((_WIN + 1) * B,), (_WIN * B,)]
         self.slab, self.raw, self.rows, *settle = _mapped(shapes)
         self.u, self.diffs, self.prods = settle or (None, None, None)
 
@@ -366,7 +373,7 @@ def _settle(X, dead, ids, s0, cfg, unif, T0, events, buf):
                     out=buf.prods[:W * sub.size].reshape(W, sub.size))
     # a lane draws the chunk's uniforms the first time it comes near
     lanes = sub[(P < near).any(axis=0)]
-    lanes = lanes[unif.row[lanes] < 0]
+    lanes = lanes[~unif.drawn[lanes]]
     if lanes.size:
         unif.draw(lanes, ids, s0 % _CHUNK)
     cand = ~(P >= (_CROSS_SKIP if unif.wide else _CROSS_NARROW) * dt)
@@ -388,7 +395,7 @@ def _settle(X, dead, ids, s0, cfg, unif, T0, events, buf):
     ws, ls = ws[soft], ls[soft]
     # crossing probability for a pinned Brownian path
     pcross = np.exp(-2.0 * (X[ws, ls] - delta) * (X[ws + 1, ls] - delta) / dt)
-    kill = unif.u[unif.row[ls], s0 % _CHUNK + ws] < pcross
+    kill = unif.u[unif.at[ls] + (s0 % _CHUNK + ws)] < pcross
     kl, first = np.unique(ls[kill], return_index=True)
     kw = ws[kill][first]
     stop[kl] = kw
@@ -414,39 +421,46 @@ class _Uniforms:
     Path i's uniform for step s sits at a fixed place in its stream
     (seed, first + i, UNIFORM): its double number s, in Philox block
     s // 4.  So a lane draws a chunk's uniforms only when it first comes
-    near the threshold in it, into the next free row of u (column s mod
-    _CHUNK), from one generator re-keyed to the lane's stream at the
-    block's counter; every uniform read is the one a chunk-by-chunk draw
-    gives.
+    near the threshold in it, from one generator re-keyed to the lane's
+    stream at the block's counter; every uniform read is the one a
+    chunk-by-chunk draw gives.  The draws are packed into u one after
+    another: a lane's uniform for the chunk's step j is u[at + j].  A
+    draw from column a written from u[start] has at = start - a, which
+    can be negative, so drawn, not at's sign, tells the lanes that drew.
+    Only the part of u drawn into is ever touched.
     """
 
     def __init__(self, seed, first, u):
         self.seek = rng.Seek(seed, rng.UNIFORM)
         self.first = first
-        self.u = u                     # at least a block's rows of _CHUNK
+        self.u = u                     # flat, at least a block's _CHUNKs
 
     def refill(self, chunk, m, n):
         """Start chunk number chunk, of m steps, for n lanes."""
         self.chunk, self.m = chunk, m
-        self.row = np.full(n, -1)       # each lane's row of u, once drawn
-        self.rows = 0
+        self.drawn = np.zeros(n, dtype=bool)
+        self.at = np.zeros(n, dtype=np.intp)
+        self.used = 0                  # u[:used] holds the chunk's draws
         # past _CROSS_NARROW dt only a uniform of 0.0 can fail the test
         self.wide = False
 
     def draw(self, lanes, ids, j0):
-        """Draw the given lanes' uniforms into fresh rows, from the Philox
-        block holding the chunk's step j0 to the chunk's end: the lanes
-        first came near in the window starting there, so no earlier step
-        of theirs is tested."""
-        first = self.rows
-        self.rows += lanes.size
-        self.row[lanes] = np.arange(first, self.rows)
+        """Draw the given lanes' uniforms into the next free stretches of
+        u, from the Philox block holding the chunk's step j0 to the
+        chunk's end: the lanes first came near in the window starting
+        there, so no earlier step of theirs is tested."""
         a = j0 - j0 % 4
+        size = self.m - a
+        begin = self.used
+        starts = range(begin, begin + size * lanes.size, size)
+        self.used = starts.stop
+        self.drawn[lanes] = True
+        self.at[lanes] = np.asarray(starts) - a
         block = (self.chunk * _CHUNK + a) // 4
-        for r, i in enumerate(ids[lanes].tolist(), first):
-            self.seek.at(self.first + i, block).random(out=self.u[r, a:self.m])
+        for s, i in zip(starts, ids[lanes].tolist()):
+            self.seek.at(self.first + i, block).random(out=self.u[s:s + size])
         self.wide = self.wide or bool(
-            np.any(self.u[first:self.rows, a:self.m] == 0.0))
+            np.any(self.u[begin:self.used] == 0.0))
 
 
 def simulate_x(d: DriftField, x0, cfg: SimConfig) -> PathBatch:
@@ -489,7 +503,7 @@ def simulate_z(g: GrowthModel, z0, cfg: SimConfig) -> PathBatch:
         raise DomainError("population states must be nonnegative")
     if np.all(z0 == 0.0):
         # already extinct: every path sits at the absorbing state
-        times = _record_steps(cfg) * cfg.dt
+        times = snapshot_times(cfg)
         return PathBatch(times=times,
                          states=np.zeros((cfg.n_paths, len(times))),
                          T0=np.zeros(cfg.n_paths),
@@ -550,17 +564,19 @@ def yaglom_cdf(ym: YaglomMeasure) -> Callable:
     return F
 
 
-def estimate_lambda1(b: PathBatch, window) -> LambdaEstimate:
+def estimate_lambda1(b: PathBatch, window, times=None) -> LambdaEstimate:
     """Decay rate of the empirical survival on a time window.
 
-    Ordinary least squares on log survival over the recorded times inside
-    the window; the sign-flipped slope estimates the leading decay rate.
+    Ordinary least squares on log survival over the times inside the
+    window: b's recorded times, or the given grid times, which need not
+    be recorded (survival reads T0 alone).  The sign-flipped slope
+    estimates the leading decay rate.
     """
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo >= 0:
         raise PreconditionError(f"bad window {window!r}")
-    sel = (b.times >= lo) & (b.times <= hi)
-    ts = b.times[sel]
+    grid = b.times if times is None else np.asarray(times, dtype=float)
+    ts = grid[(grid >= lo) & (grid <= hi)]
     if len(ts) < 3:
         raise PreconditionError("window covers fewer than 3 recorded times")
     counts = np.array([np.count_nonzero(b.T0 > t) for t in ts], dtype=float)

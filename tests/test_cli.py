@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qsdlab import montecarlo
-from qsdlab.cli import _cap_threads, _parser, main
+from qsdlab.cli import _cap_threads, _hist_edges, _parser, main
 from qsdlab.config import load_config
 from qsdlab.errors import PreconditionError
 from qsdlab.spectral import build_and_solve, kernel_r
@@ -277,7 +277,7 @@ def test_kernel_sums_the_levels_that_weigh_at_t(tmp_path, model):
                                          (PreconditionError, 0)])
 def test_only_a_refused_decay_rate_becomes_a_note(tmp_path, monkeypatch,
                                                  error, code):
-    def estimate(batch, window):
+    def estimate(batch, window, times=None):
         raise error("no decay rate")
 
     monkeypatch.setattr(montecarlo, "estimate_lambda1", estimate)
@@ -374,8 +374,80 @@ def test_path_event_scalars(tmp_path):
             assert sc["reflections"] == 0
 
 
+@pytest.mark.parametrize("record_dt", [None, 0.05])
+def test_path_commands_hold_only_the_final_snapshot(tmp_path, monkeypatch,
+                                                    record_dt):
+    # a path command reads T0 and the final states alone: the batch it
+    # holds has two snapshot columns, and what it writes is what a batch
+    # recording the config's whole snapshot grid gives
+    runs = (("simulate", "ou"), ("compare", "logistic"), ("qprocess", "ou"))
+    cfgs, full = {}, {}
+    for command, model in runs:
+        with open(_cfg(model), encoding="utf-8") as fh:
+            text = fh.read()
+        if record_dt is not None:
+            text = text.replace("[montecarlo]\n",
+                                f"[montecarlo]\nrecord_dt = {record_dt}\n")
+        path = cfgs[command] = _write(tmp_path, text, f"{command}.cfg")
+        cfg = load_config(path, quick=True)
+        assert cfg.sim.record_dt == record_dt
+        if command == "qprocess":
+            sd = build_and_solve(cfg.model.drift, cfg.domain, K=1)
+            with pytest.warns(UserWarning, match="reflected"):
+                b = montecarlo.simulate_qprocess(cfg.model.drift, sd,
+                                                 cfg.mc["x0"], cfg.sim)
+            edges = np.linspace(sd.domain.x_min, sd.domain.x_max,
+                                cfg.mc["bins"] + 1)
+        elif cfg.model.kind == "growth":
+            b = montecarlo.simulate_z(cfg.model.growth, cfg.mc["z0"], cfg.sim)
+            edges = _hist_edges(cfg)
+        else:
+            b = montecarlo.simulate_x(cfg.model.drift, cfg.mc["x0"], cfg.sim)
+            edges = _hist_edges(cfg)
+        assert len(b.times) > 3
+        law = montecarlo.conditional_histogram(b, cfg.sim.t_max, edges)
+        est = (None if command == "qprocess" else
+               montecarlo.estimate_lambda1(b, cfg.mc["lambda_window"]))
+        full[command] = b, law, est
+
+    held = []
+    for name in ("simulate_x", "simulate_qprocess"):
+        def keep(*args, _run=getattr(montecarlo, name), **kwargs):
+            held.append(_run(*args, **kwargs))
+            return held[-1]
+        monkeypatch.setattr(montecarlo, name, keep)
+    for command, _ in runs:
+        out = str(tmp_path / command)
+        assert main([command, cfgs[command], "--output-dir", out,
+                     "--quick"]) == 0
+        b, law, est = full[command]
+        assert held[-1].states.shape == (b.n_paths, 2)
+        assert np.array_equal(held[-1].T0, b.T0)
+        sc = _report(out)["scalars"]
+        if command == "compare":
+            _, rows = _read_csv(out, "compare.csv")
+            masses = np.array(rows, dtype=float)[:, 2:4].T
+            assert sc["lambda1_mc"] == est.rate
+            assert sc["lambda1_mc_stderr"] == est.stderr
+        else:
+            _, rows = _read_csv(out, "survival.csv")
+            t, n_alive, frac = np.array(rows, dtype=float).T
+            assert np.array_equal(t, b.times)
+            assert np.array_equal(frac, b.survival(b.times))
+            assert np.array_equal(n_alive, np.rint(frac * b.n_paths))
+            _, rows = _read_csv(out, "conditional_hist.csv")
+            masses = np.array(rows, dtype=float)[:, 2:4].T
+        assert np.array_equal(masses, [law.masses, law.stderr])
+        if command == "simulate":
+            assert sc["lambda1_hat"] == est.rate
+            assert sc["lambda1_stderr"] == est.stderr
+        assert sc.get("survivors_at_t_max", law.n_survivors) \
+            == law.n_survivors
+    assert len(held) == len(runs)
+
+
 def test_internal_error_writes_its_report(tmp_path, monkeypatch):
-    def estimate(batch, window):
+    def estimate(batch, window, times=None):
         raise RuntimeError("no decay rate")
 
     monkeypatch.setattr(montecarlo, "estimate_lambda1", estimate)
@@ -516,6 +588,12 @@ def _cli_import_loads(module):
         env=env, capture_output=True, text=True, cwd=ROOT)
     assert r.returncode in (0, 1), r.stderr
     return r.returncode == 1
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # the package resolves its exports at first access, so QSD_NUM_THREADS
+    # still caps the thread pools when main() runs
+    assert not _cli_import_loads("numpy")
 
 
 def test_package_import_leaves_scipy_integrate_unloaded():

@@ -1,5 +1,6 @@
 """Path ensembles: exact laws, determinism, honest error bars."""
 
+import collections
 import tracemalloc
 
 import numpy as np
@@ -256,6 +257,31 @@ def test_crossing_after_skipped_uniform_chunks(win, chunk, monkeypatch):
     mid = np.abs(u - np.floor(u) - 0.5) < 1e-6
     assert np.any(far & mid & (T0 > 2 * chunk * dt))
     assert events["crossing_kills"] == np.count_nonzero(mid)
+
+
+def test_one_uniform_draw_per_lane_per_chunk(monkeypatch):
+    # one path per block: a lane's first draw in a chunk goes to the start
+    # of u although it starts at a column past 0, so its offset into u is
+    # negative; it must still count as drawn, and never draw again in
+    # that chunk
+    monkeypatch.setattr(montecarlo, "_BLOCK", 1)
+    cfg = SimConfig(**_NEAR)
+    real = rng.Seek.at
+    draws = []
+
+    def at(seek, index, block):
+        if seek.region == rng.UNIFORM:
+            draws.append((index, block))
+        return real(seek, index, block)
+    monkeypatch.setattr(rng.Seek, "at", at)
+    b = simulate_x(ou_drift(1.0), 0.05, cfg)
+    per_chunk = collections.Counter((index, 4 * block // _CHUNK)
+                                    for index, block in draws)
+    assert max(per_chunk.values()) == 1
+    assert {chunk for _, chunk in per_chunk} == {0, 1, 2}
+    assert any(4 * block % _CHUNK for _, block in draws)
+    monkeypatch.undo()
+    assert np.array_equal(b.T0, simulate_x(ou_drift(1.0), 0.05, cfg).T0)
 
 
 class _ZeroUniforms:
