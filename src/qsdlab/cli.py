@@ -10,7 +10,6 @@ first loads.
 """
 
 import argparse
-import dataclasses
 import functools
 import os
 import sys
@@ -188,23 +187,13 @@ def _hist_edges(cfg):
     return np.linspace(0.0, float(hi), cfg.mc["bins"] + 1)
 
 
-def _path_grid(cfg):
-    """The config's snapshot times, and its step controls recording only
-    step 0 and the final step.  A path command reads T0 and the final
-    states alone: its survival curve is T0 read on those times, its
-    histogram the final column."""
-    from .montecarlo import snapshot_times
-    times = snapshot_times(cfg.sim)
-    return times, dataclasses.replace(cfg.sim, record_dt=float(times[-1]))
-
-
-def _native_batch(cfg, sim, stage):
+def _native_batch(cfg, stage):
     from .montecarlo import simulate_x, simulate_z
     stage.append("path simulation")
     if cfg.model.kind == "growth":
-        batch = simulate_z(cfg.model.growth, cfg.mc["z0"], sim)
+        batch = simulate_z(cfg.model.growth, cfg.mc["z0"], cfg.sim)
     else:
-        batch = simulate_x(cfg.model.drift, cfg.mc["x0"], sim)
+        batch = simulate_x(cfg.model.drift, cfg.mc["x0"], cfg.sim)
     stage.pop()
     return batch
 
@@ -222,10 +211,8 @@ def _batch_files(rep, out_dir, batch, law, times):
     rep.add_file(out_dir, "paths_summary.csv",
                  ("path_id", "T0", "censored"),
                  [np.arange(batch.n_paths), batch.T0, np.isinf(batch.T0)])
-    alive = batch.survival(times)
     rep.add_file(out_dir, "survival.csv", ("t", "n_alive", "fraction"),
-                 [times, np.rint(alive * batch.n_paths).astype(int),
-                  alive])
+                 [times, batch.n_alive(times), batch.survival(times)])
     rep.add_file(out_dir, "conditional_hist.csv",
                  ("bin_lo", "bin_hi", "mass", "stderr"),
                  [law.edges[:-1], law.edges[1:], law.masses, law.stderr])
@@ -304,10 +291,11 @@ def _cmd_kernel(args, cfg, out_dir, rep, stage):
 def _cmd_simulate(args, cfg, out_dir, rep, stage):
     import numpy as np
     from .errors import PreconditionError
-    from .montecarlo import conditional_histogram, estimate_lambda1
-    times, sim = _path_grid(cfg)
-    batch = _native_batch(cfg, sim, stage)
-    law = conditional_histogram(batch, cfg.sim.t_max, _hist_edges(cfg))
+    from .montecarlo import (conditional_histogram, estimate_lambda1,
+                             survival_grid)
+    times = survival_grid(cfg.sim, cfg.mc["record_dt"])
+    batch = _native_batch(cfg, stage)
+    law = conditional_histogram(batch, _hist_edges(cfg))
     _batch_files(rep, out_dir, batch, law, times)
     frac_absorbed = float(np.mean(np.isfinite(batch.T0)))
     rep.scalars["n_paths"] = batch.n_paths
@@ -324,17 +312,17 @@ def _cmd_simulate(args, cfg, out_dir, rep, stage):
 
 def _cmd_qprocess(args, cfg, out_dir, rep, stage):
     import numpy as np
-    from .montecarlo import conditional_histogram, ks_distance, \
-        simulate_qprocess
+    from .montecarlo import (conditional_histogram, ks_distance,
+                             simulate_qprocess, survival_grid)
     from .spectral import qprocess_stationary
     sd = _decomposition(args, cfg, rep, stage)
-    times, sim = _path_grid(cfg)
+    times = survival_grid(cfg.sim, cfg.mc["record_dt"])
     stage.append("conditioned-path simulation")
-    batch = simulate_qprocess(cfg.model.drift, sd, cfg.mc["x0"], sim)
+    batch = simulate_qprocess(cfg.model.drift, sd, cfg.mc["x0"], cfg.sim)
     stage.pop()
     edges = np.linspace(sd.domain.x_min, sd.domain.x_max,
                         cfg.mc["bins"] + 1)
-    law = conditional_histogram(batch, cfg.sim.t_max, edges)
+    law = conditional_histogram(batch, edges)
     _batch_files(rep, out_dir, batch, law, times)
     dens = qprocess_stationary(sd)
     cum = np.concatenate([[0.0], np.cumsum(dens * sd.cell)])
@@ -397,16 +385,16 @@ def _cmd_compare(args, cfg, out_dir, rep, stage):
     import numpy as np
     from .errors import PreconditionError
     from .montecarlo import (conditional_histogram, estimate_lambda1,
-                             ks_distance, yaglom_cdf)
+                             ks_distance, survival_grid, yaglom_cdf)
     from .spectral import yaglom_measure, yaglom_to_z
     sd = _decomposition(args, cfg, rep, stage)
     ym = yaglom_measure(sd)
     if cfg.model.kind == "growth":
         ym = yaglom_to_z(ym, cfg.model.growth.gamma)
-    times, sim = _path_grid(cfg)
-    batch = _native_batch(cfg, sim, stage)
+    times = survival_grid(cfg.sim, cfg.mc["record_dt"])
+    batch = _native_batch(cfg, stage)
     edges = _hist_edges(cfg)
-    law = conditional_histogram(batch, cfg.sim.t_max, edges)
+    law = conditional_histogram(batch, edges)
     cdf = yaglom_cdf(ym)
     rep.add_file(out_dir, "compare.csv",
                  ("bin_lo", "bin_hi", "empirical_mass", "empirical_stderr",

@@ -87,7 +87,7 @@ _SCHEMA = {
     "montecarlo": {
         "x0": (_FLOAT, 1.0), "z0": (_FLOAT, 1.0), "dt": (_FLOAT, 1e-3),
         "t_max": (_FLOAT, 6.0), "n_paths": (_INT, 100000),
-        "seed": (_INT, None), "record_dt": (_FLOAT, None),
+        "seed": (_INT, None), "record_dt": (_POSITIVE, None),
         "absorb_threshold": (_FLOAT, 1e-4),
         "bins": (_at_least(1), 60), "hist_max": (_POSITIVE, None),
         "lambda_window": (_window, None)},
@@ -116,7 +116,8 @@ class RunConfig:
     domain: TruncationDomain   # [domain] over the model's default box
     K: int
     sim: SimConfig             # the [montecarlo] step controls
-    mc: dict                   # x0, z0, bins, hist_max, lambda_window
+    mc: dict                   # x0, z0, record_dt, bins, hist_max,
+                               # lambda_window
     bd: dict                   # lattice-prelimit settings
     seed: Optional[int]
 

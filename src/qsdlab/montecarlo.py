@@ -9,6 +9,7 @@ h(y) - gamma y/I(y) with I(y) = int_y^inf exp(J(y) - J(z)) dz and
 J' = 2 h/(gamma z).
 """
 
+import functools
 import math
 import mmap
 import warnings
@@ -53,7 +54,11 @@ class SimConfig:
     n_paths: int
     seed: int
     absorb_threshold: float = 1e-4
-    record_dt: Optional[float] = None   # None: about 128 snapshots
+
+    @property
+    def n_steps(self):
+        """Steps of dt to t_max, the last one ending at or past it."""
+        return int(np.ceil(self.t_max / self.dt - 1e-12))
 
     def problems(self):
         """(field, complaint) for every field outside its range."""
@@ -62,9 +67,7 @@ class SimConfig:
                   "must exceed dt and be finite"),
                  (self.n_paths >= 1, "n_paths", "must be at least 1"),
                  (self.absorb_threshold > 0, "absorb_threshold",
-                  "must be positive"),
-                 (self.record_dt is None or 0 < self.record_dt < np.inf,
-                  "record_dt", "must be positive and finite when given"))
+                  "must be positive"))
         return [(name, f"{rule}, got {getattr(self, name)!r}")
                 for ok, name, rule in rules if not ok]
 
@@ -77,36 +80,40 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class PathBatch:
-    """An ensemble of trajectories on a shared snapshot grid.
+    """An ensemble's absorption times and final states.
 
-    states holds the recorded positions, one row per path, frozen at 0
-    from absorption onward.  T0 is the per-path absorption time with an
-    infinity sentinel for paths still alive at t_max.  events counts the
-    steps that ended a path (landings, non-finite steps, crossing-test
-    kills) and the reflections, by the names in PATH_EVENTS.  The batch
-    makes times, states and T0 read-only.
+    states holds each path's position after the final step, 0 for a path
+    absorbed before it.  T0 is the per-path absorption time with an
+    infinity sentinel for paths still alive at the final step.  events
+    counts the steps that ended a path (landings, non-finite steps,
+    crossing-test kills) and the reflections, by the names in
+    PATH_EVENTS.  The batch makes states and T0 read-only.
     """
 
-    times: np.ndarray
     states: np.ndarray
     T0: np.ndarray
     events: dict
 
     def __post_init__(self):
-        for arr in (self.times, self.states, self.T0):
+        for arr in (self.states, self.T0):
             arr.setflags(write=False)
 
     @property
     def n_paths(self):
-        return self.states.shape[0]
+        return len(self.T0)
 
-    def n_alive(self, t):
-        return int(np.count_nonzero(self.T0 > t))
+    @functools.cached_property
+    def _sorted_T0(self):
+        return np.sort(self.T0)
+
+    def n_alive(self, ts):
+        """Paths with T0 > t, at a time or at each of an array of times."""
+        return self.n_paths - np.searchsorted(self._sorted_T0, ts,
+                                              side="right")
 
     def survival(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        frac = np.mean(self.T0[None, :] > np.atleast_1d(ts)[:, None], axis=1)
-        return frac if ts.ndim else float(frac[0])
+        frac = self.n_alive(np.asarray(ts, dtype=float)) / self.n_paths
+        return frac if np.ndim(ts) else float(frac)
 
 
 @dataclass(frozen=True)
@@ -136,25 +143,6 @@ class LambdaEstimate:
 # ---------------------------------------------------------------------------
 # the path engine: one Euler-Maruyama stepper, absorbing or reflecting
 
-def _record_steps(cfg):
-    """Snapshot step indices: always step 0 and the final step."""
-    n_steps = int(np.ceil(cfg.t_max / cfg.dt - 1e-12))
-    if cfg.record_dt is None:
-        every = max(1, n_steps // 128)
-    else:
-        every = max(1, int(round(cfg.record_dt / cfg.dt)))
-    steps = list(range(0, n_steps, every))
-    if steps[-1] != n_steps:
-        steps.append(n_steps)
-    return np.asarray(steps, dtype=np.int64)
-
-
-def snapshot_times(cfg):
-    """The times an ensemble run under cfg records: step 0, every
-    record_dt (about 128 snapshots when it is None) and the final step."""
-    return _record_steps(cfg) * cfg.dt
-
-
 def _euler_paths(q, x0, cfg, edges=None):
     """Ensemble of x' = x - q(x) dt + sqrt(dt) N, one stream per path.
 
@@ -166,8 +154,8 @@ def _euler_paths(q, x0, cfg, edges=None):
     edge are mirrored back inside.  q is stepped through its in-place
     evaluator (model.in_place): an InPlace's own, or the adapter that
     copies q(x).  Paths are marched _BLOCK at a time.
-    Returns (times, states, T0) and the step events counted by name
-    (PATH_EVENTS).
+    Returns the states after the final step (0 for an absorbed path),
+    T0 and the step events counted by name (PATH_EVENTS).
     """
     cfg.validate()
     try:
@@ -184,11 +172,9 @@ def _euler_paths(q, x0, cfg, edges=None):
         raise PreconditionError("initial states must lie inside the "
                                 "spectral grid")
 
-    rec_steps = _record_steps(cfg)
-    times = rec_steps * cfg.dt
     # a mapping of its own: freed, it goes back to the system whole and
     # leaves the heap (and malloc's mmap threshold) as it found them
-    states, = _mapped([(cfg.n_paths, len(rec_steps))])
+    states, = _mapped([(cfg.n_paths,)])
     T0 = np.full(cfg.n_paths, np.inf)
     events = dict.fromkeys(PATH_EVENTS, 0)
     buf = _Buffers(min(_BLOCK, cfg.n_paths), edges is None, cfg.seed,
@@ -196,9 +182,9 @@ def _euler_paths(q, x0, cfg, edges=None):
     into = in_place(q)
     for lo in range(0, cfg.n_paths, _BLOCK):
         hi = min(lo + _BLOCK, cfg.n_paths)
-        _march_block(into, x0[lo:hi], lo, cfg, edges, rec_steps,
-                     states[lo:hi], T0[lo:hi], events, buf)
-    return times, states, T0, events
+        _march_block(into, x0[lo:hi], lo, cfg, edges, states[lo:hi],
+                     T0[lo:hi], events, buf)
+    return states, T0, events
 
 
 class _Buffers:
@@ -214,7 +200,9 @@ class _Buffers:
     lane, filled from its start (_Uniforms), and _settle's rows.
     The mapping goes back to the system whole when the ensemble is done,
     so its rows never stay resident in the heap, and what is resident
-    while it lives is what this ensemble touched.
+    while it lives is what this ensemble touched.  The final states the
+    blocks write are a mapping of their own (_euler_paths), which lives
+    as long as the batch.
     """
 
     def __init__(self, B, absorbed, seed, R):
@@ -238,9 +226,10 @@ def _mapped(shapes):
 
 
 @np.errstate(all="ignore")
-def _march_block(into, x0, first, cfg, edges, rec_steps, states, T0, events,
-                 buf):
-    """Step paths first, first + 1, ... into their rows of states and T0.
+def _march_block(into, x0, first, cfg, edges, states, T0, events, buf):
+    """Step paths first, first + 1, ... to cfg.n_steps; write the final
+    state of each path alive after the last step into states, and each
+    absorbed path's absorption time into T0.
 
     Each refill draws the next chunk of Gaussian steps for the live paths
     only: ids lists them (row in the block), one lane each.  A dead path's
@@ -275,9 +264,7 @@ def _march_block(into, x0, first, cfg, edges, rec_steps, states, T0, events,
     ids = np.arange(B)
     x = np.array(x0, dtype=float)
     dead = np.zeros(B, dtype=bool)
-    states[:, 0] = x
-    rp = 1
-    n_steps = int(rec_steps[-1])
+    n_steps = cfg.n_steps
     for start in range(0, n_steps, _CHUNK):
         if dead.any():
             live = ~dead
@@ -311,16 +298,12 @@ def _march_block(into, x0, first, cfg, edges, rec_steps, states, T0, events,
             stop = (np.full(n, W) if edges is not None else
                     _settle(X, dead, ids, start + j0, cfg, unif, T0, events,
                             buf))
-            while rp < len(rec_steps) and rec_steps[rp] <= start + j0 + W:
-                w = rec_steps[rp] - (start + j0)
-                alive = stop >= w
-                states[ids[alive], rp] = X[w, alive]
-                rp += 1
             dead = stop < W
             if dead.all():
                 return
             np.copyto(X[W], X[0], where=dead)
         x = slab[m, :n]
+    states[ids[~dead]] = x[~dead]
 
 
 def _reflect(x, edges, events):
@@ -476,14 +459,14 @@ def simulate_x(d: DriftField, x0, cfg: SimConfig) -> PathBatch:
     regardless of blocking or window layout: every path owns
     counter-based substreams keyed by (seed, path index).
     """
-    times, states, T0, events = _euler_paths(d.q, x0, cfg)
+    states, T0, events = _euler_paths(d.q, x0, cfg)
     censored = np.mean(~np.isfinite(T0))
     if censored > 0.9:
         warnings.warn(
             f"{100 * censored:.0f}% of paths were still alive at t_max; "
             "absorption statistics will be censoring-dominated",
             stacklevel=2)
-    return PathBatch(times=times, states=states, T0=T0, events=events)
+    return PathBatch(states=states, T0=T0, events=events)
 
 
 def simulate_z(g: GrowthModel, z0, cfg: SimConfig) -> PathBatch:
@@ -491,8 +474,8 @@ def simulate_z(g: GrowthModel, z0, cfg: SimConfig) -> PathBatch:
 
     The square-root state map removes the degenerate diffusion
     coefficient at 0, so the stepping error near extinction is governed
-    by the drift alone; states are mapped back to the population scale
-    in place, a block of rows at a time (z_from_x, which refuses x < 0).
+    by the drift alone; the final states are mapped back to the
+    population scale (z_from_x, which refuses x < 0).
     """
     cfg.validate()
     try:
@@ -503,28 +486,31 @@ def simulate_z(g: GrowthModel, z0, cfg: SimConfig) -> PathBatch:
         raise DomainError("population states must be nonnegative")
     if np.all(z0 == 0.0):
         # already extinct: every path sits at the absorbing state
-        times = snapshot_times(cfg)
-        return PathBatch(times=times,
-                         states=np.zeros((cfg.n_paths, len(times))),
+        return PathBatch(states=np.zeros(cfg.n_paths),
                          T0=np.zeros(cfg.n_paths),
                          events=dict.fromkeys(PATH_EVENTS, 0))
 
     batch = simulate_x(drift_from_growth(g), x_from_z(z0, g.gamma), cfg)
-    # the x-states are this call's own: they become the z-states in place,
-    # a group's rows at a time, so z_from_x's temporaries stay small
-    states = batch.states
-    states.setflags(write=True)
-    for lo in range(0, len(states), _GROUP):
-        states[lo:lo + _GROUP] = z_from_x(states[lo:lo + _GROUP], g.gamma)
-    return PathBatch(times=batch.times, states=states, T0=batch.T0,
+    return PathBatch(states=z_from_x(batch.states, g.gamma), T0=batch.T0,
                      events=batch.events)
 
 
 # ---------------------------------------------------------------------------
 # ensemble summaries
 
-def conditional_histogram(b: PathBatch, t, edges) -> EmpiricalLaw:
-    """Histogram of survivors at the recorded time nearest t.
+def survival_grid(cfg, record_dt=None):
+    """The times a survival curve is read at: step 0, every record_dt
+    (about 128 points when it is None) and the final step."""
+    n_steps = cfg.n_steps
+    if record_dt is None:
+        every = max(1, n_steps // 128)
+    else:
+        every = max(1, int(round(record_dt / cfg.dt)))
+    return np.append(np.arange(0, n_steps, every), n_steps) * cfg.dt
+
+
+def conditional_histogram(b: PathBatch, edges) -> EmpiricalLaw:
+    """Histogram of the survivors' final states.
 
     Survivor states are clipped into the edge range so the conditioned
     masses always sum to one; the two boundary bins absorb any excess.
@@ -532,14 +518,13 @@ def conditional_histogram(b: PathBatch, t, edges) -> EmpiricalLaw:
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
         raise PreconditionError("edges must be strictly increasing")
-    i = int(np.argmin(np.abs(b.times - t)))
-    surv = b.T0 > b.times[i]
+    surv = np.isinf(b.T0)
     n = int(np.count_nonzero(surv))
     if n == 0:
         z = np.zeros(len(edges) - 1)
         return EmpiricalLaw(edges=edges, masses=z, n_survivors=0,
                             stderr=z.copy(), status="empty")
-    vals = np.clip(b.states[surv, i], edges[0], edges[-1])
+    vals = np.clip(b.states[surv], edges[0], edges[-1])
     counts, _ = np.histogram(vals, bins=edges)
     masses = counts / n
     stderr = np.sqrt(masses * (1.0 - masses) / n)
@@ -564,22 +549,21 @@ def yaglom_cdf(ym: YaglomMeasure) -> Callable:
     return F
 
 
-def estimate_lambda1(b: PathBatch, window, times=None) -> LambdaEstimate:
+def estimate_lambda1(b: PathBatch, window, times) -> LambdaEstimate:
     """Decay rate of the empirical survival on a time window.
 
-    Ordinary least squares on log survival over the times inside the
-    window: b's recorded times, or the given grid times, which need not
-    be recorded (survival reads T0 alone).  The sign-flipped slope
-    estimates the leading decay rate.
+    Ordinary least squares on log survival over the grid times inside
+    the window (survival_grid's, say).  The sign-flipped slope estimates
+    the leading decay rate.
     """
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo >= 0:
         raise PreconditionError(f"bad window {window!r}")
-    grid = b.times if times is None else np.asarray(times, dtype=float)
+    grid = np.asarray(times, dtype=float)
     ts = grid[(grid >= lo) & (grid <= hi)]
     if len(ts) < 3:
-        raise PreconditionError("window covers fewer than 3 recorded times")
-    counts = np.array([np.count_nonzero(b.T0 > t) for t in ts], dtype=float)
+        raise PreconditionError("window covers fewer than 3 grid times")
+    counts = b.n_alive(ts).astype(float)
     if counts[-1] < 100:
         raise PreconditionError(
             f"only {int(counts[-1])} survivors at the window end; "
@@ -621,13 +605,13 @@ def simulate_qprocess(d: DriftField, s: SpectralDecomposition, x0,
     smooth and the profile's positivity is never violated.  Paths are
     never absorbed; excursions past the spectral grid are reflected.
     """
-    times, states, T0, events = _euler_paths(
+    states, T0, events = _euler_paths(
         _conditioned_drift(d, s), x0, cfg,
         edges=(float(s.grid[0]), float(s.grid[-1])))
     if events["reflections"]:
         warnings.warn(f"{events['reflections']} excursions were reflected "
                       "at the spectral-grid edges", stacklevel=2)
-    return PathBatch(times=times, states=states, T0=T0, events=events)
+    return PathBatch(states=states, T0=T0, events=events)
 
 
 def _conditioned_drift(d: DriftField, s: SpectralDecomposition):

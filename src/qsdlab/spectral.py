@@ -625,10 +625,14 @@ def conditional_law(sd: SpectralDecomposition, init, t, interval):
     """Probability the surviving process sits in the interval at times t:
     the interval-restricted over the full survival sum, with survival()'s
     starts and refusals, and refused where that survival underflows."""
-    rows = np.column_stack((sd.eta_masses, _interval_mass(sd, interval)))
-    den, num = _from_start(sd, t, init, rows)
-    out = np.clip(num / den, 0.0, 1.0)
+    out = _interval_law(sd, init, t, _interval_mass(sd, interval))
     return out if np.ndim(t) else float(out)
+
+
+def _interval_law(sd: SpectralDecomposition, init, t, mA):
+    """conditional_law's value from the interval's mode masses mA."""
+    den, num = _from_start(sd, t, init, np.column_stack((sd.eta_masses, mA)))
+    return np.clip(num / den, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +672,7 @@ def rate_report(sd: SpectralDecomposition, x0: float, interval,
     eta_x = _eta_rows(sd, sd.node_index(float(x0)))
     gap = float(sd.lambdas[1] - sd.lambdas[0])
     coef = (eta_x[1] / eta_x[0]) * (mA[1] * m[0] - mA[0] * m[1]) / (m[0] ** 2)
-    diffs = conditional_law(sd, ("point", x0), ts, interval) - limit
+    diffs = _interval_law(sd, ("point", x0), ts, mA) - limit
 
     good = np.abs(diffs) > 0
     if np.count_nonzero(good) < 3:

@@ -15,7 +15,7 @@ from qsdlab.hypotheses import check_all
 from qsdlab.model import linear_growth, preset_model
 from qsdlab.montecarlo import (SimConfig, condition_on_extinction,
                                estimate_lambda1, simulate_qprocess,
-                               simulate_x, yaglom_cdf)
+                               simulate_x, survival_grid, yaglom_cdf)
 from qsdlab.spectral import (TruncationDomain, appendix_bound_sweep,
                              build_and_solve, flux_check, kernel_r,
                              l2_bound_check, qprocess_row,
@@ -152,10 +152,9 @@ def test_c06_qprocess_rows_law_and_domination():
         _, row_sum = qprocess_row(sd, 1.0, x0)
         assert abs(row_sum - 1.0) < 1e-6, x0
 
-    sim = SimConfig(dt=1e-3, t_max=10.0, n_paths=20000, seed=21,
-                    record_dt=5.0)
+    sim = SimConfig(dt=1e-3, t_max=10.0, n_paths=20000, seed=21)
     batch = simulate_qprocess(model.drift, sd, 1.0, sim)
-    sample = batch.states[:, -1]
+    sample = batch.states
     assert np.all(np.isinf(batch.T0))
 
     stat = _grid_cdf(sd, qprocess_stationary(sd))
@@ -182,10 +181,10 @@ def test_c07_monte_carlo_cross_validation():
     batch = simulate_x(model.drift, 1.0, sim)
     alive = np.isinf(batch.T0)
     assert int(np.count_nonzero(alive)) > 1000
-    sample = batch.states[alive, -1]
+    sample = batch.states[alive]
     assert _ks_sample(sample, yaglom_cdf(ym)) < 0.05
 
-    est = estimate_lambda1(batch, (2.0, 6.0))
+    est = estimate_lambda1(batch, (2.0, 6.0), survival_grid(sim))
     assert abs(est.rate - sd.lambda1) / sd.lambda1 < 0.05
     assert time.perf_counter() - t0 < 300.0
 

@@ -377,11 +377,11 @@ def test_path_event_scalars(tmp_path):
 @pytest.mark.parametrize("record_dt", [None, 0.05])
 def test_path_commands_hold_only_the_final_snapshot(tmp_path, monkeypatch,
                                                     record_dt):
-    # a path command reads T0 and the final states alone: the batch it
-    # holds has two snapshot columns, and what it writes is what a batch
-    # recording the config's whole snapshot grid gives
+    # a path command holds T0 and the final states alone, and what it
+    # writes is a direct library run read on survival_grid: record_dt sets
+    # that grid and nothing else
     runs = (("simulate", "ou"), ("compare", "logistic"), ("qprocess", "ou"))
-    cfgs, full = {}, {}
+    cfgs, lib = {}, {}
     for command, model in runs:
         with open(_cfg(model), encoding="utf-8") as fh:
             text = fh.read()
@@ -390,7 +390,11 @@ def test_path_commands_hold_only_the_final_snapshot(tmp_path, monkeypatch,
                                 f"[montecarlo]\nrecord_dt = {record_dt}\n")
         path = cfgs[command] = _write(tmp_path, text, f"{command}.cfg")
         cfg = load_config(path, quick=True)
-        assert cfg.sim.record_dt == record_dt
+        assert cfg.mc["record_dt"] == record_dt
+        times = montecarlo.survival_grid(cfg.sim, record_dt)
+        assert times[0] == 0.0 and times[-1] == cfg.sim.n_steps * cfg.sim.dt
+        if record_dt is not None:
+            assert np.allclose(np.diff(times), record_dt)
         if command == "qprocess":
             sd = build_and_solve(cfg.model.drift, cfg.domain, K=1)
             with pytest.warns(UserWarning, match="reflected"):
@@ -404,11 +408,10 @@ def test_path_commands_hold_only_the_final_snapshot(tmp_path, monkeypatch,
         else:
             b = montecarlo.simulate_x(cfg.model.drift, cfg.mc["x0"], cfg.sim)
             edges = _hist_edges(cfg)
-        assert len(b.times) > 3
-        law = montecarlo.conditional_histogram(b, cfg.sim.t_max, edges)
+        law = montecarlo.conditional_histogram(b, edges)
         est = (None if command == "qprocess" else
-               montecarlo.estimate_lambda1(b, cfg.mc["lambda_window"]))
-        full[command] = b, law, est
+               montecarlo.estimate_lambda1(b, cfg.mc["lambda_window"], times))
+        lib[command] = b, times, law, est
 
     held = []
     for name in ("simulate_x", "simulate_qprocess"):
@@ -420,8 +423,8 @@ def test_path_commands_hold_only_the_final_snapshot(tmp_path, monkeypatch,
         out = str(tmp_path / command)
         assert main([command, cfgs[command], "--output-dir", out,
                      "--quick"]) == 0
-        b, law, est = full[command]
-        assert held[-1].states.shape == (b.n_paths, 2)
+        b, times, law, est = lib[command]
+        assert held[-1].states.shape == (b.n_paths,)
         assert np.array_equal(held[-1].T0, b.T0)
         sc = _report(out)["scalars"]
         if command == "compare":
@@ -430,11 +433,14 @@ def test_path_commands_hold_only_the_final_snapshot(tmp_path, monkeypatch,
             assert sc["lambda1_mc"] == est.rate
             assert sc["lambda1_mc_stderr"] == est.stderr
         else:
+            _, rows = _read_csv(out, "paths_summary.csv")
+            assert np.array_equal(np.array(rows, dtype=float)[:, 1], b.T0)
             _, rows = _read_csv(out, "survival.csv")
             t, n_alive, frac = np.array(rows, dtype=float).T
-            assert np.array_equal(t, b.times)
-            assert np.array_equal(frac, b.survival(b.times))
-            assert np.array_equal(n_alive, np.rint(frac * b.n_paths))
+            assert np.array_equal(t, times)
+            assert np.array_equal(
+                n_alive, [np.count_nonzero(b.T0 > ti) for ti in times])
+            assert np.array_equal(frac, b.survival(times))
             _, rows = _read_csv(out, "conditional_hist.csv")
             masses = np.array(rows, dtype=float)[:, 2:4].T
         assert np.array_equal(masses, [law.masses, law.stderr])
@@ -443,7 +449,6 @@ def test_path_commands_hold_only_the_final_snapshot(tmp_path, monkeypatch,
             assert sc["lambda1_stderr"] == est.stderr
         assert sc.get("survivors_at_t_max", law.n_survivors) \
             == law.n_survivors
-    assert len(held) == len(runs)
 
 
 def test_internal_error_writes_its_report(tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ from qsdlab import (DomainError, DriftField, PreconditionError, SimConfig,
                     linear_growth, montecarlo, ou_drift, preset_model,
                     rng, simulate_qprocess, simulate_x, simulate_z)
 from qsdlab.montecarlo import (PATH_EVENTS, _CHUNK, _CROSS_NARROW,
-                               _CROSS_SKIP, _located, _record_steps)
+                               _CROSS_SKIP, PathBatch, _located)
 
 
 def _free_drift():
@@ -33,8 +33,9 @@ def _wall_drift(push=np.inf):
                       name="wall", C_closed=0.0)
 
 
-# the per-step-compacting stepper the engine replaced, kept verbatim: the
-# engine must reproduce its every state and absorption time bit for bit
+# the per-step-compacting stepper the engine replaced, kept verbatim but
+# for the steps it records: the engine must reproduce its final states and
+# absorption times bit for bit
 def _reference_march(v, x0, first, cfg, edges, rec_steps, states, T0):
     """Step paths first, first + 1, ... into their rows of states and T0.
 
@@ -112,8 +113,12 @@ def _reference_march(v, x0, first, cfg, edges, rec_steps, states, T0):
     return reflections
 
 
-def _reference_paths(v, x0, cfg, edges=None):
-    rec_steps = _record_steps(cfg)
+def _reference_paths(v, x0, cfg, edges=None, every_step=False):
+    """The reference's (states, T0, reflections): states holds step 0 and
+    the final step, or every step with every_step, one column each."""
+    n_steps = cfg.n_steps
+    rec_steps = (np.arange(n_steps + 1) if every_step
+                 else np.array([0, n_steps]))
     x0 = np.broadcast_to(np.asarray(x0, dtype=float), (cfg.n_paths,))
     states = np.zeros((cfg.n_paths, len(rec_steps)))
     T0 = np.full(cfg.n_paths, np.inf)
@@ -138,13 +143,13 @@ _LAYOUTS = ((32, 512), (7, 64), (1, 4), (64, 32))
 
 
 def _layout_runs(monkeypatch, q, x0, cfg, layouts=_LAYOUTS, edges=None):
-    """The engine's (states, T0, events) under each window and chunk size;
-    the engine takes the drift q of dX = dB - q dt."""
+    """The engine's (final states, T0, events) under each window and chunk
+    size; the engine takes the drift q of dX = dB - q dt."""
     default = montecarlo._WIN, montecarlo._CHUNK
     for win, chunk in layouts:
         monkeypatch.setattr(montecarlo, "_WIN", win)
         monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
-        _, states, T0, events = montecarlo._euler_paths(q, x0, cfg, edges)
+        states, T0, events = montecarlo._euler_paths(q, x0, cfg, edges)
         yield (win, chunk), states, T0, events
     monkeypatch.setattr(montecarlo, "_WIN", default[0])
     monkeypatch.setattr(montecarlo, "_CHUNK", default[1])
@@ -176,8 +181,9 @@ _NEAR = dict(dt=1e-3, t_max=1.2, n_paths=61, seed=3)
     pytest.param(ou_drift(1.0), 0.05, {}, 7, id="block-7"),
     pytest.param(ou_drift(1.0), 0.05, {"n_paths": 5000}, 4096,
                  id="block-4096"),
-    pytest.param(ou_drift(1.0), 0.05, {"record_dt": 5e-3}, 4096,
-                 id="record-5"),
+    # 1201 steps: the last one ends half a step past t_max
+    pytest.param(ou_drift(1.0), 0.05, {"t_max": 1.2005}, 4096,
+                 id="t_max-off-grid"),
     pytest.param(_wall_drift(), np.r_[10.5, 9.99, np.full(59, 1.5)], {},
                  4096, id="wall"),
     pytest.param(_wall_drift(-np.inf), np.r_[10.5, 9.99, np.full(59, 1.5)],
@@ -187,8 +193,9 @@ def test_engine_matches_reference_stepper(drift, x0, extra, block,
                                           monkeypatch):
     monkeypatch.setattr(montecarlo, "_BLOCK", block)
     cfg = SimConfig(**{**_NEAR, **extra})
-    assert _record_steps(cfg)[-1] > 2 * _CHUNK
+    assert cfg.n_steps > 2 * _CHUNK
     states, T0, _ = _reference_paths(_minus(drift.q), x0, cfg)
+    final = states[:, -1]
     # paths die after a refill, and some outlive t_max
     assert np.any(np.isfinite(T0) & (T0 > _CHUNK * cfg.dt))
     assert np.any(np.isinf(T0))
@@ -198,11 +205,11 @@ def test_engine_matches_reference_stepper(drift, x0, extra, block,
         monkeypatch.setattr(montecarlo, "_GROUP", group)
         b = simulate_x(drift, x0, cfg)
         assert np.array_equal(b.T0, T0), group
-        assert np.array_equal(b.states, states), group
+        assert np.array_equal(b.states, final), group
         for layout, s, t, events in _layout_runs(monkeypatch, drift.q, x0,
                                                  cfg, layouts):
             assert np.array_equal(t, T0), (group, layout)
-            assert np.array_equal(s, states), (group, layout)
+            assert np.array_equal(s, final), (group, layout)
             assert events == b.events, (group, layout)
 
 
@@ -210,8 +217,7 @@ def test_deaths_at_window_and_chunk_edges(monkeypatch):
     # a pull of one unit per step against noise of 1e-3 per step lands
     # the path started at k + 0.5 at step k, whatever the draws
     dt = 1e-6
-    cfg = SimConfig(dt=dt, t_max=1200 * dt, n_paths=12, seed=4,
-                    record_dt=3 * dt)
+    cfg = SimConfig(dt=dt, t_max=1200 * dt, n_paths=12, seed=4)
 
     def q(x):
         return np.full_like(x, 1.0 / dt)
@@ -225,9 +231,9 @@ def test_deaths_at_window_and_chunk_edges(monkeypatch):
         assert np.array_equal(np.floor(T0 / dt + 1e-9), k)
         monkeypatch.setattr(montecarlo, "_WIN", win)
         monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
-        _, s, t, events = montecarlo._euler_paths(q, k + 0.5, cfg)
+        s, t, events = montecarlo._euler_paths(q, k + 0.5, cfg)
         assert np.array_equal(t, T0), (win, chunk)
-        assert np.array_equal(s, states), (win, chunk)
+        assert np.array_equal(s, states[:, -1]), (win, chunk)
         assert events["landings"] == k.size
 
 
@@ -238,17 +244,16 @@ def test_crossing_after_skipped_uniform_chunks(win, chunk, monkeypatch):
     # stream position
     dt = 1e-4
     n_steps = 2 * chunk + 300
-    cfg = SimConfig(dt=dt, t_max=n_steps * dt, n_paths=40, seed=8,
-                    record_dt=dt)
+    cfg = SimConfig(dt=dt, t_max=n_steps * dt, n_paths=40, seed=8)
 
     def q(x):
         return np.full_like(x, 2.8 / (2 * chunk * dt))
-    states, T0, _ = _reference_paths(_minus(q), 3.0, cfg)
+    states, T0, _ = _reference_paths(_minus(q), 3.0, cfg, every_step=True)
     monkeypatch.setattr(montecarlo, "_WIN", win)
     monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
-    _, s, t, events = montecarlo._euler_paths(q, 3.0, cfg)
+    s, t, events = montecarlo._euler_paths(q, 3.0, cfg)
     assert np.array_equal(t, T0)
-    assert np.array_equal(s, states)
+    assert np.array_equal(s, states[:, -1])
     # some path stayed out of the band through two chunks, then failed the
     # crossing test: such a death is dated at mid-step
     p = _step_products(states, cfg.absorb_threshold)
@@ -300,9 +305,9 @@ def test_zero_uniform_widens_the_crossing_band(monkeypatch):
     # a uniform of 0.0 fails the test wherever the crossing probability is
     # positive, so path 0 dies on its first step within 373 dt, which is
     # outside the 19 dt band the other paths are tested in
-    cfg = SimConfig(dt=1e-3, t_max=1.2, n_paths=30, seed=3, record_dt=1e-3)
+    cfg = SimConfig(dt=1e-3, t_max=1.2, n_paths=30, seed=3)
     q = ou_drift(1.0).q
-    plain, _, _ = _reference_paths(_minus(q), 1.0, cfg)
+    plain, _, _ = _reference_paths(_minus(q), 1.0, cfg, every_step=True)
     real, real_at = rng.stream, rng.Seek.at
 
     def stream(seed, index, region=0):
@@ -325,7 +330,7 @@ def test_zero_uniform_widens_the_crossing_band(monkeypatch):
     assert _CROSS_NARROW * cfg.dt <= p[step] < _CROSS_SKIP * cfg.dt
     for layout, s, t, _ in _layout_runs(monkeypatch, q, 1.0, cfg):
         assert np.array_equal(t, T0), layout
-        assert np.array_equal(s, states), layout
+        assert np.array_equal(s, states[:, -1]), layout
 
 
 def test_qprocess_matches_reference_stepper(logistic_sd, monkeypatch):
@@ -344,11 +349,11 @@ def test_qprocess_matches_reference_stepper(logistic_sd, monkeypatch):
             b = simulate_qprocess(sd.drift, sd, 0.05, cfg)
         assert b.events["reflections"] == reflections
         assert np.array_equal(b.T0, T0), group
-        assert np.array_equal(b.states, states), group
+        assert np.array_equal(b.states, states[:, -1]), group
         for layout, s, t, events in _layout_runs(monkeypatch, q, 0.05, cfg,
                                                  edges=edges):
             assert np.array_equal(t, T0), (group, layout)
-            assert np.array_equal(s, states), (group, layout)
+            assert np.array_equal(s, states[:, -1]), (group, layout)
             assert events == b.events, (group, layout)
 
 
@@ -359,9 +364,8 @@ def test_reflections_at_window_and_chunk_edges(monkeypatch):
     # reflect at the first and last step of windows, either side of
     # refills, and at every step of a window
     dt = 1e-6
-    cfg = SimConfig(dt=dt, t_max=1200 * dt, n_paths=12, seed=4,
-                    record_dt=dt)
-    n_steps = int(_record_steps(cfg)[-1])
+    cfg = SimConfig(dt=dt, t_max=1200 * dt, n_paths=12, seed=4)
+    n_steps = cfg.n_steps
     edges = (0.0, float(n_steps))
     for win, chunk in _LAYOUTS:
         k = np.array([0, 1, win - 1, win, 2 * win - 1, 2 * win, chunk - 1,
@@ -375,9 +379,9 @@ def test_reflections_at_window_and_chunk_edges(monkeypatch):
             assert reflections == np.sum(n_steps - k)
             monkeypatch.setattr(montecarlo, "_WIN", win)
             monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
-            _, s, t, events = montecarlo._euler_paths(q, x0, cfg, edges)
+            s, t, events = montecarlo._euler_paths(q, x0, cfg, edges)
             assert np.array_equal(t, T0), (win, chunk, push)
-            assert np.array_equal(s, states), (win, chunk, push)
+            assert np.array_equal(s, states[:, -1]), (win, chunk, push)
             assert events["reflections"] == reflections
 
 
@@ -503,7 +507,7 @@ def test_bitwise_determinism_and_block_independence(engine, request,
 
         def run(cfg):
             return simulate_qprocess(sd.drift, sd, 1.0, cfg)
-    base = dict(dt=1e-3, t_max=0.5, n_paths=600, seed=3, record_dt=0.25)
+    base = dict(dt=1e-3, t_max=0.5, n_paths=600, seed=3)
     a = run(SimConfig(**base))
     b = run(SimConfig(**base))
     assert np.array_equal(a.states, b.states)
@@ -535,7 +539,7 @@ def test_non_finite_steps_do_not_depend_on_block_size(wall_path, n_paths,
     assert np.array_equal(runs[0].T0, runs[1].T0)
     assert np.array_equal(runs[0].states, runs[1].states)
     assert runs[1].T0[wall_path] == 0.5e-3
-    assert np.all(runs[1].states[wall_path, 1:] == 0.0)
+    assert runs[1].states[wall_path] == 0.0
 
 
 def test_non_finite_step_absorbs_at_mid_step():
@@ -548,7 +552,7 @@ def test_non_finite_step_absorbs_at_mid_step():
 
 def test_driftless_survival_matches_reflection_law():
     # from x0=1 the survival at t is erf(x0 / sqrt(2 t))
-    cfg = SimConfig(dt=1e-3, t_max=1.0, n_paths=20000, seed=5, record_dt=0.5)
+    cfg = SimConfig(dt=1e-3, t_max=1.0, n_paths=20000, seed=5)
     b = simulate_x(_free_drift(), 1.0, cfg)
     target = float(erf(1.0 / np.sqrt(2.0)))
     se = np.sqrt(target * (1.0 - target) / cfg.n_paths)
@@ -557,7 +561,7 @@ def test_driftless_survival_matches_reflection_law():
 
 def test_critical_population_extinction_law():
     # no growth: absorbed by t with probability exp(-2 z0 / (gamma t))
-    cfg = SimConfig(dt=1e-3, t_max=1.0, n_paths=20000, seed=9, record_dt=0.5)
+    cfg = SimConfig(dt=1e-3, t_max=1.0, n_paths=20000, seed=9)
     b = simulate_z(linear_growth(0.0, 1.0), 0.5, cfg)
     target = 1.0 - np.exp(-2.0 * 0.5 / 1.0)
     se = np.sqrt(target * (1.0 - target) / cfg.n_paths)
@@ -572,31 +576,49 @@ def test_population_start_at_zero_is_instantly_absorbed():
 
 
 def test_decay_rate_estimator_with_honest_errors():
-    cfg = SimConfig(dt=2.5e-4, t_max=4.0, n_paths=10000, seed=5,
-                    record_dt=0.125)
+    cfg = SimConfig(dt=2.5e-4, t_max=4.0, n_paths=10000, seed=5)
     b = simulate_x(ou_drift(1.0), 1.0, cfg)
-    est = estimate_lambda1(b, (2.0, 4.0))
+    times = montecarlo.survival_grid(cfg, 0.125)
+    est = estimate_lambda1(b, (2.0, 4.0), times)
     assert abs(est.rate - 1.0) < 3.0 * est.stderr
     assert est.r_squared > 0.99
     # a window past extinction is refused rather than extrapolated
     with pytest.raises(PreconditionError):
-        estimate_lambda1(b, (3.9, 4.0) if b.n_alive(3.9) < 100 else (9, 10))
+        estimate_lambda1(b, (3.9, 4.0) if b.n_alive(3.9) < 100 else (9, 10),
+                         times)
+
+
+def test_survivor_counts_match_brute_force():
+    # ties, paths alive at the end (inf) and absorbed at once (0.0), read
+    # at times equal to T0 entries, between them and past both ends
+    T0 = np.array([0.5, np.inf, 0.0, 0.25, 0.5, np.inf, 1.0, 0.0, 0.25, 0.5])
+    b = PathBatch(states=np.zeros(T0.size), T0=T0, events={})
+    ts = np.array([-1.0, 0.0, 0.1, 0.25, 0.3, 0.5, 0.75, 1.0, 2.0, np.inf])
+    brute = np.array([np.count_nonzero(T0 > t) for t in ts])
+    assert np.array_equal(b.n_alive(ts), brute)
+    # the mean of the (time, path) comparisons, bit for bit
+    frac = np.mean(T0[None, :] > ts[:, None], axis=1)
+    assert np.array_equal(b.survival(ts), frac)
+    assert np.array_equal(b.survival(ts.tolist()), frac)
+    for t, n, f in zip(ts, brute, frac):
+        assert b.n_alive(t) == n
+        assert b.survival(t) == f and isinstance(b.survival(t), float)
 
 
 def test_conditional_histogram_and_ks():
-    cfg = SimConfig(dt=1e-3, t_max=1.0, n_paths=5000, seed=21, record_dt=0.5)
+    cfg = SimConfig(dt=1e-3, t_max=1.0, n_paths=5000, seed=21)
     b = simulate_x(ou_drift(1.0), 1.0, cfg)
     edges = np.linspace(0.0, 4.0, 33)
-    law = conditional_histogram(b, 1.0, edges)
+    law = conditional_histogram(b, edges)
     assert law.n_survivors > 100
     assert np.sum(law.masses) == pytest.approx(1.0, abs=1e-12)
     assert law.ecdf()[0] == 0.0 and law.ecdf()[-1] == pytest.approx(1.0)
     with pytest.raises(PreconditionError):
-        conditional_histogram(b, 1.0, edges[::-1])
+        conditional_histogram(b, edges[::-1])
 
 
 def test_conditioned_process_stays_alive(logistic_sd):
-    cfg = SimConfig(dt=1e-3, t_max=1.0, n_paths=200, seed=6, record_dt=0.5)
+    cfg = SimConfig(dt=1e-3, t_max=1.0, n_paths=200, seed=6)
     b = simulate_qprocess(logistic_sd.drift, logistic_sd, 1.0, cfg)
     assert np.all(np.isinf(b.T0))
     assert np.all(b.states > logistic_sd.grid[0] - 1e-12)

@@ -237,6 +237,20 @@ def test_rate_report_matches_gap(logistic_sd):
     assert 0.0 < rep.limit_value < 1.0
 
 
+@pytest.mark.parametrize("sd_name, interval", [
+    ("logistic_sd", (0.0, 1.0)), ("logistic_sd", (0.5, 3.0)),
+    ("ou_sd", (0.0, 1.0))])
+def test_rate_report_diffs_are_conditional_law_less_limit(sd_name, interval,
+                                                          request):
+    # the report projects the interval once; its differences are what
+    # conditional_law, which projects it again, gives, bit for bit
+    sd = request.getfixturevalue(sd_name)
+    ts = np.linspace(1.0, 4.0, 25)
+    rep = rate_report(sd, 1.0, interval, ts)
+    want = conditional_law(sd, ("point", 1.0), ts, interval) - rep.limit_value
+    assert np.array_equal(rep.diffs.view(np.uint64), want.view(np.uint64))
+
+
 def test_flux_audit(logistic_sd):
     rep = flux_check(logistic_sd)
     assert rep.rel_discrepancy < 0.01
