@@ -31,7 +31,7 @@ from .spectral import SpectralDecomposition, YaglomMeasure
 _CHUNK = 512
 _WIN = 32                 # steps marched between settlements
 _GROUP = 128              # lanes whose normals are drawn, then transposed
-_BLOCK = 4096             # paths marched together
+_BLOCK = 3072             # lanes marched together, each fed paths in turn
 # exp(-2 y / dt) underflows to exactly 0.0 once y >= 373 dt (the bound is
 # 372.57 dt), so no crossing test is needed past it
 _CROSS_SKIP = 373.0
@@ -153,7 +153,8 @@ def _euler_paths(q, x0, cfg, edges=None):
     With edges (lo, hi) the paths live forever and excursions past an
     edge are mirrored back inside.  q is stepped through its in-place
     evaluator (model.in_place): an InPlace's own, or the adapter that
-    copies q(x).  Paths are marched _BLOCK at a time.
+    copies q(x).  The paths are marched on _BLOCK lanes fed from a queue
+    (_march_block).
     Returns the states after the final step (0 for an absorbed path),
     T0 and the step events counted by name (PATH_EVENTS).
     """
@@ -177,42 +178,62 @@ def _euler_paths(q, x0, cfg, edges=None):
     states, = _mapped([(cfg.n_paths,)])
     T0 = np.full(cfg.n_paths, np.inf)
     events = dict.fromkeys(PATH_EVENTS, 0)
-    buf = _Buffers(min(_BLOCK, cfg.n_paths), edges is None, cfg.seed,
-                   1 + scratch_rows(q))
-    into = in_place(q)
-    for lo in range(0, cfg.n_paths, _BLOCK):
-        hi = min(lo + _BLOCK, cfg.n_paths)
-        _march_block(into, x0[lo:hi], lo, cfg, edges, states[lo:hi],
-                     T0[lo:hi], events, buf)
+    with _Buffers(min(_BLOCK, cfg.n_paths), edges is None, cfg.seed,
+                  1 + scratch_rows(q)) as buf:
+        _march_block(in_place(q), x0, cfg, edges, states, T0, events, buf)
     return states, T0, events
 
 
-class _Buffers:
-    """What blocks are marched in, made once per ensemble.
+# lane generators no ensemble holds: built at first use, then kept for
+# the process, since a lane re-keys its generator before every path
+_IDLE_GENS = []
 
-    Every block of the ensemble reuses them.  gens are Philox generators,
-    one per lane, that each block re-keys to its paths' streams (seek):
-    re-keying costs a fifth of building a stream.  The arrays are the
-    zeroed pages of one anonymous mapping: slab, the time-major chunk,
-    one row per step; raw, a group of lanes' normals; rows, the row each
-    step's drift is written into and the drift's R - 1 scratch rows; and
-    for absorbed paths u, room for a chunk of crossing-test uniforms per
-    lane, filled from its start (_Uniforms), and _settle's rows.
-    The mapping goes back to the system whole when the ensemble is done,
-    so its rows never stay resident in the heap, and what is resident
-    while it lives is what this ensemble touched.  The final states the
-    blocks write are a mapping of their own (_euler_paths), which lives
-    as long as the batch.
+
+class _Buffers:
+    """What the lanes are marched in, made once per ensemble.
+
+    gens are Philox generators, one per lane, that a lane re-keys to each
+    path it takes (seek): re-keying costs a fifth of building a stream.
+    They are taken from the process's idle pool on entry and given back on
+    exit, so an ensemble running at the same time builds its own.  The
+    arrays are the zeroed pages of one anonymous mapping: slab, the
+    time-major chunk, one row per step; raw, a group of lanes' normals;
+    room for the row each step's drift is written into and the drift's
+    R - 1 scratch rows (drift_rows); and for absorbed paths u, room for a
+    chunk of crossing-test uniforms per lane, filled from its start
+    (_Uniforms), and _settle's rows.  The mapping goes back to the system
+    whole when the ensemble is done, so its rows never stay resident in
+    the heap, and what is resident while it lives is what this ensemble
+    touched.  The final states the lanes write are a mapping of their own
+    (_euler_paths), which lives as long as the batch.
     """
 
     def __init__(self, B, absorbed, seed, R):
         self.seek = rng.Seek(seed)
-        self.gens = [rng.stream(seed, i) for i in range(B)]
-        shapes = [(_CHUNK + 1, B), (min(_GROUP, B), _CHUNK), (R, B)]
+        try:
+            self.gens = _IDLE_GENS.pop()
+        except IndexError:
+            self.gens = []
+        self.gens += [rng.stream(0, i) for i in range(len(self.gens), B)]
+        self.R = R
+        shapes = [(_CHUNK + 1, B), (min(_GROUP, B), _CHUNK), (R * B,)]
         if absorbed:
             shapes += [(B * _CHUNK,), ((_WIN + 1) * B,), (_WIN * B,)]
         self.slab, self.raw, self.rows, *settle = _mapped(shapes)
         self.u, self.diffs, self.prods = settle or (None, None, None)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        _IDLE_GENS.append(self.gens)
+
+    def drift_rows(self, n):
+        """The drift row and the scratch rows of n lanes, cut from the
+        front of the room so that each, and every run of them, is
+        C-contiguous: an evaluator reshaping them copies nothing."""
+        rows = self.rows[:self.R * n].reshape(self.R, n)
+        return rows[0], rows[1:]
 
 
 def _mapped(shapes):
@@ -226,65 +247,99 @@ def _mapped(shapes):
 
 
 @np.errstate(all="ignore")
-def _march_block(into, x0, first, cfg, edges, states, T0, events, buf):
-    """Step paths first, first + 1, ... to cfg.n_steps; write the final
-    state of each path alive after the last step into states, and each
-    absorbed path's absorption time into T0.
+def _march_block(into, x0, cfg, edges, states, T0, events, buf):
+    """Step paths 0, 1, ... from x0 to cfg.n_steps on buf's lanes; write
+    the final state of each path alive after its last step into states,
+    and each absorbed path's absorption time into T0.
 
-    Each refill draws the next chunk of Gaussian steps for the live paths
-    only: ids lists them (row in the block), one lane each.  A dead path's
-    stream is never read again, so dropping it at the refill leaves every
-    other path's draws unchanged.  The normals are drawn a group of
-    _GROUP lanes at a time, scaled by sqrt(dt) in place while the group
-    is lane-major, and copied into the time-major slab, transposed: row 0
-    holds the lanes' states, row j the noise of the chunk's step j.  The
-    chunk is marched in windows of _WIN steps, each a range of the slab's
-    rows; a step writes q(x) into buf's drift row (into, the drift's
-    in-place evaluator, with buf's scratch rows), scales it by -dt, adds
-    x and adds the sum to its row, allocating nothing.  With edges each
-    row is reflected (_reflect) right after its step.  Without, after
-    each window _settle dates every lane's first event in it; a lane that
-    died inside a window was stepped on to the window's end: those states
-    are discarded, and until the next refill the lane is held at its
-    state at the window's start, by resetting the first row of the next
-    window.  Floating-point warnings are off for the whole block, not per
-    step: a step that overflows is a non-finite step.  Adds the block's
-    step events to the events counts.  buf holds what the block is
-    marched in (_Buffers).
+    The lanes are fed from a queue, in path order.  At each refill a lane
+    whose path died or finished is dropped, and while paths wait every
+    free lane takes the next one: its state from x0, its generator re-keyed
+    to its normal stream at step 0, and its own chunk 0.  Paths enter only
+    at refills, so a path's own chunks stay aligned with the chunk's rows:
+    row j holds the state after step own * _CHUNK + j - 1 of the lane's
+    path.  Once the queue is empty lanes are only dropped.  A path's
+    streams are its own, so the lane it runs in never changes its draws.
+
+    Each refill draws the next chunk of Gaussian steps for the lanes: the
+    normals are drawn a group of _GROUP lanes at a time, scaled by
+    sqrt(dt) in place while the group is lane-major, and copied into the
+    time-major slab, transposed: row 0 holds the lanes' states, row j the
+    noise of the chunk's step j.  The chunk is marched in windows of _WIN
+    steps, each a range of the slab's rows; a step writes q(x) into buf's
+    drift row (into, the drift's in-place evaluator, with buf's scratch
+    rows), scales it by -dt, adds x and adds the sum to its row,
+    allocating nothing.  With edges each row is reflected (_reflect)
+    right after its step.  Without, after each window _settle dates every
+    lane's first event in it; a lane that died inside a window was
+    stepped on to the window's end: those states are discarded, and until
+    the next refill the lane is held at its state at the window's start,
+    by resetting the first row of the next window.  A path's last own
+    chunk is short (tail steps, the rest of n_steps): a window also ends
+    at its row tail, where such a path finishes, its final state is
+    written, and its lane is held like a dead one.  The chunk is full
+    length while any lane has a full own chunk; its normals past a
+    finished path's end are drawn and stepped, and never read.  Reflected
+    paths never die, so each set of them enters and finishes together.
+    Floating-point warnings are off for the whole march, not per step: a
+    step that overflows is a non-finite step.  Adds the step events to
+    the events counts.  buf holds what the lanes are marched in
+    (_Buffers).
     """
     mdt = -cfg.dt
     sqdt = np.sqrt(cfg.dt)
-    B = len(x0)
-    normals = [buf.seek.put(gen, first + i, 0).standard_normal
-               for i, gen in enumerate(buf.gens[:B])]
-    slab, raw = buf.slab, buf.raw
-    G = len(raw)
-    unif = _Uniforms(cfg.seed, first, buf.u)
-
-    ids = np.arange(B)
-    x = np.array(x0, dtype=float)
-    dead = np.zeros(B, dtype=bool)
     n_steps = cfg.n_steps
-    for start in range(0, n_steps, _CHUNK):
-        if dead.any():
-            live = ~dead
-            ids, x, dead = ids[live], x[live], dead[live]
-        m = min(_CHUNK, n_steps - start)
+    last = (n_steps - 1) // _CHUNK           # a path's last own chunk
+    tail = n_steps - last * _CHUNK           # and its steps
+    slab, raw = buf.slab, buf.raw
+    B, G = slab.shape[1], len(raw)
+    normals = [gen.standard_normal for gen in buf.gens[:B]]
+    free = list(range(B))                    # generators no lane holds
+    unif = _Uniforms(cfg.seed, buf.u)
+
+    ids = np.empty(0, dtype=np.intp)         # each lane's path,
+    own = np.empty(0, dtype=np.intp)         # the own chunk it is in
+    gen = np.empty(0, dtype=np.intp)         # and its generator
+    x = np.empty(0)
+    queued = 0
+    while True:
+        k = min(B - len(ids), cfg.n_paths - queued)
+        if k:
+            new = np.arange(queued, queued + k)
+            taken = [free.pop() for _ in range(k)]
+            for i, g in zip(new.tolist(), taken):
+                buf.seek.put(buf.gens[g], i, 0)
+            ids = np.concatenate([ids, new])
+            own = np.concatenate([own, np.zeros(k, dtype=np.intp)])
+            gen = np.concatenate([gen, taken])
+            x = np.concatenate([x, x0[queued:queued + k]])
+            queued += k
         n = len(ids)
+        if not n:
+            return
+        final = own == last
+        ends = np.where(final, tail, _CHUNK)     # each lane's own rows
+        m = int(ends.max())
         slab[0, :n] = x
         rows = list(raw[:, :m])        # a lane's row of raw, cut once a chunk
         for g0 in range(0, n, G):
-            lanes = ids[g0:g0 + G].tolist()
-            for row, i in zip(rows, lanes):
-                normals[i](out=row)
+            lanes = gen[g0:g0 + G].tolist()
+            for row, g in zip(rows, lanes):
+                normals[g](out=row)
             group = raw[:len(lanes), :m]
             group *= sqdt
             slab[1:m + 1, g0:g0 + len(lanes)] = group.T
-        unif.refill(start // _CHUNK, m, n)
-        step, work = buf.rows[0, :n], buf.rows[1:, :n]
-        for j0 in range(0, m, _WIN):
-            W = min(_WIN, m - j0)
-            X = slab[j0:j0 + W + 1, :n]
+        unif.refill(ids, own, ends)
+        base = own * _CHUNK
+        step, work = buf.drift_rows(n)
+        cuts = {*range(0, m, _WIN), m}
+        if final.any():
+            cuts.add(tail)
+        cuts = sorted(cuts)
+        dead = np.zeros(n, dtype=bool)
+        for j0, j1 in zip(cuts, cuts[1:]):
+            W = j1 - j0
+            X = slab[j0:j1 + 1, :n]
             # (x + q(x) (-dt)) + noise, the per-step sum: IEEE addition
             # commutes, and q(x) (-dt) is (-q(x)) dt bit for bit
             for w in range(W):
@@ -295,15 +350,20 @@ def _march_block(into, x0, first, cfg, edges, states, T0, events, buf):
                 X[w + 1] += step
                 if edges is not None:
                     _reflect(X[w + 1], edges, events)
-            stop = (np.full(n, W) if edges is not None else
-                    _settle(X, dead, ids, start + j0, cfg, unif, T0, events,
-                            buf))
-            dead = stop < W
+            if edges is None:
+                dead = _settle(X, dead, ids, base, j0, cfg, unif, T0, events,
+                               buf) < W
+            if j1 == tail:
+                done = final & ~dead
+                states[ids[done]] = X[W, done]
+                dead |= final
             if dead.all():
-                return
+                break
             np.copyto(X[W], X[0], where=dead)
-        x = slab[m, :n]
-    states[ids[~dead]] = x[~dead]
+        live = ~dead
+        x = slab[m, :n][live]
+        free += gen[dead].tolist()
+        ids, own, gen = ids[live], own[live] + 1, gen[live]
 
 
 def _reflect(x, edges, events):
@@ -322,10 +382,11 @@ def _reflect(x, edges, events):
     np.clip(x, edges[0], edges[1], out=x)
 
 
-def _settle(X, dead, ids, s0, cfg, unif, T0, events, buf):
+def _settle(X, dead, ids, base, j0, cfg, unif, T0, events, buf):
     """Date each lane's first event in the window X, where X[w] holds the
-    states after step s0 + w - 1 and dead marks lanes that died earlier.
-    The differences to the threshold and their products go to buf.
+    states after the chunk's step j0 + w - 1, own step base + j0 + w - 1
+    of path ids, and dead marks lanes that died earlier.  The differences
+    to the threshold and their products go to buf.
 
     Returns stop: the window step at which each lane died, len(X) - 1 for
     a lane alive at the window's end and -1 for a dead one.  A step ends
@@ -358,7 +419,7 @@ def _settle(X, dead, ids, s0, cfg, unif, T0, events, buf):
     lanes = sub[(P < near).any(axis=0)]
     lanes = lanes[~unif.drawn[lanes]]
     if lanes.size:
-        unif.draw(lanes, ids, s0 % _CHUNK)
+        unif.draw(lanes, j0)
     cand = ~(P >= (_CROSS_SKIP if unif.wide else _CROSS_NARROW) * dt)
     # a step can end its path only when it lands (P <= 0), its end is not
     # finite or it is in the crossing-test band; P misses an end at +inf
@@ -378,15 +439,15 @@ def _settle(X, dead, ids, s0, cfg, unif, T0, events, buf):
     ws, ls = ws[soft], ls[soft]
     # crossing probability for a pinned Brownian path
     pcross = np.exp(-2.0 * (X[ws, ls] - delta) * (X[ws + 1, ls] - delta) / dt)
-    kill = unif.u[unif.at[ls] + (s0 % _CHUNK + ws)] < pcross
+    kill = unif.u[unif.at[ls] + (j0 + ws)] < pcross
     kl, first = np.unique(ls[kill], return_index=True)
     kw = ws[kill][first]
     stop[kl] = kw
-    T0[ids[kl]] = (s0 + kw) * dt + 0.5 * dt
+    T0[ids[kl]] = (base[kl] + (j0 + kw)) * dt + 0.5 * dt
     events["crossing_kills"] += kl.size
     keep = stop[hl] == hw
     hl, hw = hl[keep], hw[keep]
-    t = (s0 + hw) * dt
+    t = (base[hl] + (j0 + hw)) * dt
     x, xn = X[hw, hl], X[hw + 1, hl]
     bad = ~np.isfinite(xn)
     T0[ids[hl[bad]]] = t[bad] + 0.5 * dt
@@ -399,49 +460,52 @@ def _settle(X, dead, ids, s0, cfg, unif, T0, events, buf):
 
 
 class _Uniforms:
-    """The crossing-test uniforms of a block's paths, a chunk per draw.
+    """The crossing-test uniforms of the lanes' paths, an own chunk per
+    draw.
 
-    Path i's uniform for step s sits at a fixed place in its stream
-    (seed, first + i, UNIFORM): its double number s, in Philox block
-    s // 4.  So a lane draws a chunk's uniforms only when it first comes
-    near the threshold in it, from one generator re-keyed to the lane's
-    stream at the block's counter; every uniform read is the one a
-    chunk-by-chunk draw gives.  The draws are packed into u one after
+    Path p's uniform for its own step s sits at a fixed place in its
+    stream (seed, p, UNIFORM): its double number s, in Philox block
+    s // 4.  So a lane draws its own chunk's uniforms only when it first
+    comes near the threshold in it, from one generator re-keyed to its
+    path's stream at that chunk's counter; every uniform read is the one
+    a chunk-by-chunk draw gives.  The draws are packed into u one after
     another: a lane's uniform for the chunk's step j is u[at + j].  A
     draw from column a written from u[start] has at = start - a, which
     can be negative, so drawn, not at's sign, tells the lanes that drew.
     Only the part of u drawn into is ever touched.
     """
 
-    def __init__(self, seed, first, u):
+    def __init__(self, seed, u):
         self.seek = rng.Seek(seed, rng.UNIFORM)
-        self.first = first
-        self.u = u                     # flat, at least a block's _CHUNKs
+        self.u = u                     # flat, at least _CHUNK per lane
 
-    def refill(self, chunk, m, n):
-        """Start chunk number chunk, of m steps, for n lanes."""
-        self.chunk, self.m = chunk, m
+    def refill(self, ids, own, ends):
+        """Start a chunk: lane l marches path ids[l] in its own chunk
+        own[l], which ends at the chunk's row ends[l]."""
+        self.ids, self.own, self.ends = ids, own, ends
+        n = len(ids)
         self.drawn = np.zeros(n, dtype=bool)
         self.at = np.zeros(n, dtype=np.intp)
         self.used = 0                  # u[:used] holds the chunk's draws
         # past _CROSS_NARROW dt only a uniform of 0.0 can fail the test
         self.wide = False
 
-    def draw(self, lanes, ids, j0):
+    def draw(self, lanes, j0):
         """Draw the given lanes' uniforms into the next free stretches of
-        u, from the Philox block holding the chunk's step j0 to the
-        chunk's end: the lanes first came near in the window starting
-        there, so no earlier step of theirs is tested."""
+        u, from the Philox block holding the chunk's step j0 to each lane's
+        end: the lanes first came near in the window starting there, so no
+        earlier step of theirs is tested."""
         a = j0 - j0 % 4
-        size = self.m - a
-        begin = self.used
-        starts = range(begin, begin + size * lanes.size, size)
-        self.used = starts.stop
+        size = self.ends[lanes] - a
+        stops = self.used + np.cumsum(size)
+        starts = stops - size
+        begin, self.used = self.used, int(stops[-1])
         self.drawn[lanes] = True
-        self.at[lanes] = np.asarray(starts) - a
-        block = (self.chunk * _CHUNK + a) // 4
-        for s, i in zip(starts, ids[lanes].tolist()):
-            self.seek.at(self.first + i, block).random(out=self.u[s:s + size])
+        self.at[lanes] = starts - a
+        blocks = (self.own[lanes] * _CHUNK + a) // 4
+        for s, e, i, block in zip(starts.tolist(), stops.tolist(),
+                                  self.ids[lanes].tolist(), blocks.tolist()):
+            self.seek.at(i, block).random(out=self.u[s:e])
         self.wide = self.wide or bool(
             np.any(self.u[begin:self.used] == 0.0))
 

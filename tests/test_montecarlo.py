@@ -237,6 +237,65 @@ def test_deaths_at_window_and_chunk_edges(monkeypatch):
         assert events["landings"] == k.size
 
 
+def test_waiting_paths_keep_every_lane_busy(monkeypatch):
+    # the deterministic pull above on four lanes: a freed lane takes the
+    # next path at the refill, so while paths wait every step marches all
+    # four lanes, and once none waits lanes only leave
+    dt = 1e-6
+    cfg = SimConfig(dt=dt, t_max=1200 * dt, n_paths=12, seed=4)
+    monkeypatch.setattr(montecarlo, "_BLOCK", 4)
+    real = rng.Seek.put
+    entered = []
+
+    def put(seek, gen, index, block):
+        if seek.region == 0:
+            entered.append(index)
+        return real(seek, gen, index, block)
+    monkeypatch.setattr(rng.Seek, "put", put)
+    for win, chunk in _LAYOUTS:
+        k = np.array([0, 1, win - 1, win, 2 * win - 1, 2 * win, chunk - 1,
+                      chunk, chunk + win - 1, 2 * chunk - 1, 2 * chunk,
+                      1150])
+        monkeypatch.setattr(montecarlo, "_WIN", win)
+        monkeypatch.setattr(montecarlo, "_CHUNK", chunk)
+        entered.clear()
+        widths = []                    # (lanes stepped, paths entered)
+
+        def q(x):
+            widths.append((x.size, len(entered)))
+            return np.full_like(x, 1.0 / dt)
+        _, T0, _ = montecarlo._euler_paths(q, k + 0.5, cfg)
+        assert np.array_equal(np.floor(T0 / dt + 1e-9), k)
+        assert entered == list(range(cfg.n_paths))
+        waiting = [n for n, e in widths if e < cfg.n_paths]
+        assert waiting and set(waiting) == {4}, (win, chunk)
+        rest = [n for n, e in widths if e == cfg.n_paths]
+        assert rest == sorted(rest, reverse=True), (win, chunk)
+
+
+def test_lane_generators_are_built_once_per_process(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_IDLE_GENS", [])
+    real = rng.stream
+    built = []
+
+    def stream(seed, index, region=0):
+        built.append(index)
+        return real(seed, index, region)
+    monkeypatch.setattr(rng, "stream", stream)
+    cfg = SimConfig(**_NEAR)
+    a = simulate_x(ou_drift(1.0), 0.05, cfg)
+    assert len(built) == cfg.n_paths
+    b = simulate_x(ou_drift(1.0), 0.05, cfg)
+    assert len(built) == cfg.n_paths
+    # an ensemble marched while another holds the pool builds its own
+    with montecarlo._Buffers(cfg.n_paths, True, cfg.seed, 1):
+        c = simulate_x(ou_drift(1.0), 0.05, cfg)
+    assert len(built) == 2 * cfg.n_paths
+    for other in (b, c):
+        assert np.array_equal(other.T0, a.T0)
+        assert np.array_equal(other.states, a.states)
+
+
 @pytest.mark.parametrize("win, chunk", [(32, 512), (7, 64)])
 def test_crossing_after_skipped_uniform_chunks(win, chunk, monkeypatch):
     # a steady pull from x0 = 3 keeps paths out of the crossing band for
@@ -357,6 +416,16 @@ def test_qprocess_matches_reference_stepper(logistic_sd, monkeypatch):
             assert events == b.events, (group, layout)
 
 
+@pytest.mark.parametrize("block", [7, 128])
+def test_qprocess_lane_generations_match_reference_stepper(block, logistic_sd,
+                                                           monkeypatch):
+    # 400 never-dying paths on fewer lanes: sets of them enter together,
+    # finish at their last own step, short of a full chunk, and free
+    # their lanes for the next
+    monkeypatch.setattr(montecarlo, "_BLOCK", block)
+    test_qprocess_matches_reference_stepper(logistic_sd, monkeypatch)
+
+
 def test_reflections_at_window_and_chunk_edges(monkeypatch):
     # a push of one unit per step against noise of 1e-3 per step carries
     # the path started k + 0.5 inside an edge across it at step k, and
@@ -437,21 +506,24 @@ def test_conditioned_drift_allocates_no_array(sd_name, request):
     g = sd.grid
     rows = [np.random.default_rng(3).uniform(0.5, 2.0, 4096),
             np.r_[g[:4094], np.nan, 2.0 * g[-1]]]
-    out = np.empty(4096)
-    work = np.empty((q.scratch, 4096))
-    with np.errstate(all="ignore"):
-        for x in rows:
-            q.into(x, out, work)
-            tracemalloc.start()
-            try:
-                for _ in range(5):
-                    q.into(x, out, work)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            # a 4096-row temporary alone would be 32 KiB
-            assert peak < 8192, peak
-            _assert_same_bits(out, q(x))
+    plain = np.empty(4096), np.empty((q.scratch, 4096))
+    # and in the engine's own rows, at a lane count short of its lanes
+    buf = montecarlo._Buffers(montecarlo._BLOCK, False, 0, 1 + q.scratch)
+    with buf, np.errstate(all="ignore"):
+        for out, work in (plain, buf.drift_rows(1904)):
+            for x in rows:
+                x = x[-out.size:]
+                q.into(x, out, work)
+                tracemalloc.start()
+                try:
+                    for _ in range(5):
+                        q.into(x, out, work)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                # a 4096-row temporary alone would be 32 KiB
+                assert peak < 8192, (out.size, peak)
+                _assert_same_bits(out, q(x))
 
 
 def _mirror_and_clip(x, edges):
