@@ -3,7 +3,9 @@
 Subcommands cover the whole pipeline — hypothesis checks, the
 eigensolve, the quasi-stationary profile, kernel slices, path
 ensembles, the conditioned process, the lattice prelimits, and the
-spectral-versus-Monte-Carlo comparison.  Numeric imports happen inside
+spectral-versus-Monte-Carlo comparison, each declared once in
+_COMMANDS.  A failure is labelled by the innermost RunReport.span open:
+a handler's step, or the command.  Numeric imports happen inside
 main() on purpose, and the package resolves its exports lazily:
 QSD_NUM_THREADS must cap the linear-algebra thread pools before numpy
 first loads.
@@ -51,15 +53,7 @@ def _parser():
         prog="qsd",
         description="Quasi-stationary laboratory for absorbed diffusions")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-            ("check", "verify the integrability hypotheses"),
-            ("spectrum", "solve the killed generator's eigenproblem"),
-            ("yaglom", "compute the quasi-stationary profile"),
-            ("kernel", "write one transition-kernel slice"),
-            ("simulate", "run the absorbed path ensemble"),
-            ("qprocess", "simulate the never-absorbed conditioned process"),
-            ("bd", "lattice prelimit: scaling check and series criterion"),
-            ("compare", "overlay spectral profile against simulation")):
+    for name, (help_text, _) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("config", help="run configuration file")
         sp.add_argument("--output-dir", default="qsd_out",
@@ -113,10 +107,9 @@ def main(argv=None):
     from .report import RunReport
     rep = RunReport(command=args.command, label=cfg.model.label,
                     seed=cfg.seed, thread_cap=thread_cap)
-    stage = [args.command]
     code = _EXIT_OK
     try:
-        _run(args, cfg, out_dir, rep, stage)
+        _run(args, cfg, out_dir, rep)
     except Exception as exc:          # noqa: BLE001 - the last-resort rail
         if isinstance(exc, (PreconditionError, DomainError, ModelError)):
             code = _EXIT_PRECONDITION
@@ -125,12 +118,12 @@ def main(argv=None):
         else:
             code = _EXIT_INTERNAL
         rep.status = "error" if code == _EXIT_INTERNAL else "refused"
-        rep.failure = {"stage": stage[-1], "type": type(exc).__name__,
+        rep.failure = {"stage": rep.stage, "type": type(exc).__name__,
                        "message": str(exc)}
         for msg in rep.messages:
             print(f"note: {msg}", file=sys.stderr)
         print(f"{'internal error' if code == _EXIT_INTERNAL else 'error'} "
-              f"[{stage[-1]}]: {type(exc).__name__}: {exc}", file=sys.stderr)
+              f"[{rep.stage}]: {type(exc).__name__}: {exc}", file=sys.stderr)
 
     rep.write_json(out_dir)
     if code == _EXIT_OK:
@@ -138,14 +131,16 @@ def main(argv=None):
     return code
 
 
-def _run(args, cfg, out_dir, rep, stage):
-    """Run the command's handler, timing it and recording each warning it
-    raises in the report (every occurrence, so reruns report alike)."""
+def _run(args, cfg, out_dir, rep):
+    """Run the command's handler in a span of its name, timing it and
+    recording each warning it raises in the report (every occurrence, so
+    reruns report alike)."""
     t0 = time.perf_counter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            _HANDLERS[args.command](args, cfg, out_dir, rep, stage)
+            with rep.span(args.command):
+                _COMMANDS[args.command][1](args, cfg, out_dir, rep)
         finally:
             rep.wall_time_s = time.perf_counter() - t0
             rep.messages.extend(f"{w.category.__name__}: {w.message}"
@@ -155,22 +150,16 @@ def _run(args, cfg, out_dir, rep, stage):
 # ---------------------------------------------------------------------------
 # shared pipeline pieces
 
-def _decomposition(args, cfg, rep, stage):
-    """The levels the command reads, with [spectral] k as the cap: all k
-    for spectrum, those that weigh at --t for kernel, and the ground pair
-    for yaglom, compare and qprocess.  A cap the grid cannot carry is
-    refused by every command.  The solve's largest residual and its
-    orthonormality defect go into the report."""
+def _decomposition(cfg, rep, K=1, horizon=None):
+    """The levels a command reads: K of them, or those of the K that weigh
+    at horizon.  A cap [spectral] k the grid cannot carry is refused by
+    every command.  The solve's largest residual and its orthonormality
+    defect go into the report."""
     from .spectral import build_and_solve, require_levels
-    stage.append("spectral solve")
-    require_levels(cfg.domain, cfg.K)
-    K, horizon = cfg.K, None
-    if args.command == "kernel":
-        horizon = args.t
-    elif args.command != "spectrum":
-        K = 1
-    sd = build_and_solve(cfg.model.drift, cfg.domain, K=K, horizon=horizon)
-    stage.pop()
+    with rep.span("spectral solve"):
+        require_levels(cfg.domain, cfg.K)
+        sd = build_and_solve(cfg.model.drift, cfg.domain, K=K,
+                             horizon=horizon)
     rep.scalars["eigen_residual"] = sd.eigen_residual
     rep.scalars["orthonormality_defect"] = sd.orthonormality_defect
     return sd
@@ -187,15 +176,12 @@ def _hist_edges(cfg):
     return np.linspace(0.0, float(hi), cfg.mc["bins"] + 1)
 
 
-def _native_batch(cfg, stage):
+def _native_batch(cfg, rep):
     from .montecarlo import simulate_x, simulate_z
-    stage.append("path simulation")
-    if cfg.model.kind == "growth":
-        batch = simulate_z(cfg.model.growth, cfg.mc["z0"], cfg.sim)
-    else:
-        batch = simulate_x(cfg.model.drift, cfg.mc["x0"], cfg.sim)
-    stage.pop()
-    return batch
+    with rep.span("path simulation"):
+        if cfg.model.kind == "growth":
+            return simulate_z(cfg.model.growth, cfg.mc["z0"], cfg.sim)
+        return simulate_x(cfg.model.drift, cfg.mc["x0"], cfg.sim)
 
 
 def _lambda_window(cfg):
@@ -221,11 +207,10 @@ def _batch_files(rep, out_dir, batch, law, times):
 # ---------------------------------------------------------------------------
 # the eight commands
 
-def _cmd_check(args, cfg, out_dir, rep, stage):
+def _cmd_check(args, cfg, out_dir, rep):
     from .hypotheses import check_all, report_to_rows
-    stage.append("hypothesis checks")
-    hr = check_all(cfg.model)
-    stage.pop()
+    with rep.span("hypothesis checks"):
+        hr = check_all(cfg.model)
     rep.add_file(out_dir, "hypotheses.csv",
                  ("hypothesis", "status", "key_integral",
                   "value_or_growth", "cutoff_trail_json"),
@@ -235,18 +220,17 @@ def _cmd_check(args, cfg, out_dir, rep, stage):
     rep.scalars["all_core_hold"] = hr.all_hold()
 
 
-def _cmd_spectrum(args, cfg, out_dir, rep, stage):
+def _cmd_spectrum(args, cfg, out_dir, rep):
     import numpy as np
     from .spectral import yaglom_measure
-    sd = _decomposition(args, cfg, rep, stage)
+    sd = _decomposition(cfg, rep, K=cfg.K)
     rep.add_file(out_dir, "spectrum.csv", ("k", "lambda_k"),
                  [np.arange(1, sd.K + 1), sd.lambdas])
     header = (["x"] + [f"eta_{k + 1}" for k in range(sd.K)]
               + [f"psi_{k + 1}" for k in range(sd.K)] + ["mu_weight"])
-    stage.append("eigenfunction table")
-    rep.add_file(out_dir, "eigenfunctions.csv", header,
-                 [sd.grid, *sd.etas.T, *sd.psis.T, sd.mu_weights])
-    stage.pop()
+    with rep.span("eigenfunction table"):
+        rep.add_file(out_dir, "eigenfunctions.csv", header,
+                     [sd.grid, *sd.etas.T, *sd.psis.T, sd.mu_weights])
     ym = yaglom_measure(sd)
     rep.add_file(out_dir, "yaglom.csv", ("x", "density", "cdf"),
                  [ym.grid, ym.density, ym.cdf])
@@ -257,9 +241,9 @@ def _cmd_spectrum(args, cfg, out_dir, rep, stage):
     rep.scalars["t_min_K"] = sd.t_min()
 
 
-def _cmd_yaglom(args, cfg, out_dir, rep, stage):
+def _cmd_yaglom(args, cfg, out_dir, rep):
     from .spectral import yaglom_measure
-    sd = _decomposition(args, cfg, rep, stage)
+    sd = _decomposition(cfg, rep)
     ym = yaglom_measure(sd)
     rep.add_file(out_dir, "yaglom.csv", ("x", "density", "cdf"),
                  [ym.grid, ym.density, ym.cdf])
@@ -270,13 +254,12 @@ def _cmd_yaglom(args, cfg, out_dir, rep, stage):
         rep.scalars[f"quantile_{int(p * 100)}"] = ym.quantile(p)
 
 
-def _cmd_kernel(args, cfg, out_dir, rep, stage):
+def _cmd_kernel(args, cfg, out_dir, rep):
     import numpy as np
     from .spectral import kernel_r
-    sd = _decomposition(args, cfg, rep, stage)
-    stage.append("kernel slice")
-    row = kernel_r(sd, args.t, [args.x], sd.grid)[0]
-    stage.pop()
+    sd = _decomposition(cfg, rep, K=cfg.K, horizon=args.t)
+    with rep.span("kernel slice"):
+        row = kernel_r(sd, args.t, [args.x], sd.grid)[0]
     density = row * np.exp(-sd.Qgrid)
     rep.add_file(out_dir, "kernel_slice.csv",
                  ("y", "kernel_vs_mu", "transition_density"),
@@ -288,13 +271,13 @@ def _cmd_kernel(args, cfg, out_dir, rep, stage):
     rep.scalars["survival_from_x"] = float(row @ sd.mu_weights)
 
 
-def _cmd_simulate(args, cfg, out_dir, rep, stage):
+def _cmd_simulate(args, cfg, out_dir, rep):
     import numpy as np
     from .errors import PreconditionError
     from .montecarlo import (conditional_histogram, estimate_lambda1,
                              survival_grid)
     times = survival_grid(cfg.sim, cfg.mc["record_dt"])
-    batch = _native_batch(cfg, stage)
+    batch = _native_batch(cfg, rep)
     law = conditional_histogram(batch, _hist_edges(cfg))
     _batch_files(rep, out_dir, batch, law, times)
     frac_absorbed = float(np.mean(np.isfinite(batch.T0)))
@@ -310,16 +293,16 @@ def _cmd_simulate(args, cfg, out_dir, rep, stage):
         rep.messages.append(f"decay-rate estimate unavailable: {exc}")
 
 
-def _cmd_qprocess(args, cfg, out_dir, rep, stage):
+def _cmd_qprocess(args, cfg, out_dir, rep):
     import numpy as np
     from .montecarlo import (conditional_histogram, ks_distance,
                              simulate_qprocess, survival_grid)
     from .spectral import qprocess_stationary
-    sd = _decomposition(args, cfg, rep, stage)
+    sd = _decomposition(cfg, rep)
     times = survival_grid(cfg.sim, cfg.mc["record_dt"])
-    stage.append("conditioned-path simulation")
-    batch = simulate_qprocess(cfg.model.drift, sd, cfg.mc["x0"], cfg.sim)
-    stage.pop()
+    with rep.span("conditioned-path simulation"):
+        batch = simulate_qprocess(cfg.model.drift, sd, cfg.mc["x0"],
+                                  cfg.sim)
     edges = np.linspace(sd.domain.x_min, sd.domain.x_max,
                         cfg.mc["bins"] + 1)
     law = conditional_histogram(batch, edges)
@@ -337,18 +320,17 @@ def _cmd_qprocess(args, cfg, out_dir, rep, stage):
     rep.scalars.update(batch.events)
 
 
-def _cmd_bd(args, cfg, out_dir, rep, stage):
+def _cmd_bd(args, cfg, out_dir, rep):
     import numpy as np
     from .birthdeath import (gillespie, preset_chain, preset_family,
                              s_criterion, scaling_limit_check)
     bd = cfg.bd
-    stage.append("scaling check")
     if bd["n_reps"] is not None:
         rep.messages.append("bd.n_reps is ignored: the scaling check samples "
                             "nothing")
-    sr = scaling_limit_check(bd["kind"], bd["params"], bd["n_list"],
-                             bd["z0"], bd["t"])
-    stage.pop()
+    with rep.span("scaling check"):
+        sr = scaling_limit_check(bd["kind"], bd["params"], bd["n_list"],
+                                 bd["z0"], bd["t"])
     rep.add_file(out_dir, "scaling_ks.csv", ("N", "ks_distance", "M"),
                  list(zip(*sr.rows)))
     for N, ks, _ in sr.rows:
@@ -366,10 +348,9 @@ def _cmd_bd(args, cfg, out_dir, rep, stage):
                   np.concatenate([p.counts for p in paths]),
                   np.concatenate([p.states for p in paths])])
 
-    stage.append("series criterion")
-    sc = s_criterion(preset_chain(bd["chain"], bd["chain_params"]),
-                     bd["n_max"])
-    stage.pop()
+    with rep.span("series criterion"):
+        sc = s_criterion(preset_chain(bd["chain"], bd["chain_params"]),
+                         bd["n_max"])
     cuts, s_vals = zip(*sc.S_partial)
     _, a_vals = zip(*sc.A_partial)
     rep.add_file(out_dir, "s_criterion.csv",
@@ -381,18 +362,18 @@ def _cmd_bd(args, cfg, out_dir, rep, stage):
     rep.scalars["iii_iv_agree"] = sc.agreement_iii_iv
 
 
-def _cmd_compare(args, cfg, out_dir, rep, stage):
+def _cmd_compare(args, cfg, out_dir, rep):
     import numpy as np
     from .errors import PreconditionError
     from .montecarlo import (conditional_histogram, estimate_lambda1,
                              ks_distance, survival_grid, yaglom_cdf)
     from .spectral import yaglom_measure, yaglom_to_z
-    sd = _decomposition(args, cfg, rep, stage)
+    sd = _decomposition(cfg, rep)
     ym = yaglom_measure(sd)
     if cfg.model.kind == "growth":
         ym = yaglom_to_z(ym, cfg.model.growth.gamma)
     times = survival_grid(cfg.sim, cfg.mc["record_dt"])
-    batch = _native_batch(cfg, stage)
+    batch = _native_batch(cfg, rep)
     edges = _hist_edges(cfg)
     law = conditional_histogram(batch, edges)
     cdf = yaglom_cdf(ym)
@@ -415,15 +396,18 @@ def _cmd_compare(args, cfg, out_dir, rep, stage):
     rep.scalars.update(batch.events)
 
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "spectrum": _cmd_spectrum,
-    "yaglom": _cmd_yaglom,
-    "kernel": _cmd_kernel,
-    "simulate": _cmd_simulate,
-    "qprocess": _cmd_qprocess,
-    "bd": _cmd_bd,
-    "compare": _cmd_compare,
+# name -> (help text, handler), in the parser's order
+_COMMANDS = {
+    "check": ("verify the integrability hypotheses", _cmd_check),
+    "spectrum": ("solve the killed generator's eigenproblem", _cmd_spectrum),
+    "yaglom": ("compute the quasi-stationary profile", _cmd_yaglom),
+    "kernel": ("write one transition-kernel slice", _cmd_kernel),
+    "simulate": ("run the absorbed path ensemble", _cmd_simulate),
+    "qprocess": ("simulate the never-absorbed conditioned process",
+                 _cmd_qprocess),
+    "bd": ("lattice prelimit: scaling check and series criterion", _cmd_bd),
+    "compare": ("overlay spectral profile against simulation",
+                _cmd_compare),
 }
 
 

@@ -4,7 +4,8 @@ One file configures a whole run.  The [model] section picks the drift or
 growth preset (or a custom expression), [domain] and [spectral] shape the
 eigensolve, [montecarlo] holds the path-ensemble settings, and [bd] the
 lattice prelimit.  One table lists every key with its parser and
-default; TruncationDomain and SimConfig hold their own range rules.
+default, the [model] parameters as model.PRESETS declares them;
+TruncationDomain and SimConfig hold their own range rules.
 Validation is collective: every violated key is reported in one error.
 """
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConfigError, ModelError
-from .model import Model, preset_model
+from .model import PRESETS, Model, preset_model
 from .montecarlo import SimConfig
 from .spectral import TruncationDomain, default_domain
 
@@ -74,13 +75,17 @@ _NONNEGATIVE = _parser(float, "a number", lambda v: 0 <= v < math.inf,
 _POSITIVE = _parser(float, "a number", lambda v: 0 < v < math.inf,
                     "must be positive and finite")
 
+# configparser lowercases option names: each preset parameter's key,
+# mapped to the parameter's own name (K0 and K keep their case)
+_MODEL_PARAMS = {key.lower(): key for _, params, _ in PRESETS.values()
+                 for key in params}
+
 # section -> key -> (parser, default).  Model parameters stay text:
 # preset_model parses the ones its preset uses.
 _SCHEMA = {
     "model": {"kind": (str, "growth"),
-              **{key: (str, None) for key in ("preset", "expression", "r",
-                                              "c", "gamma", "k", "k0",
-                                              "theta")}},
+              **{key: (str, None) for key in ("preset", "expression",
+                                              *_MODEL_PARAMS)}},
     "domain": {"x_min": (_FLOAT, None), "x_max": (_FLOAT, None),
                "n": (_INT, None), "grid_kind": (str, None)},
     "spectral": {"k": (_at_least(2), 16)},
@@ -104,8 +109,6 @@ _SCHEMA = {
         "chain_c": (_NONNEGATIVE, 1.0), "n_max": (_at_least(100), 10000)},
 }
 _SIM_KEYS = [f.name for f in dataclasses.fields(SimConfig) if f.name != "seed"]
-# configparser lowercases option names; the presets name these two K, K0
-_MODEL_PARAMS = {"k": "K", "k0": "K0"}
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,11 @@ import numpy as np
 
 from .errors import ConfigError
 
+# fd_derivative's step relative to |v|: the cube root of the machine
+# epsilon, which balances truncation against rounding in a central
+# difference
+_FD_STEP = float(np.cbrt(np.finfo(float).eps))
+
 _FUNCS = {
     "exp": np.exp,
     "log": np.log,
@@ -97,17 +102,16 @@ def compile_expression(text, variable, params=None):
     return evaluate
 
 
-def fd_derivative(f, rel_step=None):
+def fd_derivative(f):
     """Central finite-difference derivative of a compiled expression.
 
-    The step is relative to |v|, so it never crosses the origin; at v = 0
-    it is the bare relative step.
+    The step is _FD_STEP relative to |v|, so it never crosses the origin;
+    at v = 0 it is the bare relative step.
     """
-    step = rel_step or float(np.cbrt(np.finfo(float).eps))
 
     def deriv(v):
         v = np.asarray(v, dtype=float)
-        h = step * np.where(v == 0.0, 1.0, np.abs(v))
+        h = _FD_STEP * np.where(v == 0.0, 1.0, np.abs(v))
         out = (np.asarray(f(v + h)) - np.asarray(f(v - h))) / (2.0 * h)
         if v.ndim == 0:
             return float(out)

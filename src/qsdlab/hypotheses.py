@@ -193,14 +193,9 @@ def check_h5(d: DriftField) -> HypothesisCheck:
     vb = integrate(positive_integrand(
         lambda ys: inner_head(d, ys, lo=1.0)), 1.0, np.inf)
     agree = va.status == vb.status
-    if va.status == "converges" and vb.status == "converges":
-        verdict = "holds"
-    elif va.status == "diverges" and vb.status == "diverges":
-        verdict = "fails"
-    elif "diverges" in (va.status, vb.status) and "converges" in (va.status, vb.status):
-        verdict = "inconclusive"  # the two forms must agree; disagreement is numerical
-    else:
-        verdict = "inconclusive"
+    # the two forms must agree; a disagreement is numerical
+    verdict = ({"converges": "holds", "diverges": "fails"}.get(
+        va.status, "inconclusive") if agree else "inconclusive")
     detail = (f"tail form: {va.status}({va.growth_model}); "
               f"entrance form: {vb.status}({vb.growth_model}); "
               f"agreement={'yes' if agree else 'NO'}")

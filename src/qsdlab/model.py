@@ -17,12 +17,16 @@ Every drift field carries:
 
 The growth functions h of the logistic, linear and two-threshold presets
 are InPlace too, so a growth drift fills its row without allocating.
+
+PRESETS declares each named model once (kind, parameters with their
+defaults, builder); preset_model and the config's [model] keys read it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -122,7 +126,6 @@ class Model:
     kind: str                      # 'drift' or 'growth'
     drift: DriftField
     growth: Optional[GrowthModel]
-    params: dict
     label: str
 
 
@@ -163,10 +166,11 @@ def potential(d: DriftField):
 def curvature_floor(q, q_prime):
     """Estimate C = max(0, -inf (q^2 - q')) on a log probe grid.
 
-    The coarse minimum is refined by golden-section search in the
-    bracketing interval.
+    A minimum inside the grid is refined by golden-section search between
+    its two neighbours.  A minimum at either end of the grid has no such
+    bracket and is kept as it is.  An interior bracket the search rejects
+    keeps the grid minimum too, with a RuntimeWarning.
     """
-    from scipy.optimize import minimize_scalar   # loaded at first use
     xs = np.geomspace(_PROBE_LO, _PROBE_HI, _PROBE_N)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         vals = np.asarray(q(xs), dtype=float) ** 2 - np.asarray(q_prime(xs), dtype=float)
@@ -174,10 +178,11 @@ def curvature_floor(q, q_prime):
     if not finite.any():
         raise ModelError("q^2 - q' not finite anywhere on the probe grid")
     idx = int(np.nanargmin(np.where(finite, vals, np.inf)))
-    lo = xs[max(idx - 1, 0)]
-    hi = xs[min(idx + 1, len(xs) - 1)]
     best = vals[idx]
-    if hi > lo:
+    if 0 < idx < len(xs) - 1:
+        from scipy.optimize import minimize_scalar   # loaded at first use
+        lo, hi = xs[idx - 1], xs[idx + 1]
+
         def f(x):
             return float(q(x)) ** 2 - float(q_prime(x))
         try:
@@ -185,8 +190,10 @@ def curvature_floor(q, q_prime):
                                   options={"xtol": 1e-10})
             if np.isfinite(res.fun):
                 best = min(best, float(res.fun))
-        except ValueError:
-            pass  # keep the grid minimum when the bracket is degenerate
+        except ValueError as exc:
+            warnings.warn(f"curvature floor: the golden search rejected the "
+                          f"bracket [{lo:.6g}, {hi:.6g}] ({exc}); C is the "
+                          f"probe grid's minimum", RuntimeWarning)
     return max(0.0, -float(best))
 
 
@@ -408,9 +415,9 @@ def allee_growth(r, K0, K, gamma):
                        name=f"allee(r={r:g},K0={K0:g},K={K:g},gamma={gamma:g})")
 
 
-def _logistic_drift_closed(g: GrowthModel, r, c):
-    """Closed-form potential for polynomial growth; keeps Q cheap and exact."""
-    base = drift_from_growth(g)
+def _closed_polynomial(g: GrowthModel, r, c):
+    """g and its drift, with the closed-form potential of h = r z - c z^2;
+    keeps Q cheap and exact."""
     gamma = g.gamma
 
     def Q(x):
@@ -418,12 +425,12 @@ def _logistic_drift_closed(g: GrowthModel, r, c):
         out = np.log(x) - 0.5 * r * (x * x - 1.0) + (c * gamma / 16.0) * (x ** 4 - 1.0)
         return float(out) if out.ndim == 0 else out
 
-    return dataclasses.replace(base, Q=Q)
+    return g, dataclasses.replace(drift_from_growth(g), Q=Q)
 
 
-def _allee_drift_closed(g: GrowthModel, r, K0, K):
-    """Closed-form potential for the two-threshold cubic growth."""
-    base = drift_from_growth(g)
+def _closed_allee(g: GrowthModel, r, K0, K):
+    """g and its drift, with the closed-form potential of the
+    two-threshold cubic growth."""
     gamma = g.gamma
 
     def G(z):
@@ -437,63 +444,51 @@ def _allee_drift_closed(g: GrowthModel, r, K0, K):
         out = np.log(x) - (G(z) - G(gamma / 4.0))
         return float(out) if out.ndim == 0 else out
 
-    return dataclasses.replace(base, Q=Q)
+    return g, dataclasses.replace(drift_from_growth(g), Q=Q)
+
+
+# name -> (kind, {parameter: default} in the order their problems are
+# reported, build(**parameters) -> (growth or None, drift))
+PRESETS = {
+    "logistic": ("growth", {"gamma": 1.0, "r": 1.0, "c": 1.0},
+                 lambda gamma, r, c: _closed_polynomial(
+                     logistic_growth(r, c, gamma), r, c)),
+    "linear": ("growth", {"gamma": 1.0, "r": 1.0},
+               lambda gamma, r: _closed_polynomial(linear_growth(r, gamma),
+                                                   r, 0.0)),
+    "allee": ("growth", {"gamma": 1.0, "r": 1.0, "K0": 1.0, "K": 10.0},
+              lambda gamma, r, K0, K: _closed_allee(
+                  allee_growth(r, K0, K, gamma), r, K0, K)),
+    "ou": ("drift", {"theta": 1.0}, lambda theta: (None, ou_drift(theta))),
+}
 
 
 def preset_model(preset, kind, params) -> Model:
-    """Build a Model from a preset name, a kind, and a parameter mapping."""
+    """Build a Model from a preset name (one of PRESETS, or custom), a
+    kind, and a parameter mapping."""
     problems = []
     p = dict(params)
 
-    def num(key, default=None):
+    def num(key, default):
         if key in p:
             try:
                 return float(p[key])
             except (TypeError, ValueError):
                 problems.append(f"model.{key}: not a number ({p[key]!r})")
-                return default
         return default
 
     if kind not in ("drift", "growth"):
         raise ConfigError([f"model.kind: must be drift or growth, got {kind!r}"])
 
-    if preset == "ou":
-        if kind != "drift":
-            problems.append("model.preset: ou requires kind = drift")
-        theta = num("theta", 1.0)
+    if preset in PRESETS:
+        need, defaults, build = PRESETS[preset]
+        if kind != need:
+            problems.append(f"model.preset: {preset} requires kind = {need}")
+        values = {key: num(key, value) for key, value in defaults.items()}
         if problems:
             raise ConfigError(problems)
-        d = ou_drift(theta)
-        return Model(kind="drift", drift=d, growth=None,
-                     params={"theta": theta}, label=d.name)
-
-    if preset in ("logistic", "linear", "allee"):
-        if kind != "growth":
-            problems.append(f"model.preset: {preset} requires kind = growth")
-        gamma = num("gamma", 1.0)
-        r = num("r", 1.0)
-        if preset == "logistic":
-            c = num("c", 1.0)
-            if problems:
-                raise ConfigError(problems)
-            g = logistic_growth(r, c, gamma)
-            d = _logistic_drift_closed(g, r, c)
-            used = {"r": r, "c": c, "gamma": gamma}
-        elif preset == "linear":
-            if problems:
-                raise ConfigError(problems)
-            g = linear_growth(r, gamma)
-            d = _logistic_drift_closed(g, r, 0.0)
-            used = {"r": r, "gamma": gamma}
-        else:
-            K0 = num("K0", 1.0)
-            K = num("K", 10.0)
-            if problems:
-                raise ConfigError(problems)
-            g = allee_growth(r, K0, K, gamma)
-            d = _allee_drift_closed(g, r, K0, K)
-            used = {"r": r, "K0": K0, "K": K, "gamma": gamma}
-        return Model(kind="growth", drift=d, growth=g, params=used, label=g.name)
+        g, d = build(**values)
+        return Model(kind=need, drift=d, growth=g, label=(g or d).name)
 
     if preset == "custom":
         text = p.get("expression")
@@ -507,20 +502,17 @@ def preset_model(preset, kind, params) -> Model:
             g = GrowthModel(h=h, h_prime=fd_derivative(h), gamma=gamma,
                             name=f"custom-growth({text})")
             d = drift_from_growth(g)
-            return Model(kind="growth", drift=d, growth=g,
-                         params={**names, "gamma": gamma, "expression": text},
-                         label=g.name)
+            return Model(kind="growth", drift=d, growth=g, label=g.name)
         q = compile_expression(text, "x", names)
         qp = fd_derivative(q)
         a = _estimate_origin_exponent(q)
         d = drift_field(q, qp, origin_exponent=a,
                         name=f"custom-drift({text})",
                         singular_origin=(a is None or a > 0))
-        return Model(kind="drift", drift=d, growth=None,
-                     params={**names, "expression": text}, label=d.name)
+        return Model(kind="drift", drift=d, growth=None, label=d.name)
 
     raise ConfigError([f"model.preset: unknown preset {preset!r} "
-                       "(expected logistic, linear, allee, ou, custom)"])
+                       f"(expected {', '.join(PRESETS)}, custom)"])
 
 
 def _is_number(v):

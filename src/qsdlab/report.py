@@ -21,6 +21,7 @@ it.  Any other cell (a near-tie, a subnormal, a magnitude outside
 and counted in the manifest as a fallback cell.
 """
 
+import contextlib
 import hashlib
 import json
 import math
@@ -305,6 +306,16 @@ class RunReport:
     files: list = field(default_factory=list)
     messages: list = field(default_factory=list)
     failure: object = None        # {stage, type, message} of a failed run
+    stage: str = None             # the innermost span open
+
+    @contextlib.contextmanager
+    def span(self, name):
+        """Name the stage its block runs.  The outer name comes back only
+        when the block exits normally, so an exception that escapes it
+        leaves the innermost name to label the failure."""
+        outer, self.stage = self.stage, name
+        yield
+        self.stage = outer
 
     def add_file(self, out_dir, name, header, columns):
         path = os.path.join(out_dir, name)

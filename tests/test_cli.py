@@ -1,6 +1,8 @@
 """End-to-end runs of the qsd command surface."""
 
+import argparse
 import csv
+import importlib
 import json
 import os
 import re
@@ -108,6 +110,25 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
         main(["kernel", _cfg("logistic"), "--output-dir", out, "--bogus"])
     assert exc.value.code == 2
     assert "--bogus" in capsys.readouterr().err
+
+
+def test_parser_lists_the_eight_commands_in_order():
+    sub = next(a for a in _parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert [(a.dest, a.help) for a in sub._choices_actions] == [
+        ("check", "verify the integrability hypotheses"),
+        ("spectrum", "solve the killed generator's eigenproblem"),
+        ("yaglom", "compute the quasi-stationary profile"),
+        ("kernel", "write one transition-kernel slice"),
+        ("simulate", "run the absorbed path ensemble"),
+        ("qprocess", "simulate the never-absorbed conditioned process"),
+        ("bd", "lattice prelimit: scaling check and series criterion"),
+        ("compare", "overlay spectral profile against simulation")]
+    common = {"-h", "--help", "--output-dir", "--seed", "--quick"}
+    for name, sp in sub.choices.items():
+        options = {o for a in sp._actions for o in a.option_strings}
+        assert options == common | ({"--t", "--x"} if name == "kernel"
+                                    else set()), name
 
 
 def test_simulate_quick(tmp_path):
@@ -317,6 +338,34 @@ def test_refused_run_writes_its_report(tmp_path, capsys):
     assert rep["failure"]["stage"] == "kernel slice"
     assert rep["failure"]["type"] == "TailDominatedError"
     assert rep["failure"]["message"] in capsys.readouterr().err
+
+
+# a failure inside a labelled stage is reported under that stage, in the
+# report and on stderr; each library call is replaced by one that raises
+@pytest.mark.parametrize("command, model, module, name, stage", [
+    ("check", "logistic", "hypotheses", "check_all", "hypothesis checks"),
+    ("simulate", "ou", "montecarlo", "simulate_x", "path simulation"),
+    ("compare", "logistic", "montecarlo", "simulate_z", "path simulation"),
+    ("qprocess", "ou", "montecarlo", "simulate_qprocess",
+     "conditioned-path simulation"),
+    ("bd", "logistic", "birthdeath", "scaling_limit_check", "scaling check"),
+    ("bd", "logistic", "birthdeath", "s_criterion", "series criterion")])
+def test_a_failure_is_reported_under_its_stage(tmp_path, monkeypatch, capsys,
+                                               command, model, module, name,
+                                               stage):
+    def fail(*args, **kwargs):
+        raise PreconditionError(f"forced in {name}")
+
+    monkeypatch.setattr(importlib.import_module(f"qsdlab.{module}"), name,
+                        fail)
+    out = str(tmp_path / "out")
+    assert main([command, _cfg(model), "--output-dir", out, "--quick"]) == 3
+    rep = _report(out)
+    assert rep["status"] == "refused"
+    assert rep["failure"] == {"stage": stage, "type": "PreconditionError",
+                              "message": f"forced in {name}"}
+    assert (f"error [{stage}]: PreconditionError: forced in {name}"
+            in capsys.readouterr().err)
 
 
 def test_bd_below_t_min_asks_for_a_later_time(tmp_path, capsys):

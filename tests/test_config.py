@@ -3,11 +3,14 @@
 import dataclasses
 import os
 
+import numpy as np
 import pytest
 
 from qsdlab import ConfigError, default_domain, load_config
 from qsdlab.cli import main
 from qsdlab.config import require_seed
+from qsdlab.model import (allee_growth, drift_from_growth, linear_growth,
+                          logistic_growth, ou_drift)
 
 EXAMPLES = os.path.join(os.path.dirname(__file__), os.pardir, "examples")
 
@@ -185,6 +188,68 @@ gamma = 1
     assert cfg.model.growth is not None
     assert cfg.model.growth.h(1.0) == pytest.approx(1.0)
     assert cfg.model.growth.h(2.0) == pytest.approx(0.0)
+
+
+# every preset parameter a config gives reaches the model, K0 and K in
+# either case; an absent one takes the preset's default
+@pytest.mark.parametrize("preset, given, label, ref", [
+    ("ou", {"theta": 2.5}, "ou(theta=2.5)", lambda: ou_drift(2.5)),
+    ("ou", {}, "ou(theta=1)", lambda: ou_drift(1.0)),
+    ("logistic", {"r": 1.5, "c": 0.5, "gamma": 2},
+     "logistic(r=1.5,c=0.5,gamma=2)", lambda: logistic_growth(1.5, 0.5, 2.0)),
+    ("logistic", {}, "logistic(r=1,c=1,gamma=1)",
+     lambda: logistic_growth(1.0, 1.0, 1.0)),
+    ("linear", {"r": -0.5, "gamma": 0.5}, "linear(r=-0.5,gamma=0.5)",
+     lambda: linear_growth(-0.5, 0.5)),
+    ("allee", {"r": 2, "k0": 0.5, "k": 4, "gamma": 1.5},
+     "allee(r=2,K0=0.5,K=4,gamma=1.5)",
+     lambda: allee_growth(2.0, 0.5, 4.0, 1.5)),
+    ("allee", {"K0": 0.25, "K": 8}, "allee(r=1,K0=0.25,K=8,gamma=1)",
+     lambda: allee_growth(1.0, 0.25, 8.0, 1.0)),
+    ("allee", {}, "allee(r=1,K0=1,K=10,gamma=1)",
+     lambda: allee_growth(1.0, 1.0, 10.0, 1.0))])
+def test_every_preset_parameter_reaches_the_model(tmp_path, preset, given,
+                                                  label, ref):
+    kind = "drift" if preset == "ou" else "growth"
+    lines = "".join(f"{key} = {value}\n" for key, value in given.items())
+    model = load_config(_write(tmp_path, f"""
+[model]
+preset = {preset}
+kind = {kind}
+{lines}""")).model
+    assert model.label == label
+    xs = np.linspace(0.2, 3.0, 15)
+    if kind == "drift":
+        assert np.array_equal(model.drift.q(xs), ref().q(xs))
+        assert model.drift.C == ref().C
+        return
+    zs = np.linspace(0.0, 5.0, 21)
+    assert np.array_equal(model.growth.h(zs), ref().h(zs))
+    assert model.growth.gamma == ref().gamma
+    # the closed-form potential against the one integrated from h
+    assert np.allclose(model.drift.Q(xs), drift_from_growth(ref()).Q(xs),
+                       rtol=1e-8, atol=1e-10)
+
+
+def test_custom_expression_reads_preset_parameters(tmp_path):
+    drift = load_config(_write(tmp_path, """
+[model]
+preset = custom
+kind = drift
+expression = theta*x
+theta = 2.5
+""")).model.drift
+    assert drift.q(2.0) == 5.0
+    growth = load_config(_write(tmp_path, """
+[model]
+preset = custom
+kind = growth
+expression = r*z*(z/K0 - 1)*(1 - z/K)
+r = 2
+k0 = 0.5
+k = 4
+""")).model.growth
+    assert growth.h(2.0) == pytest.approx(2.0 * 2.0 * 3.0 * 0.5)
 
 
 # step controls that used to pass the config and stop the run later

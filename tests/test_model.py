@@ -1,5 +1,7 @@
 """Drift fields, growth forms, and the square-root coordinate change."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from qsdlab import (ConfigError, DomainError, ModelError, allee_growth, drift_fr
                     linear_growth, logistic_growth, ou_drift, potential,
                     preset_model, x_from_z, z_from_x)
 from qsdlab.expr import compile_expression
-from qsdlab.model import in_place, scratch_rows
+from qsdlab.model import (_PROBE_HI, _PROBE_LO, _PROBE_N, curvature_floor,
+                          in_place, scratch_rows)
 from qsdlab.montecarlo import _conditioned_drift, _located
 
 
@@ -314,3 +317,33 @@ def test_potential_integral_near_a_singular_origin():
     np.testing.assert_allclose(d.Q(far), exact, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose([d.Q(x) for x in far], exact, rtol=1e-12,
                                atol=0.0)
+
+
+@pytest.mark.parametrize("preset, kind, expression, C", [
+    # q^2 - q' falls to its minimum at the probe grid's last node ...
+    ("custom", "growth", "0*z", 0.0),
+    ("custom", "drift", "3.0/x", 0.0),
+    # ... or at its first: -q' of the finite difference, as the grid has it
+    ("custom", "drift", "x", 1.0000000000155733)])
+def test_an_end_minimum_of_the_curvature_floor_is_kept_as_it_is(
+        preset, kind, expression, C):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        d = preset_model(preset, kind, {"expression": expression}).drift
+        assert d.C == C
+
+
+def test_a_rejected_interior_bracket_keeps_the_grid_minimum_and_warns():
+    # q^2 - q' is -1 at one interior probe node and 0 everywhere else, so
+    # the golden search finds no point of the bracket below its ends
+    node = np.geomspace(_PROBE_LO, _PROBE_HI, _PROBE_N)[2000]
+
+    def q(x):
+        return np.zeros_like(np.asarray(x, dtype=float))
+
+    def q_prime(x):
+        return np.where(np.asarray(x, dtype=float) == node, 1.0, 0.0)
+
+    with pytest.warns(RuntimeWarning, match="curvature floor: the golden "
+                                            "search rejected the bracket"):
+        assert curvature_floor(q, q_prime) == 1.0
